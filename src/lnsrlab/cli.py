@@ -15,7 +15,6 @@ import configparser
 import csv
 import os
 import sys
-from dataclasses import replace
 from datetime import datetime
 
 import numpy as np
@@ -33,12 +32,7 @@ from .manifold import build_index, neighborhood_basis, sample_inmanifold_noise
 from .noise import NoiseSpec, sample_standard_noise
 from .objective import RegularizerConfig
 from .rng import stream_rng, substream_rng
-from .theory import (
-    cross_term_mc,
-    make_taylor_report,
-    random_smooth_map,
-    write_taylor_csv,
-)
+from .theory import TAYLOR_CSV_COLUMNS, cross_term_mc, make_taylor_report, random_smooth_map
 from .trainer import TrainConfig, config_for_mode, multi_seed, run_training
 
 COMMANDS = ("train", "sweep", "verify-claim1", "cross-term", "noise-curve",
@@ -46,7 +40,7 @@ COMMANDS = ("train", "sweep", "verify-claim1", "cross-term", "noise-curve",
 
 _CONFIG_SECTIONS = ("encoder", "noise", "regularizer", "train", "data")
 
-_DATA_DEFAULTS = {"kind": "classification", "n_per_class": 16, "num_classes": 2,
+_DATA_DEFAULTS = {"n_per_class": 16, "num_classes": 2,
                   "seq_len": 8, "margin": 0.6, "seed": 0,
                   "train_path": None, "dev_path": None}
 
@@ -121,15 +115,15 @@ def _lambda_weights(text: str):
 _SECTION_CASTERS = {
     "encoder": {"vocab_size": int, "embed_dim": int, "num_layers": int,
                 "num_heads": int, "ffn_dim": int, "max_seq_len": int,
-                "num_classes": int, "regression": _bool, "dropout_rate": float},
+                "num_classes": int, "regression": _bool},
     "noise": {"mode": str, "sigma": float, "rel_magnitude": _float_or_none,
-              "injection_layer": int, "seed": int},
+              "injection_layer": int},
     "regularizer": {"lambda_weights": _lambda_weights, "mode": str,
                     "norm_reduction": str, "injection_layer": int},
     "train": {"lr": float, "batch_size": int, "beta1": float, "beta2": float,
               "adam_eps": float, "weight_decay": float, "warmup_ratio": float,
               "epochs": int, "seed": int, "knn_k": int},
-    "data": {"kind": str, "n_per_class": int, "num_classes": int,
+    "data": {"n_per_class": int, "num_classes": int,
              "seq_len": int, "margin": float, "seed": int,
              "train_path": str, "dev_path": str},
 }
@@ -195,8 +189,6 @@ class Settings:
             train = load_tsv(d["train_path"], split="train")
             dev = load_tsv(d["dev_path"], vocab=train.vocab, split="dev")
             return train, dev
-        if d["kind"] != "classification":
-            raise ValidationError(f"unknown data.kind {d['kind']!r}")
         return synth_classification(d["n_per_class"], d["num_classes"],
                                     d["seq_len"], self.encoder.vocab_size,
                                     d["margin"], d["seed"])
@@ -273,7 +265,7 @@ def _cmd_verify_claim1(args) -> int:
         reports.append(make_taylor_report(f, x, sigma, args.mc_samples, rng,
                                           f_batch=f_batch))
     path = _out_path(args, "verify-claim1")
-    write_taylor_csv(reports, path)
+    write_csv(path, TAYLOR_CSV_COLUMNS, [r.csv_row() for r in reports])
     print(f"wrote {path}")
     for rep in reports:
         second_order = rep.r_j + rep.r_h_exact

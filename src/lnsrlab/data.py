@@ -10,7 +10,7 @@ Token id conventions are fixed for checkpoint portability: 0 = padding,
 1 = unknown, real tokens from 2 upward in first-appearance order.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,9 +43,6 @@ class TextDataset:
     @property
     def vocab_size(self) -> int:
         return FIRST_REAL_ID + len(self.vocab)
-
-    def id_to_token(self):
-        return {i: t for t, i in self.vocab.items()}
 
 
 def load_tsv(path, vocab: dict | None = None, split: str = "train") -> TextDataset:
@@ -98,7 +95,6 @@ def load_tsv(path, vocab: dict | None = None, split: str = "train") -> TextDatas
 class SyntheticManifoldSet:
     points: np.ndarray
     intrinsic_dim: int
-    description: str
 
 
 def synth_classification(n_per_class: int, num_classes: int, seq_len: int,
@@ -203,12 +199,4 @@ def synth_manifold(n: int, d: int, k_true: int, curvature: float, seed: int) -> 
         m = bend_dirs.shape[0]
         coupling = rng.normal(size=(k_true, m)) / np.sqrt(k_true)
         points = points + curvature * (quad @ coupling) @ bend_dirs
-    desc = (f"latent box [-1,1]^{k_true} -> R^{d}, orthonormal linear map,"
-            f" curvature={curvature}")
-    return SyntheticManifoldSet(points=points, intrinsic_dim=k_true, description=desc)
-
-
-def vocab_roundtrip_ok(ds: TextDataset) -> bool:
-    """Token -> id -> token is the identity for in-vocabulary tokens."""
-    inv = ds.id_to_token()
-    return all(inv[i] == t for t, i in ds.vocab.items())
+    return SyntheticManifoldSet(points=points, intrinsic_dim=k_true)

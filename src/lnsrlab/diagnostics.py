@@ -32,7 +32,6 @@ import logging
 log = logging.getLogger(__name__)
 
 SPECTRUM_SOURCES = ("standard", "in_manifold")
-DEFAULT_PROBE_COUNT = 64
 BENCH_MIN_REPS = 5
 SWEEP_PARAMS = ("injection_layer", "rel_magnitude")
 
@@ -90,15 +89,14 @@ def _probe_generator(entropy: int, ids) -> np.random.Generator:
 
 
 def error_ratio_curve(model: EncoderModel, probe_data, b: int, rho: float,
-                      rng) -> ErrorRatioCurve:
+                      rng: int) -> ErrorRatioCurve:
     """Average deviation ratios over a probe set, noise rescaled per token.
 
     ``probe_data`` is a dataset or a list of (ids, label) pairs; ``rng``
-    is an integer seed or a Generator (consumed once for entropy).  The
-    injected noise is a standard Gaussian draw rescaled row-wise so every
-    position moves by ``rho`` times its own norm; all positions of the
-    padded [M, d] input are treated alike, which pins the first curve
-    entry to exactly ``rho``.
+    is an integer seed.  The injected noise is a standard Gaussian draw
+    rescaled row-wise so every position moves by ``rho`` times its own
+    norm; all positions of the padded [M, d] input are treated alike, which
+    pins the first curve entry to exactly ``rho``.
     """
     examples = getattr(probe_data, "examples", probe_data)
     if len(examples) == 0:
@@ -108,10 +106,7 @@ def error_ratio_curve(model: EncoderModel, probe_data, b: int, rho: float,
         raise ContractError(f"error_ratio_curve: injection layer {b} outside 1..{cfg.num_layers}")
     if not rho >= 0:
         raise ContractError(f"error_ratio_curve: rho must be nonnegative, got {rho}")
-    if isinstance(rng, (int, np.integer)):
-        entropy = int(rng)
-    else:
-        entropy = int(rng.integers(0, 2 ** 63))
+    entropy = int(rng)
 
     columns = None
     for ids, _label in examples:

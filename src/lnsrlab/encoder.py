@@ -16,7 +16,7 @@ Token id 0 is reserved for padding: pad positions are masked out of
 attention scores and of the mean pooling.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +41,6 @@ class EncoderConfig:
     max_seq_len: int = 12
     num_classes: int = 2
     regression: bool = False
-    dropout_rate: float = 0.0
 
     def __post_init__(self):
         self.validate()
@@ -59,8 +58,6 @@ class EncoderConfig:
                 f"num_heads must divide embed_dim, got embed_dim={self.embed_dim}"
                 f" num_heads={self.num_heads}"
             )
-        if not (0.0 <= self.dropout_rate < 1.0):
-            problems.append(f"dropout_rate must be in [0, 1), got {self.dropout_rate!r}")
         if problems:
             raise ValidationError("invalid EncoderConfig: " + "; ".join(problems))
 
@@ -163,11 +160,6 @@ def build_encoder(config: EncoderConfig, init_seed: int) -> EncoderModel:
     Deterministic: the same ``init_seed`` yields bit-identical parameters.
     """
     config.validate()
-    if config.dropout_rate != 0.0:
-        raise ValidationError(
-            "dropout_rate is recorded for config compatibility but only 0.0 is"
-            " runnable: the two-pass objective compares deterministic functions"
-        )
     rng = stream_rng(init_seed, "init")
     d, f = config.embed_dim, config.ffn_dim
     blocks = []
@@ -294,7 +286,6 @@ def save_checkpoint(model: EncoderModel, path):
     lines.append(f"max_seq_len={cfg.max_seq_len}")
     lines.append(f"num_classes={cfg.num_classes}")
     lines.append(f"regression={int(cfg.regression)}")
-    lines.append(f"dropout_rate={cfg.dropout_rate!r}")
     header = ("\n".join(lines) + "\n\n").encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)
@@ -313,6 +304,8 @@ def load_checkpoint(path) -> EncoderModel:
         raise ContractError(
             f"checkpoint {path}: bad magic {head_lines[0]!r}, expected {CHECKPOINT_MAGIC!r}"
         )
+    # Header keys not read below are ignored, so files that older versions
+    # wrote with extra keys still load.
     fields = {}
     for line in head_lines[1:]:
         key, _, val = line.partition("=")
@@ -327,7 +320,6 @@ def load_checkpoint(path) -> EncoderModel:
             max_seq_len=int(fields["max_seq_len"]),
             num_classes=int(fields["num_classes"]),
             regression=bool(int(fields["regression"])),
-            dropout_rate=float(fields["dropout_rate"]),
         )
     except KeyError as exc:
         raise ContractError(f"checkpoint {path}: missing header field {exc}") from exc

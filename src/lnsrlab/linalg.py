@@ -1,8 +1,8 @@
-"""Self-contained symmetric eigendecomposition and power iteration.
+"""Self-contained symmetric eigendecomposition.
 
-These back the covariance-spectrum and operator-norm diagnostics.  They are
-written out longhand so the test suite can cross-check them against
-``np.linalg`` rather than having both sides call the same LAPACK routine.
+It backs the covariance-spectrum diagnostics.  It is written out longhand
+so the test suite can cross-check it against ``np.linalg`` rather than
+having both sides call the same LAPACK routine.
 """
 
 import numpy as np
@@ -70,38 +70,3 @@ def jacobi_eigh(a, tol: float = 1e-12, max_sweeps: int = 100):
     eigvals = a.diagonal().copy()
     order = np.argsort(eigvals)[::-1]
     return eigvals[order], v[:, order]
-
-
-def power_iteration_sym(a, v0, iters: int = 200, rel_tol: float = 1e-12):
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration.
-
-    Returns ``(estimate, history)`` where ``history`` lists the Rayleigh
-    quotient after each multiply.  For PSD input the history is monotone
-    nondecreasing, which callers use as a sanity invariant.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"power_iteration_sym: expected square matrix, got {a.shape}")
-    v = np.asarray(v0, dtype=np.float64).reshape(-1)
-    if v.shape[0] != a.shape[0]:
-        raise ShapeError(f"power_iteration_sym: start vector length {v.shape[0]} vs matrix {a.shape}")
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        raise ContractError("power_iteration_sym: start vector is zero")
-    v = v / nv
-    history = []
-    est = 0.0
-    for _ in range(iters):
-        w = a @ v
-        est = float(v @ w)
-        history.append(est)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            # Start vector lies in the null space; the quotient is exactly 0.
-            break
-        v = w / nw
-        if len(history) >= 2:
-            prev = history[-2]
-            if abs(est - prev) <= rel_tol * max(abs(est), 1.0):
-                break
-    return est, history

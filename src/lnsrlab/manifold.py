@@ -26,8 +26,6 @@ DEFAULT_K = 10
 # its original norm is linearly dependent on the basis so far and is dropped.
 GS_DROP_RATIO = 1e-8
 
-KNN_MAGIC = "KNN1"
-
 
 def _as_array(x) -> np.ndarray:
     if isinstance(x, Tensor):
@@ -50,11 +48,9 @@ class NeighborIndex:
 
 @dataclass(frozen=True)
 class OrthoBasis:
-    """Orthonormal direction set spanning a local neighborhood around origin."""
+    """Orthonormal direction set spanning a local neighborhood."""
 
     basis: np.ndarray  # [m, d], rows unit length, pairwise orthogonal
-    origin: np.ndarray  # [d]
-    source_count: int  # neighbor differences fed in before dropping
 
     @property
     def size(self) -> int:
@@ -101,7 +97,7 @@ def knn(index: NeighborIndex, query, k: int, exclude_exact_match: bool = True):
     return [(index.vectors[i].copy(), float(d2[i])) for i in chosen]
 
 
-def gram_schmidt(diffs, origin=None) -> OrthoBasis:
+def gram_schmidt(diffs) -> OrthoBasis:
     """Orthonormalize difference vectors by modified Gram-Schmidt.
 
     Directions that become (numerically) dependent on the basis built so
@@ -111,7 +107,6 @@ def gram_schmidt(diffs, origin=None) -> OrthoBasis:
     mat = np.atleast_2d(np.array(_as_array(diffs), dtype=np.float64))
     if mat.size == 0:
         raise ContractError("gram_schmidt: no difference vectors given")
-    d = mat.shape[1]
     kept = []
     for row in mat:
         original = float(np.linalg.norm(row))
@@ -129,12 +124,7 @@ def gram_schmidt(diffs, origin=None) -> OrthoBasis:
         kept.append(v / residual)
     if not kept:
         raise ContractError("gram_schmidt: degenerate neighborhood, all differences zero")
-    if origin is None:
-        origin = np.zeros(d)
-    return OrthoBasis(
-        basis=np.array(kept), origin=np.array(_as_array(origin), dtype=np.float64),
-        source_count=mat.shape[0],
-    )
+    return OrthoBasis(basis=np.array(kept))
 
 
 def sample_inmanifold_noise(x, basis: OrthoBasis, sigma: float,
@@ -176,7 +166,7 @@ def neighborhood_basis(index: NeighborIndex, query, k: int = DEFAULT_K) -> Ortho
     try:
         pairs = knn(index, q, k, exclude_exact_match=True)
         diffs = np.array([vec - q for vec, _ in pairs])
-        return gram_schmidt(diffs, origin=q)
+        return gram_schmidt(diffs)
     except ContractError as exc:
         log.warning("degenerate neighborhood (%s); falling back to standard noise", exc)
         return None
@@ -199,30 +189,6 @@ def lle_reconstruction_error(x, neighbors) -> float:
     w, _, _, _ = np.linalg.lstsq(nb.T, xd, rcond=None)
     resid = xd - nb.T @ w
     return float(resid @ resid)
-
-
-def save_index(index: NeighborIndex, path):
-    """Snapshot: header line "KNN1", a line "N d", then row-major float64 LE."""
-    with open(path, "wb") as fh:
-        fh.write(f"{KNN_MAGIC}\n{index.n} {index.d}\n".encode("ascii"))
-        fh.write(np.ascontiguousarray(index.vectors, dtype="<f8").tobytes())
-
-
-def load_index(path) -> NeighborIndex:
-    with open(path, "rb") as fh:
-        magic = fh.readline().decode("ascii").strip()
-        if magic != KNN_MAGIC:
-            raise ContractError(f"load_index: bad magic {magic!r}, expected {KNN_MAGIC!r}")
-        try:
-            n, d = (int(tok) for tok in fh.readline().decode("ascii").split())
-        except ValueError as exc:
-            raise ContractError(f"load_index: malformed size line in {path}") from exc
-        payload = fh.read()
-    expect = n * d * 8
-    if len(payload) != expect:
-        raise ContractError(f"load_index: expected {expect} payload bytes, found {len(payload)}")
-    vectors = np.frombuffer(payload, dtype="<f8").reshape(n, d)
-    return build_index(vectors)
 
 
 def project_coefficients(basis: OrthoBasis, samples) -> np.ndarray:

@@ -5,11 +5,8 @@ Gaussian, manifold-constrained, or none), the raw standard deviation of the
 draw, an optional relative magnitude that rescales the draw against the
 vector it perturbs, and the layer whose input receives it.
 
-Rescaling comes in two flavors.  The default makes the perturbation norm an
-exact fraction of the perturbed vector's norm, ``|eps'| = rho * |x|``.  The
-alternative ``literal_formula`` flag multiplies by ``rho * |x|^2 / |eps|^2``
-instead; it is kept selectable because the two disagree (the latter is not
-even idempotent) and comparing them is part of the lab's purpose.
+Rescaling makes each perturbation row's norm an exact fraction of the
+perturbed row's norm, ``|eps'| = rho * |x|``.
 """
 
 from dataclasses import dataclass
@@ -37,7 +34,6 @@ class NoiseSpec:
     sigma: float = 1.0
     rel_magnitude: float | None = DEFAULT_REL_MAGNITUDE
     injection_layer: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         if self.mode not in NOISE_MODES:
@@ -52,8 +48,6 @@ class NoiseSpec:
             raise ValidationError(
                 f"NoiseSpec.injection_layer: must be >= 1, got {self.injection_layer}"
             )
-        if self.seed < 0:
-            raise ValidationError(f"NoiseSpec.seed: must be nonnegative, got {self.seed}")
 
 
 def _as_array(x) -> np.ndarray:
@@ -69,34 +63,7 @@ def sample_standard_noise(shape, sigma: float, rng: np.random.Generator) -> Tens
     return Tensor(rng.normal(0.0, sigma, size=shape))
 
 
-def rescale_relative(noise, x, rho: float, literal_formula: bool = False) -> Tensor:
-    """Rescale ``noise`` against ``x`` treating each as one flat vector.
-
-    Default: multiply by ``rho*|x|/|noise|`` so the result's L2 norm is
-    exactly ``rho*|x|``.  With ``literal_formula`` the multiplier is
-    ``rho*|x|^2/|noise|^2``.  ``x`` of zero norm yields zero noise; noise of
-    zero norm cannot be rescaled and is a contract error.
-    """
-    nd = _as_array(noise)
-    xd = _as_array(x)
-    if nd.shape != xd.shape:
-        raise ContractError(f"rescale_relative: shapes {nd.shape} and {xd.shape} differ")
-    if not rho >= 0:
-        raise ContractError(f"rescale_relative: rho must be nonnegative, got {rho}")
-    xnorm = float(np.linalg.norm(xd))
-    if xnorm == 0.0:
-        return Tensor(np.zeros_like(nd))
-    nnorm = float(np.linalg.norm(nd))
-    if nnorm == 0.0:
-        raise ContractError("rescale_relative: zero-norm noise cannot be rescaled")
-    if literal_formula:
-        eta = rho * xnorm * xnorm / (nnorm * nnorm)
-    else:
-        eta = rho * xnorm / nnorm
-    return Tensor(nd * eta)
-
-
-def rescale_relative_rows(noise, x, rho: float, literal_formula: bool = False) -> Tensor:
+def rescale_relative_rows(noise, x, rho: float) -> Tensor:
     """Row-wise relative rescaling of [n, d] matrices (per-token convention).
 
     Each row of the result has norm ``rho`` times the corresponding row of
@@ -116,8 +83,5 @@ def rescale_relative_rows(noise, x, rho: float, literal_formula: bool = False) -
     if np.any(live & (nnorms == 0.0)):
         raise ContractError("rescale_relative_rows: zero-norm noise row against nonzero x row")
     eta = np.zeros_like(xnorms)
-    if literal_formula:
-        eta[live] = rho * xnorms[live] ** 2 / nnorms[live] ** 2
-    else:
-        eta[live] = rho * xnorms[live] / nnorms[live]
+    eta[live] = rho * xnorms[live] / nnorms[live]
     return Tensor(nd * eta[:, None])

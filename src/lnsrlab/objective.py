@@ -21,8 +21,6 @@ from .tensor import Tensor
 
 MODES = ("ft", "ft_noise_only", "lnsr_standard", "lnsr_inmanifold")
 NORM_REDUCTIONS = ("sum_squares", "mean_squares")
-# Modes whose objective actually contains the penalty term.
-REGULARIZED_MODES = ("lnsr_standard", "lnsr_inmanifold")
 # Modes that need a perturbed forward pass at all.
 NOISY_MODES = ("ft_noise_only", "lnsr_standard", "lnsr_inmanifold")
 

@@ -52,9 +52,6 @@ class Tensor:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.data.shape}")
         return float(self.data.reshape(()))
 
-    def is_leaf(self) -> bool:
-        return self._backward is None
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={tuple(self.data.shape)}{flag})"

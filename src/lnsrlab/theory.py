@@ -19,7 +19,6 @@ sigma^2/4*(4|J|^2 + Tr(H)^2 + |offdiag(H)|_F^2), prefactor kept as stated
 even though it folds a sigma^2 mismatch into the Hessian part.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +43,6 @@ class TaylorReport:
     r_h_exact: float
     r_jh_mc: float
     claim14_value: float
-    r_jh_se: float = 0.0
 
     def csv_row(self):
         return [getattr(self, c) for c in TAYLOR_CSV_COLUMNS]
@@ -216,7 +214,7 @@ def spectral_norm_estimate(jvp, jtvp, dim: int, iters: int = 100,
     return result
 
 
-def random_smooth_map(dim: int, rng: np.random.Generator, width: int | None = None):
+def random_smooth_map(dim: int, rng: np.random.Generator):
     """A random C^inf scalar map f(x) = a . tanh(W x + c), plus batch form.
 
     Used as a generic nonlinear test subject for the expansion checks:
@@ -226,9 +224,7 @@ def random_smooth_map(dim: int, rng: np.random.Generator, width: int | None = No
     """
     if dim < 1:
         raise ContractError(f"random_smooth_map: dim must be >= 1, got {dim}")
-    m = 2 * dim if width is None else int(width)
-    if m < 1:
-        raise ContractError(f"random_smooth_map: width must be >= 1, got {m}")
+    m = 2 * dim
     w = rng.normal(0.0, 1.0 / np.sqrt(dim), size=(m, dim))
     c = rng.normal(0.0, 0.5, size=m)
     a = rng.normal(0.0, 1.0, size=m)
@@ -245,24 +241,14 @@ def random_smooth_map(dim: int, rng: np.random.Generator, width: int | None = No
 
 
 def make_taylor_report(f, x, sigma: float, n: int, rng: np.random.Generator,
-                       f_batch=None, h_jac: float = FD_JACOBIAN_H,
-                       h_hess: float = FD_HESSIAN_H) -> TaylorReport:
+                       f_batch=None) -> TaylorReport:
     """Full report at one sigma: finite-difference terms plus MC estimates."""
-    j = fd_jacobian(f, x, h=h_jac)
-    h = fd_hessian(f, x, h=h_hess)
+    j = fd_jacobian(f, x)
+    h = fd_hessian(f, x)
     terms = taylor_terms(j, h, sigma)
     est, se = mc_noise_stability(f, x, sigma, n, rng, f_batch=f_batch)
-    cross, cross_se = cross_term_mc(j, h, sigma, n, rng)
+    cross, _ = cross_term_mc(j, h, sigma, n, rng)
     return TaylorReport(sigma=sigma, mc_estimate=est, mc_se=se,
                         r_j=terms["r_j"], r_h_paper=terms["r_h_paper"],
                         r_h_exact=terms["r_h_exact"], r_jh_mc=cross,
-                        claim14_value=terms["claim14_value"], r_jh_se=cross_se)
-
-
-def write_taylor_csv(reports, path):
-    """Emit reports with the fixed column set, floats at full precision."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TAYLOR_CSV_COLUMNS)
-        for rep in reports:
-            writer.writerow([repr(float(v)) for v in rep.csv_row()])
+                        claim14_value=terms["claim14_value"])

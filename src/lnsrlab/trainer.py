@@ -31,7 +31,7 @@ from .objective import (
     lnsr_term,
     task_loss,
 )
-from .rng import stream_rng, substream_rng
+from .rng import substream_rng
 
 
 @dataclass
@@ -70,6 +70,12 @@ class TrainConfig:
             raise ValidationError("lnsr_standard pairs with standard or none noise")
         if mode == "lnsr_inmanifold" and self.noise.mode == "standard":
             raise ValidationError("lnsr_inmanifold pairs with in_manifold or none noise")
+        if self.noise.mode == "in_manifold" and self.noise.injection_layer > 1:
+            # Bases come from token-embedding neighbourhoods, which describe
+            # the embedding output only, not a hidden state further up.
+            raise ValidationError(
+                f"in_manifold noise needs injection_layer 1, got {self.noise.injection_layer}"
+            )
         if mode in NOISY_MODES and self.reg.injection_layer != self.noise.injection_layer:
             raise ValidationError(
                 f"injection_layer mismatch: regularizer says {self.reg.injection_layer},"

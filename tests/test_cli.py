@@ -215,6 +215,13 @@ def test_invalid_training_config_exit_1(tmp_path, capsys):
     ini.write_text("[train]\nlr = -1.0\n")
     assert main(["train", "--config", str(ini), "--out", str(tmp_path)]) == 1
     capsys.readouterr()
+    # Keys that configured nothing are rejected by name.
+    for section, key, value in (("noise", "seed", "0"),
+                                ("encoder", "dropout_rate", "0.0"),
+                                ("data", "kind", "classification")):
+        ini.write_text(f"[{section}]\n{key} = {value}\n")
+        assert main(["train", "--config", str(ini), "--out", str(tmp_path)]) == 1
+        assert repr(key) in capsys.readouterr().err
 
 
 def test_help_exits_zero():

@@ -7,7 +7,6 @@ from lnsrlab.data import (
     load_tsv,
     synth_classification,
     synth_manifold,
-    vocab_roundtrip_ok,
 )
 from lnsrlab.errors import ContractError, ValidationError
 from lnsrlab.manifold import build_index, knn, lle_reconstruction_error
@@ -27,7 +26,6 @@ def test_load_tsv_basic(tmp_path):
     assert ds.examples[1] == ([3, 4], 0)
     assert ds.num_classes == 2
     assert ds.vocab_size == 5
-    assert vocab_roundtrip_ok(ds)
 
 
 def test_load_tsv_frozen_vocab_maps_unknowns(tmp_path):

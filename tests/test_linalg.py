@@ -1,4 +1,5 @@
-"""Jacobi eigensolver and power iteration against np.linalg oracles."""
+"""Jacobi eigensolver and the matrix-free power iteration
+(``theory.spectral_norm_estimate``) against np.linalg oracles."""
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lnsrlab.errors import ContractError, ShapeError
-from lnsrlab.linalg import jacobi_eigh, power_iteration_sym
+from lnsrlab.linalg import jacobi_eigh
+from lnsrlab.theory import spectral_norm_estimate
 
 RNG = np.random.default_rng(7)
 
@@ -58,25 +60,29 @@ def test_property_reconstruction(seed, n):
     assert np.allclose(vecs @ np.diag(vals) @ vecs.T, a, atol=1e-8)
 
 
+def _spectral_norm(j, **kw):
+    return spectral_norm_estimate(lambda v: j @ v, lambda u: j.T @ u, j.shape[1], **kw)
+
+
 def test_power_iteration_matches_svd():
     for n in (2, 4, 9):
         j = RNG.normal(size=(n, n + 1))
-        a = j.T @ j
-        est, hist = power_iteration_sym(a, RNG.normal(size=n + 1), iters=500)
-        top = np.linalg.svd(j, compute_uv=False)[0] ** 2
+        est, hist = _spectral_norm(j, iters=500, v0=RNG.normal(size=n + 1),
+                                   return_history=True)
+        top = np.linalg.svd(j, compute_uv=False)[0]
         assert est == pytest.approx(top, rel=1e-6)
         assert np.all(np.diff(hist) >= -1e-9), "Rayleigh quotients must not decrease"
 
 
 def test_power_iteration_zero_matrix():
-    est, hist = power_iteration_sym(np.zeros((3, 3)), [1.0, 0.0, 0.0])
+    est, hist = _spectral_norm(np.zeros((3, 3)), v0=[1.0, 0.0, 0.0], return_history=True)
     assert est == 0.0
     assert len(hist) == 1
 
 
 def test_power_iteration_rejects_zero_start():
     with pytest.raises(ContractError):
-        power_iteration_sym(np.eye(2), [0.0, 0.0])
+        _spectral_norm(np.eye(2), v0=[0.0, 0.0])
 
 
 @settings(max_examples=30, deadline=None)
@@ -84,7 +90,6 @@ def test_power_iteration_rejects_zero_start():
 def test_property_power_iteration_monotone_on_psd(seed, n):
     rng = np.random.default_rng(seed)
     j = rng.normal(size=(n, n))
-    a = j.T @ j
-    est, hist = power_iteration_sym(a, rng.normal(size=n), iters=300)
-    assert np.all(np.diff(hist) >= -1e-8 * max(est, 1.0))
-    assert est <= np.linalg.eigvalsh(a)[-1] * (1 + 1e-9) + 1e-12
+    est, hist = _spectral_norm(j, iters=300, v0=rng.normal(size=n), return_history=True)
+    assert np.all(np.diff(hist) >= -1e-8 * max(hist[-1], 1.0))
+    assert est <= np.linalg.svd(j, compute_uv=False)[0] * (1 + 1e-9) + 1e-12

@@ -12,11 +12,9 @@ from lnsrlab.manifold import (
     gram_schmidt,
     knn,
     lle_reconstruction_error,
-    load_index,
     neighborhood_basis,
     project_coefficients,
     sample_inmanifold_noise,
-    save_index,
 )
 from lnsrlab.rng import stream_rng
 
@@ -171,25 +169,6 @@ def test_lle_planar_patch():
     pts = z @ plane
     x = np.array([0.3, -0.2]) @ plane
     assert lle_reconstruction_error(x, pts) <= 1e-10
-
-
-def test_index_snapshot_roundtrip(tmp_path):
-    rng = stream_rng(18, "theory")
-    idx = build_index(rng.normal(size=(7, 5)))
-    path = tmp_path / "table.knn"
-    save_index(idx, path)
-    back = load_index(path)
-    assert np.array_equal(back.vectors, idx.vectors)
-    with open(path, "rb") as fh:
-        assert fh.readline() == b"KNN1\n"
-        assert fh.readline() == b"7 5\n"
-
-
-def test_index_snapshot_rejects_bad_magic(tmp_path):
-    path = tmp_path / "bad.knn"
-    path.write_bytes(b"NOPE\n2 2\n" + b"\x00" * 32)
-    with pytest.raises(ContractError):
-        load_index(path)
 
 
 @settings(max_examples=40, deadline=None)

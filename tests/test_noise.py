@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from lnsrlab.errors import ContractError, ValidationError
 from lnsrlab.noise import (
     NoiseSpec,
-    rescale_relative,
     rescale_relative_rows,
     sample_standard_noise,
 )
@@ -65,47 +64,44 @@ def test_cross_moment_identities():
     assert abs(third) < 4 * third_se
 
 
+# The rescaling tests run on a single [1, d] row and on an [n, d] matrix.
+
 def test_rescale_norm_is_exact_fraction():
     rng = stream_rng(3, "noise")
-    x = np.zeros(8)
-    x[0] = 10.0
-    out = rescale_relative(rng.normal(size=8), x, 0.05).data
-    assert np.linalg.norm(out) == pytest.approx(0.5, abs=1e-12)
+    for n in (1, 5):
+        x = np.zeros((n, 8))
+        x[:, 0] = 10.0
+        out = rescale_relative_rows(rng.normal(size=(n, 8)), x, 0.05).data
+        assert np.allclose(np.linalg.norm(out, axis=1), 0.5, rtol=0.0, atol=1e-12)
 
 
 def test_rescale_zero_x_and_zero_noise():
-    out = rescale_relative(np.ones(3), np.zeros(3), 0.05).data
-    assert np.array_equal(out, np.zeros(3))
-    with pytest.raises(ContractError):
-        rescale_relative(np.zeros(3), np.ones(3), 0.05)
+    for n in (1, 4):
+        out = rescale_relative_rows(np.ones((n, 3)), np.zeros((n, 3)), 0.05).data
+        assert np.array_equal(out, np.zeros((n, 3)))
+        with pytest.raises(ContractError):
+            rescale_relative_rows(np.zeros((n, 3)), np.ones((n, 3)), 0.05)
 
 
 def test_rescale_preserves_direction():
     rng = stream_rng(4, "noise")
-    noise = rng.normal(size=16)
-    x = rng.normal(size=16)
-    out = rescale_relative(noise, x, 0.3).data
-    cos = out @ noise / (np.linalg.norm(out) * np.linalg.norm(noise))
-    assert cos == pytest.approx(1.0, abs=1e-12)
+    for n in (1, 6):
+        noise = rng.normal(size=(n, 16))
+        x = rng.normal(size=(n, 16))
+        out = rescale_relative_rows(noise, x, 0.3).data
+        cos = (out * noise).sum(axis=1) / (np.linalg.norm(out, axis=1)
+                                           * np.linalg.norm(noise, axis=1))
+        assert np.allclose(cos, 1.0, rtol=0.0, atol=1e-12)
 
 
 def test_rescale_idempotent():
     rng = stream_rng(5, "noise")
-    noise = rng.normal(size=10)
-    x = rng.normal(size=10)
-    once = rescale_relative(noise, x, 0.05).data
-    twice = rescale_relative(once, x, 0.05).data
-    assert np.allclose(once, twice, rtol=1e-12)
-
-
-def test_literal_formula_differs_and_matches_hand_value():
-    noise = np.array([2.0, 0.0])
-    x = np.array([0.0, 4.0])
-    # eta = rho*|x|^2/|noise|^2 = 0.05*16/4 = 0.2 -> [0.4, 0]
-    out = rescale_relative(noise, x, 0.05, literal_formula=True).data
-    assert np.allclose(out, [0.4, 0.0], atol=1e-15)
-    default = rescale_relative(noise, x, 0.05).data
-    assert not np.allclose(out, default)
+    for n in (1, 7):
+        noise = rng.normal(size=(n, 10))
+        x = rng.normal(size=(n, 10))
+        once = rescale_relative_rows(noise, x, 0.05).data
+        twice = rescale_relative_rows(once, x, 0.05).data
+        assert np.allclose(once, twice, rtol=1e-12)
 
 
 def test_rowwise_rescaling_per_token():
@@ -134,7 +130,9 @@ def test_rowwise_zero_noise_row_contract():
 @given(st.integers(0, 2 ** 31 - 1), st.floats(0.01, 0.9))
 def test_property_rescaled_norm(seed, rho):
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=12)
-    noise = rng.normal(size=12)
-    out = rescale_relative(noise, x, rho).data
-    assert np.linalg.norm(out) == pytest.approx(rho * np.linalg.norm(x), rel=1e-10)
+    for n in (1, 3):
+        x = rng.normal(size=(n, 12))
+        noise = rng.normal(size=(n, 12))
+        out = rescale_relative_rows(noise, x, rho).data
+        assert np.allclose(np.linalg.norm(out, axis=1), rho * np.linalg.norm(x, axis=1),
+                           rtol=1e-10, atol=0.0)

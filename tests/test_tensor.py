@@ -235,7 +235,7 @@ def test_constant_leaves_stay_off_the_tape():
     assert x in grads
     assert c not in grads and c.grad is None
     # A computation with no grad-requiring leaf produces a detached node.
-    assert T.mul(c, c).is_leaf()
+    assert not T.mul(c, c).requires_grad
 
 
 def test_diamond_graph_accumulates_both_paths():

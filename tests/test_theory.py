@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lnsrlab import tensor as T
+from lnsrlab.cli import write_csv
 from lnsrlab.encoder import EncoderConfig, build_encoder, forward_with_taps
 from lnsrlab.errors import ContractError
 from lnsrlab.rng import stream_rng
@@ -17,7 +18,6 @@ from lnsrlab.theory import (
     mc_noise_stability,
     spectral_norm_estimate,
     taylor_terms,
-    write_taylor_csv,
 )
 
 
@@ -217,7 +217,7 @@ def test_report_and_csv_roundtrip(tmp_path):
                              0.05, 2000, rng)
     assert np.isfinite(rep.mc_estimate) and rep.mc_se > 0
     path = tmp_path / "report.csv"
-    write_taylor_csv([rep], path)
+    write_csv(path, TAYLOR_CSV_COLUMNS, [rep.csv_row()])
     lines = path.read_text().strip().split("\n")
     assert lines[0] == ",".join(TAYLOR_CSV_COLUMNS)
     fields = lines[1].split(",")

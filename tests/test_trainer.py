@@ -160,6 +160,10 @@ def test_config_rejects_contradictory_mode_noise_pairs():
     with pytest.raises(ValidationError):
         _cfg(noise=NoiseSpec(mode="standard", injection_layer=2),
              reg=RegularizerConfig(mode="lnsr_standard", injection_layer=1))
+    # Vocabulary neighbourhoods say nothing about a hidden state above block 1.
+    with pytest.raises(ValidationError, match="injection_layer 1"):
+        _cfg(noise=NoiseSpec(mode="in_manifold", injection_layer=2),
+             reg=RegularizerConfig(mode="lnsr_inmanifold", injection_layer=2))
 
 
 def test_inmanifold_requires_enough_real_tokens(toy_task):
