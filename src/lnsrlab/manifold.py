@@ -1,5 +1,12 @@
 """Neighborhood geometry: exact kNN, orthonormal bases, in-manifold noise.
 
+Exact kNN is answered in two steps.  One matrix-vector product gives every
+squared distance by the norm expansion |v|^2 - 2 v.q + |q|^2, with a
+per-row forward-error bound.  Only the rows the bound cannot rule out of
+the k nearest (a shortlist, typically little more than k) are then
+re-ranked by the direct formula sum((v - q)^2), so the distances and
+their tie-break equal those of a full direct scan bit for bit.
+
 The in-manifold perturbation of a vector x is built from its k nearest
 neighbors in a reference point set (the token-embedding vocabulary in
 training, a synthetic manifold sample in diagnostics): the neighbor
@@ -13,6 +20,7 @@ linear combination of its neighbors) serves as the flatness diagnostic.
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +33,10 @@ DEFAULT_K = 10
 # A direction whose residual after projection drops below this fraction of
 # its original norm is linearly dependent on the basis so far and is dropped.
 GS_DROP_RATIO = 1e-8
+# Rounding allowance per floating-point step: relative, plus the absolute
+# error gradual underflow can add.
+_EPS = float(np.finfo(np.float64).eps)
+_UNDERFLOW = 4 * float(np.finfo(np.float64).smallest_subnormal)
 
 
 def _as_array(x) -> np.ndarray:
@@ -44,6 +56,11 @@ class NeighborIndex:
     def __post_init__(self):
         object.__setattr__(self, "n", self.vectors.shape[0])
         object.__setattr__(self, "d", self.vectors.shape[1])
+
+    @cached_property
+    def sq_norms(self) -> np.ndarray:
+        """Squared row norms, computed on the first query and kept with the index."""
+        return (self.vectors * self.vectors).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -74,27 +91,62 @@ def knn(index: NeighborIndex, query, k: int, exclude_exact_match: bool = True):
     Sorted by ascending distance with ties broken by lower row index.  With
     ``exclude_exact_match`` every stored row bitwise-equal to the query is
     removed before selection.
+
+    The search is exact.  Each row's distance is first estimated by the
+    norm expansion, which is off by at most ``(2d + 8) * eps * (|v|^2 +
+    |q|^2)`` plus a few subnormal spacings; the bound also covers the
+    rounding of the direct formula.  If ``cut`` is the kk-th smallest
+    upper estimate (kk = k, or k + 1 when exact matches are excluded), kk
+    rows certainly lie within ``cut``, so a row whose lower estimate
+    exceeds ``cut`` cannot be among the k nearest.  The other rows, the
+    shortlist, are re-ranked by the direct formula ``sum((v - q)^2)`` in
+    ascending row order, which gives the distances and tie-break of a full
+    scan bit for bit.  When exact copies of the query leave fewer than k
+    shortlisted rows within ``cut``, kk grows by the number excluded and
+    the search repeats.  A non-finite estimate, or kk reaching N, makes
+    every row the shortlist.
     """
     q = _as_array(query).reshape(-1)
     if q.shape[0] != index.d:
         raise ShapeError(f"knn: query length {q.shape[0]} vs index dimension {index.d}")
     if k < 1:
         raise ContractError(f"knn: k must be >= 1, got {k}")
-    diffs = index.vectors - q[None, :]
-    d2 = (diffs * diffs).sum(axis=1)
-    if exclude_exact_match:
-        keep = ~np.all(index.vectors == q[None, :], axis=1)
-    else:
-        keep = np.ones(index.n, dtype=bool)
+    vectors = index.vectors
+    # Overflow here only sends the search to the full scan, which warns as
+    # a direct scan would.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq, qq = index.sq_norms, q @ q
+        approx = sq - 2.0 * (vectors @ q) + qq
+        bound = (2 * index.d + 8) * (_EPS * (sq + qq) + _UNDERFLOW)
+        lower, upper = approx - bound, approx + bound
+    shortlisting = bool(np.isfinite(approx).all())
+    # A query that is a stored row, as neighbourhood queries are, is its own
+    # exact copy; counting it up front saves a second round.
+    kk = k + 1 if exclude_exact_match else k
+    while True:
+        if shortlisting and kk < index.n:
+            cut = np.partition(upper, kk - 1)[kk - 1]
+            rows = np.flatnonzero(lower <= cut)
+        else:
+            rows = np.arange(index.n)
+        near = vectors[rows]
+        diffs = near - q[None, :]
+        d2 = (diffs * diffs).sum(axis=1)
+        if exclude_exact_match:
+            keep = ~np.all(near == q[None, :], axis=1)
+        else:
+            keep = np.ones(rows.shape[0], dtype=bool)
+        if rows.shape[0] == index.n or np.count_nonzero(keep & (d2 <= cut)) >= k:
+            break
+        kk += max(1, rows.shape[0] - int(np.count_nonzero(keep)))
     candidates = np.flatnonzero(keep)
     if k > candidates.shape[0]:
         raise ContractError(
             f"knn: k={k} exceeds the {candidates.shape[0]} available points"
             f" (N={index.n}, exclude_exact_match={exclude_exact_match})"
         )
-    order = candidates[np.argsort(d2[candidates], kind="stable")]
-    chosen = order[:k]
-    return [(index.vectors[i].copy(), float(d2[i])) for i in chosen]
+    chosen = candidates[np.argsort(d2[candidates], kind="stable")[:k]]
+    return [(vectors[rows[i]].copy(), float(d2[i])) for i in chosen]
 
 
 def gram_schmidt(diffs) -> OrthoBasis:

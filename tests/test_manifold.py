@@ -55,7 +55,8 @@ def test_knn_exclusion_and_k_contract():
     idx = line_index()
     got = knn(idx, [1.0], 3, exclude_exact_match=True)
     assert all(v[0] != 1.0 for v, _ in got)
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match=r"k=4 exceeds the 3 available points"
+                                            r" \(N=4, exclude_exact_match=True\)"):
         knn(idx, [1.0], 4, exclude_exact_match=True)
     knn(idx, [1.0], 4, exclude_exact_match=False)
 
@@ -171,18 +172,86 @@ def test_lle_planar_patch():
     assert lle_reconstruction_error(x, pts) <= 1e-10
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2 ** 31 - 1), st.integers(2, 8), st.integers(2, 6))
-def test_property_knn_matches_rescan(seed, n_extra, k):
-    rng = np.random.default_rng(seed)
-    pts = rng.normal(size=(k + n_extra, 3))
-    idx = build_index(pts)
-    q = rng.normal(size=3)
-    got = knn(idx, q, k, exclude_exact_match=False)
+def rescan(pts, q, k, exclude_exact_match):
+    """Reference kNN: a full direct scan ordered by (squared distance, row)."""
     d2 = ((pts - q) ** 2).sum(axis=1)
-    best = np.sort(d2)[:k]
-    assert np.allclose(sorted(d for _, d in got), best, atol=1e-12)
-    assert all(got[i][1] <= got[i + 1][1] for i in range(k - 1))
+    rows = np.arange(pts.shape[0])
+    if exclude_exact_match:
+        rows = rows[~np.all(pts == q, axis=1)]
+    order = rows[np.lexsort((rows, d2[rows]))][:k]
+    return order, d2[order]
+
+
+def assert_knn_matches_rescan(pts, q, k, exclude_exact_match):
+    """knn returns the rescan's rows and distances bit for bit."""
+    got = knn(build_index(pts), q, k, exclude_exact_match=exclude_exact_match)
+    rows, d2 = rescan(pts, q, k, exclude_exact_match)
+    assert len(got) == len(rows)
+    for (vec, dist), row, want in zip(got, rows, d2):
+        assert np.array_equal(vec, pts[row])
+        assert dist == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(100, 400), st.integers(1, 12),
+       st.integers(2, 16), st.sampled_from(["fresh", "row", "near"]), st.booleans())
+def test_property_knn_matches_rescan(seed, n, k, d, where, exclude):
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(n, d))
+    q = {"fresh": rng.normal(size=d),
+         "row": pts[rng.integers(n)],
+         "near": pts[rng.integers(n)] + 1e-9 * rng.normal(size=d)}[where]
+    assert_knn_matches_rescan(pts, q, k, exclude)
+
+
+@pytest.mark.parametrize("offset, spread",
+                         [(1e6, 1e-3), (0.0, 1e-160), (0.0, 2.0 ** -537), (0.0, 1e154)])
+def test_knn_scaled_clouds_match_rescan(offset, spread):
+    """A tight cluster far from the origin, where the norm expansion cancels
+    worst; clouds whose squares underflow (at 2^-537 they are subnormal and
+    the rounding error is absolute); one whose squares overflow."""
+    rng = np.random.default_rng(3)
+    pts = offset + spread * rng.normal(size=(300, 8))
+    queries = [pts[7], pts[150], offset + spread * rng.normal(size=8)]
+    with np.errstate(over="ignore"):
+        for q in queries:
+            for exclude in (True, False):
+                assert_knn_matches_rescan(pts, q, 10, exclude)
+
+
+def test_knn_more_than_k_copies_of_query():
+    rng = np.random.default_rng(4)
+    pts = rng.normal(size=(200, 4))
+    copies = [5, 17, 40, 41, 42, 90, 91, 120, 150, 151, 160, 170, 180, 190, 199]
+    pts[copies] = pts[5]
+    for exclude in (True, False):
+        assert_knn_matches_rescan(pts, pts[5], 10, exclude)
+
+
+def test_knn_ties_at_the_cut_on_a_lattice():
+    axis = np.arange(5.0)
+    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    for q in np.concatenate([grid[::11], grid[::13] + 0.5]):
+        for exclude in (True, False):
+            assert_knn_matches_rescan(grid, q, 10, exclude)
+
+
+def test_knn_n_equals_k_plus_one():
+    rng = np.random.default_rng(5)
+    pts = rng.normal(size=(11, 3))
+    for q in (pts[4], rng.normal(size=3)):
+        for exclude in (True, False):
+            assert_knn_matches_rescan(pts, q, 10, exclude)
+
+
+def test_knn_nan_query_takes_the_first_rows():
+    """Every distance is NaN, so the stable order keeps rows 0..k-1."""
+    pts = np.random.default_rng(6).normal(size=(50, 3))
+    q = np.array([np.nan, 0.0, 1.0])
+    for exclude in (True, False):
+        got = knn(build_index(pts), q, 4, exclude_exact_match=exclude)
+        assert all(np.array_equal(vec, pts[i]) for i, (vec, _) in enumerate(got))
+        assert all(np.isnan(dist) for _, dist in got)
 
 
 @settings(max_examples=40, deadline=None)
