@@ -96,7 +96,9 @@ def error_ratio_curve(model: EncoderModel, probe_data, b: int, rho: float,
     is an integer seed.  The injected noise is a standard Gaussian draw
     rescaled row-wise so every position moves by ``rho`` times its own
     norm; all positions of the padded [M, d] input are treated alike, which
-    pins the first curve entry to exactly ``rho``.
+    pins the first curve entry to exactly ``rho``.  Each probe's perturbed
+    pass starts from its clean trace at block b.  The passes run on frozen
+    weights and keep no tape, one probe at a time.
     """
     examples = getattr(probe_data, "examples", probe_data)
     if len(examples) == 0:
@@ -107,6 +109,7 @@ def error_ratio_curve(model: EncoderModel, probe_data, b: int, rho: float,
     if not rho >= 0:
         raise ContractError(f"error_ratio_curve: rho must be nonnegative, got {rho}")
     entropy = int(rng)
+    model = model.frozen()
 
     columns = None
     for ids, _label in examples:
@@ -115,7 +118,7 @@ def error_ratio_curve(model: EncoderModel, probe_data, b: int, rho: float,
         gen = _probe_generator(entropy, ids)
         raw = gen.normal(size=clean_input.shape)
         eps = rescale_relative_rows(raw, clean_input, rho).data
-        _, pert = forward_with_taps(model, ids, injection=(b, eps))
+        _, pert = forward_with_taps(model, ids, injection=(b, eps), clean=clean)
         layers, ratios = ratio_entries(clean, pert)
         if columns is None:
             columns = [[] for _ in layers]

@@ -7,13 +7,18 @@ output in an :class:`ActivationTrace` and can add a caller-supplied noise
 matrix to the input of any block b (b = 1 perturbs the embedding output).
 
 Trace semantics: entry 0 is the embedding output, entry r the output of
-block r, every entry [M, d].  Under injection at layer b the entries
-0..b-1 are bit-identical to a clean pass; the noise is applied between
-trace[b-1] and block b and is stored on the trace, so the perturbed input
-of layer b is reconstructed as trace[b-1] + injected_noise.
+block r, every entry [M, d] for one sequence or [B, M, d] for a batch of B
+sequences; both run the same code, which acts on the trailing axes.  Under
+injection at layer b the entries 0..b-1 are bit-identical to a clean pass
+(and are the clean pass's own tensors when its trace is handed in); the
+noise is applied between trace[b-1] and block b and is stored on the
+trace, so the perturbed input of layer b is reconstructed as trace[b-1] +
+injected_noise.
 
-Token id 0 is reserved for padding: pad positions are masked out of
-attention scores and of the mean pooling.
+Attention runs as one fused tape node for all heads
+(``tensor.attention``).  Token id 0 is reserved for padding: each
+sequence's pad keys are masked out of its attention scores through an
+additive [..., 1, M] key mask, and its pad rows out of the mean pooling.
 """
 
 from dataclasses import dataclass
@@ -114,14 +119,26 @@ class EncoderModel:
     def param_count(self) -> int:
         return sum(p.data.size for p in self.parameters())
 
+    def frozen(self) -> "EncoderModel":
+        """A copy whose weights are constants, so a forward pass on it keeps
+        no tape: each intermediate array is freed once the next op has it."""
+        def const(t):
+            return Tensor(t.data)
+
+        return EncoderModel(
+            config=self.config, tok_emb=const(self.tok_emb), pos_emb=const(self.pos_emb),
+            blocks=[BlockParams(*map(const, blk.parameters())) for blk in self.blocks],
+            w_head=const(self.w_head), b_head=const(self.b_head))
+
 
 @dataclass
 class ActivationTrace:
     """Recorded per-layer outputs of one forward pass.
 
     ``layers[0]`` is the embedding output, ``layers[r]`` the output of
-    block r; length num_layers + 1, every entry [M, d].  ``token_mask``
-    marks non-pad positions (used by deviation norms and pooling).
+    block r; length num_layers + 1, every entry [M, d] (or [B, M, d] for a
+    batch).  ``token_mask`` ([M] or [B, M]) marks non-pad positions (used
+    by deviation norms and pooling).
     """
 
     layers: list
@@ -184,60 +201,56 @@ def build_encoder(config: EncoderConfig, init_seed: int) -> EncoderModel:
     )
 
 
-def _pad_tokens(tokens, config: EncoderConfig) -> np.ndarray:
-    ids = np.asarray(tokens, dtype=np.int64).reshape(-1)
-    if ids.shape[0] == 0 or ids.shape[0] > config.max_seq_len:
-        raise ContractError(
-            f"token sequence length {ids.shape[0]} outside 1..{config.max_seq_len}"
-        )
-    if ids.min() < 0 or ids.max() >= config.vocab_size:
-        raise IndexError(f"token id out of range [0, {config.vocab_size}): {ids.tolist()}")
-    full = np.full(config.max_seq_len, PAD_ID, dtype=np.int64)
-    full[:ids.shape[0]] = ids
+def _pad_tokens(seqs, config: EncoderConfig) -> np.ndarray:
+    """[len(seqs), max_seq_len] ids, each sequence left-aligned and padded."""
+    full = np.full((len(seqs), config.max_seq_len), PAD_ID, dtype=np.int64)
+    for row, seq in zip(full, seqs):
+        if not 1 <= len(seq) <= config.max_seq_len:
+            raise ContractError(
+                f"token sequence length {len(seq)} outside 1..{config.max_seq_len}"
+            )
+        row[:len(seq)] = seq
+    bad = ((full < 0) | (full >= config.vocab_size)).any(axis=1)
+    if bad.any():
+        seq = np.asarray(seqs[int(np.argmax(bad))]).tolist()
+        raise IndexError(f"token id out of range [0, {config.vocab_size}): {seq}")
     return full
 
 
-def _attention(x: Tensor, blk: BlockParams, mask_add: np.ndarray, num_heads: int) -> Tensor:
-    d = x.data.shape[1]
-    dh = d // num_heads
+def _block(x: Tensor, blk: BlockParams, key_mask: np.ndarray, num_heads: int) -> Tensor:
     q = T.add_bias(T.matmul(x, blk.wq), blk.bq)
     k = T.add_bias(T.matmul(x, blk.wk), blk.bk)
     v = T.add_bias(T.matmul(x, blk.wv), blk.bv)
-    mask_t = Tensor(mask_add)
-    heads = []
-    for h in range(num_heads):
-        lo, hi = h * dh, (h + 1) * dh
-        qh = T.slice_cols(q, lo, hi)
-        kh = T.slice_cols(k, lo, hi)
-        vh = T.slice_cols(v, lo, hi)
-        scores = T.scale(T.matmul(qh, T.transpose(kh)), 1.0 / np.sqrt(dh))
-        att = T.softmax(T.add(scores, mask_t))
-        heads.append(T.matmul(att, vh))
-    ctx = heads[0] if num_heads == 1 else T.concat_cols(heads)
-    return T.add_bias(T.matmul(ctx, blk.wo), blk.bo)
-
-
-def _block(x: Tensor, blk: BlockParams, mask_add: np.ndarray, num_heads: int) -> Tensor:
-    h = T.layernorm(T.add(x, _attention(x, blk, mask_add, num_heads)),
-                    blk.ln1_gain, blk.ln1_bias)
+    att = T.add_bias(T.matmul(T.attention(q, k, v, key_mask, num_heads), blk.wo), blk.bo)
+    h = T.layernorm(T.add(x, att), blk.ln1_gain, blk.ln1_bias)
     ffn = T.add_bias(T.matmul(T.gelu(T.add_bias(T.matmul(h, blk.w1), blk.b1)), blk.w2), blk.b2)
     return T.layernorm(T.add(h, ffn), blk.ln2_gain, blk.ln2_bias)
 
 
-def forward_with_taps(model: EncoderModel, tokens, injection=None):
+def forward_with_taps(model: EncoderModel, tokens, injection=None, clean=None):
     """Forward pass recording all layer outputs; optional noise injection.
 
+    ``tokens`` is one sequence of ids or a list of B sequences.  One
+    sequence gives trace entries [M, d] and logits [num_classes] ([1] for
+    regression); a list gives entries [B, M, d] and logits [B, num_classes],
+    each sequence padded and masked on its own.
+
     ``injection`` is None or ``(b, noise)`` with 1 <= b <= num_layers and
-    noise of shape [max_seq_len, embed_dim]; the noise is added to the
-    input of block b.  Returns ``(logits, trace)`` with logits of shape
-    [num_classes] ([1] for regression).
+    noise shaped like a trace entry; the noise is added to the input of
+    block b.  ``clean``, a clean trace of the same tokens, lets an injected
+    pass reuse its entries 0..b-1 instead of recomputing blocks 1..b-1.
+    Returns ``(logits, trace)``.
     """
     cfg = model.config
-    ids = _pad_tokens(tokens, cfg)
+    single = len(tokens) > 0 and np.ndim(tokens[0]) == 0
+    if not single and len(tokens) == 0:
+        raise ContractError("empty batch of token sequences")
+    ids = _pad_tokens([tokens], cfg)[0] if single else _pad_tokens(tokens, cfg)
     mask = ids != PAD_ID
-    n_real = int(mask.sum())
-    if n_real == 0:
+    n_real = mask.sum(axis=-1)
+    if np.any(n_real == 0):
         raise ContractError("token sequence is entirely padding")
+    entry_shape = ids.shape + (cfg.embed_dim,)
 
     noise_t = None
     b = None
@@ -249,26 +262,30 @@ def forward_with_taps(model: EncoderModel, tokens, injection=None):
                 f"injection layer {b} outside 1..{cfg.num_layers}"
             )
         noise_t = noise if isinstance(noise, Tensor) else Tensor(noise)
-        want = (cfg.max_seq_len, cfg.embed_dim)
-        if noise_t.data.shape != want:
-            raise ShapeError(f"injection noise shape {noise_t.data.shape}, expected {want}")
+        if noise_t.data.shape != entry_shape:
+            raise ShapeError(f"injection noise shape {noise_t.data.shape}, expected {entry_shape}")
+    if clean is not None:
+        if b is None:
+            raise ContractError("a clean trace is reused only by an injected pass")
+        if not np.array_equal(clean.token_mask, mask):
+            raise ContractError("clean trace comes from different token sequences")
 
-    # Additive attention mask: pad keys get a large negative score.
-    mask_add = np.where(mask, 0.0, ATTN_MASK_VALUE)[None, :].repeat(cfg.max_seq_len, axis=0)
+    # Additive key mask [..., 1, M]: pad keys get a large negative score.
+    key_mask = np.where(mask, 0.0, ATTN_MASK_VALUE)[..., None, :]
 
-    x = T.add(T.embedding(model.tok_emb, ids), model.pos_emb)
-    layers = [x]
-    cur = x
-    for r in range(1, cfg.num_layers + 1):
-        if b == r:
-            cur = T.add(cur, noise_t)
-        cur = _block(cur, model.blocks[r - 1], mask_add, cfg.num_heads)
-        layers.append(cur)
+    if clean is not None:
+        layers = list(clean.layers[:b])
+    else:
+        layers = [T.add_bias(T.embedding(model.tok_emb, ids), model.pos_emb)]
+    for r in range(len(layers), cfg.num_layers + 1):
+        cur = T.add(layers[-1], noise_t) if r == b else layers[-1]
+        layers.append(_block(cur, model.blocks[r - 1], key_mask, cfg.num_heads))
 
-    pool = np.where(mask, 1.0 / n_real, 0.0)[None, :]
+    # Mean pooling over real tokens as a [..., 1, M] @ [..., M, d] product.
+    pool = np.where(mask, 1.0 / n_real[..., None], 0.0)[..., None, :]
     pooled = T.matmul(Tensor(pool), layers[-1])
     logits = T.reshape(T.add_bias(T.matmul(pooled, model.w_head), model.b_head),
-                       (cfg.num_outputs,))
+                       ids.shape[:-1] + (cfg.num_outputs,))
     trace = ActivationTrace(layers=layers, token_mask=mask,
                             injected_layer=b, injected_noise=noise_t)
     return logits, trace

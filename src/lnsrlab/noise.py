@@ -9,6 +9,7 @@ Rescaling makes each perturbation row's norm an exact fraction of the
 perturbed row's norm, ``|eps'| = rho * |x|``.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,11 +39,12 @@ class NoiseSpec:
     def __post_init__(self):
         if self.mode not in NOISE_MODES:
             raise ValidationError(f"NoiseSpec.mode: {self.mode!r} not in {NOISE_MODES}")
-        if not self.sigma > 0:
-            raise ValidationError(f"NoiseSpec.sigma: must be positive, got {self.sigma}")
-        if self.rel_magnitude is not None and not self.rel_magnitude > 0:
+        if not 0 < self.sigma < math.inf:
+            raise ValidationError(f"NoiseSpec.sigma: must be positive and finite, got {self.sigma}")
+        if self.rel_magnitude is not None and not 0 < self.rel_magnitude < math.inf:
             raise ValidationError(
-                f"NoiseSpec.rel_magnitude: must be positive or None, got {self.rel_magnitude}"
+                f"NoiseSpec.rel_magnitude: must be positive and finite or None,"
+                f" got {self.rel_magnitude}"
             )
         if self.injection_layer < 1:
             raise ValidationError(

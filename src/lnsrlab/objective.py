@@ -10,6 +10,7 @@ the perturbed input alone (noise as data augmentation), and the penalty
 added to the clean task loss with standard or in-manifold noise.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,8 +51,10 @@ class RegularizerConfig:
                 f"RegularizerConfig.injection_layer: must be >= 1, got {self.injection_layer}"
             )
         for lam in self.resolved_lambdas(None):
-            if lam < 0:
-                raise ValidationError(f"RegularizerConfig.lambda_weights: negative weight {lam}")
+            if not 0 <= lam < math.inf:
+                raise ValidationError(
+                    f"RegularizerConfig.lambda_weights: weight {lam} is negative or not finite"
+                )
 
     def resolved_lambdas(self, num_terms: int | None):
         """Weights as a list of length ``num_terms`` (scalar broadcast)."""
@@ -75,24 +78,14 @@ class ObjectiveBreakdown:
     per_layer_terms: list = field(default_factory=list)
 
 
-def _masked_sq_deviation(clean_entry: Tensor, pert_entry: Tensor,
-                         mask: np.ndarray, norm_reduction: str) -> Tensor:
-    d = clean_entry.data.shape[1]
-    row_mask = np.repeat(mask.astype(np.float64)[:, None], d, axis=1)
-    diff = T.mul(T.sub(pert_entry, clean_entry), Tensor(row_mask))
-    term = T.sumsq(diff)
-    if norm_reduction == "mean_squares":
-        live = float(mask.sum()) * d
-        term = T.scale(term, 1.0 / live)
-    return term
-
-
 def lnsr_term(clean: ActivationTrace, perturbed: ActivationTrace,
               cfg: RegularizerConfig):
     """Weighted per-layer squared deviation between the two traces.
 
-    Returns ``(R, per_layer_terms)``: R a differentiable scalar, the terms
-    the unweighted per-layer squared deviations as floats.
+    Works on one sequence or a batch; a batch's terms are the sums of its
+    sequences' terms, each normalized by its own live-token count under
+    ``mean_squares``.  Returns ``(R, per_layer_terms)``: R a differentiable
+    scalar, the terms the unweighted per-layer squared deviations as floats.
     """
     if len(clean) != len(perturbed):
         raise ContractError(
@@ -105,11 +98,19 @@ def lnsr_term(clean: ActivationTrace, perturbed: ActivationTrace,
     if not 1 <= b <= num_layers:
         raise ContractError(f"injection_layer {b} outside 1..{num_layers}")
     lams = cfg.resolved_lambdas(num_layers - b + 1)
+    mask = clean.token_mask
+    shape = clean.layers[b].data.shape
+    row_weight = mask.astype(np.float64)[..., None]
+    if cfg.norm_reduction == "mean_squares":
+        # Squared weights 1/(live * d): each sequence's deviation is divided
+        # by its own live-token count times width before the batch sum.
+        live = mask.sum(axis=-1)[..., None, None] * shape[-1]
+        row_weight = row_weight / np.sqrt(live)
+    weight = Tensor(np.broadcast_to(row_weight, shape))
     per_layer = []
     r_total = None
     for offset, r in enumerate(range(b, num_layers + 1)):
-        term = _masked_sq_deviation(clean.layers[r], perturbed.layers[r],
-                                    clean.token_mask, cfg.norm_reduction)
+        term = T.sumsq(T.mul(T.sub(perturbed.layers[r], clean.layers[r]), weight))
         per_layer.append(term.item())
         weighted = T.scale(term, lams[offset])
         r_total = weighted if r_total is None else T.add(r_total, weighted)
@@ -117,17 +118,22 @@ def lnsr_term(clean: ActivationTrace, perturbed: ActivationTrace,
 
 
 def task_loss(logits: Tensor, label, regression: bool) -> Tensor:
-    """Cross-entropy for classification, MSE against a scalar for regression."""
+    """Cross-entropy for classification, squared error against a scalar
+    target for regression; summed over a batch of [B, C] logits, whose
+    labels are then a length-B array."""
     if regression:
-        target = np.asarray([float(label)], dtype=np.float64)
+        target = np.asarray(label, dtype=np.float64).reshape(logits.data.shape)
         return T.mse(logits, target)
-    return T.cross_entropy(logits, int(label))
+    return T.cross_entropy(logits, label)
 
 
 def assemble_objective(clean_logits: Tensor, perturbed_logits: Tensor | None,
                        label, r_term: Tensor | None, mode: str,
                        regression: bool = False, per_layer_terms=None):
     """Mode-dependent scalar objective plus its breakdown.
+
+    For a batch, ``label`` holds one label per sequence and the objective
+    and its breakdown are sums over the batch.
 
     ft: task loss on the clean logits, penalty ignored.
     ft_noise_only: task loss on the perturbed logits (noise as augmentation).

@@ -9,11 +9,17 @@ reverse topological order and accumulates gradients into the
 
 The operation catalog is exactly what a small transformer encoder and its
 losses need: matmul, elementwise arithmetic, GELU, softmax, layer norm,
-embedding gather, reductions, squared L2 norm, cross-entropy and MSE,
-plus column slicing/concatenation for multi-head attention.
+embedding gather, fused multi-head attention, reductions, squared L2 norm,
+cross-entropy and MSE, plus 2-d transpose and column slicing/concatenation.
 
-Everything is float64; there is no broadcasting beyond the explicit
-row-bias case (``add_bias``).
+Ops act on the trailing axes and accept any leading shape, so one call
+handles one example ([M, d]) or a batch of them ([B, M, d]).  A weight
+[k, n] multiplies every leading index alike (its gradient sums over them),
+``add_bias`` broadcasts a trailing-shaped operand over the leading axes,
+and the losses add up one value per leading index.  Apart from that,
+operands of elementwise ops must have equal shapes.
+
+Everything is float64.
 """
 
 import numpy as np
@@ -142,14 +148,19 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """Add a length-d bias row vector to every row of a [n, d] matrix."""
-    if x.data.ndim != 2 or b.data.ndim != 1 or x.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"add_bias: shapes {x.data.shape} and {b.data.shape} incompatible")
+    """Add ``b`` to every leading index of ``x``, whose trailing shape is b's.
+
+    A length-d bias on [..., d] rows, or [M, d] position embeddings on a
+    [B, M, d] batch; the bias gradient sums over the leading axes.
+    """
+    xs, bs = x.data.shape, b.data.shape
+    if b.data.ndim < 1 or x.data.ndim < b.data.ndim or xs[x.data.ndim - b.data.ndim:] != bs:
+        raise ShapeError(f"add_bias: shapes {xs} and {bs} incompatible")
 
     def bwd(g):
-        return g, g.sum(axis=0)
+        return g, g.reshape((-1,) + bs).sum(axis=0)
 
-    return _node(x.data + b.data[None, :], (x, b), bwd)
+    return _node(x.data + b.data, (x, b), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -157,16 +168,30 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul: expected 2-d operands, got {a.data.shape} and {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions of {a.data.shape} and {b.data.shape} disagree")
+    """``a`` [..., m, k] times ``b``: a [k, n] weight shared by every leading
+    index of ``a``, or a [..., k, n] stack with a's leading shape.
+
+    The shared-weight product runs as one [(...)*m, k] @ [k, n] GEMM, so a
+    2-d ``a`` computes exactly the plain matrix product and its gradients.
+    """
     ad, bd = a.data, b.data
+    if ad.ndim < 2 or not (bd.ndim == 2 or bd.shape[:-2] == ad.shape[:-2]):
+        raise ShapeError(f"matmul: operand shapes {ad.shape} and {bd.shape} incompatible")
+    if ad.shape[-1] != bd.shape[-2]:
+        raise ShapeError(f"matmul: inner dimensions of {ad.shape} and {bd.shape} disagree")
+    k, n = bd.shape[-2], bd.shape[-1]
+    if bd.ndim == 2:
+        def bwd(g):
+            return ((g.reshape(-1, n) @ bd.T).reshape(ad.shape),
+                    ad.reshape(-1, k).T @ g.reshape(-1, n))
 
-    def bwd(g):
-        return g @ bd.T, ad.T @ g
+        out = (ad.reshape(-1, k) @ bd).reshape(ad.shape[:-1] + (n,))
+        return _node(out, (a, b), bwd)
 
-    return _node(ad @ bd, (a, b), bwd)
+    def bwd_stacked(g):
+        return g @ np.swapaxes(bd, -1, -2), np.swapaxes(ad, -1, -2) @ g
+
+    return _node(ad @ bd, (a, b), bwd_stacked)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -221,7 +246,8 @@ def concat_cols(parts) -> Tensor:
 
 
 def embedding(table: Tensor, ids) -> Tensor:
-    """Gather rows of a [V, d] table by integer id; scatter-add on backward."""
+    """Gather rows of a [V, d] table by an integer id array of any shape
+    (output ``ids.shape + (d,)``); scatter-add on backward."""
     ids = np.asarray(ids, dtype=np.int64)
     if table.data.ndim != 2:
         raise ShapeError(f"embedding: table must be 2-d, got {table.data.shape}")
@@ -245,12 +271,13 @@ def embedding(table: Tensor, ids) -> Tensor:
 def gelu(x: Tensor) -> Tensor:
     """GELU with the tanh approximation (smooth, used throughout)."""
     xd = x.data
-    inner = _GELU_C * (xd + _GELU_A * xd ** 3)
+    sq = xd * xd  # numpy's float power is ~40x slower than products
+    inner = _GELU_C * (xd + _GELU_A * sq * xd)
     t = np.tanh(inner)
 
     def bwd(g):
         sech2 = 1.0 - t * t
-        dinner = _GELU_C * (1.0 + 3.0 * _GELU_A * xd ** 2)
+        dinner = _GELU_C * (1.0 + 3.0 * _GELU_A * sq)
         return (g * (0.5 * (1.0 + t) + 0.5 * xd * sech2 * dinner),)
 
     return _node(0.5 * xd * (1.0 + t), (x,), bwd)
@@ -273,29 +300,72 @@ def softmax(x: Tensor) -> Tensor:
 
 
 def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYERNORM_EPS) -> Tensor:
-    """Per-row layer normalization of a [n, d] matrix with gain/bias of length d."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"layernorm: expected 2-d input, got {x.data.shape}")
-    d = x.data.shape[1]
+    """Layer normalization of every length-d row of a [..., d] input, with
+    gain/bias of length d shared by all rows."""
+    if x.data.ndim < 2:
+        raise ShapeError(f"layernorm: expected [..., n, d] input, got {x.data.shape}")
+    d = x.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ShapeError(
             f"layernorm: gain/bias shapes {gain.data.shape}/{bias.data.shape} "
             f"incompatible with input {x.data.shape}"
         )
-    mu = x.data.mean(axis=1, keepdims=True)
-    var = x.data.var(axis=1, keepdims=True)
+    mu = x.data.mean(axis=-1, keepdims=True)
+    var = x.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv
     gd = gain.data
 
     def bwd(g):
-        dxhat = g * gd[None, :]
-        m1 = dxhat.mean(axis=1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
+        dxhat = g * gd
+        m1 = dxhat.mean(axis=-1, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
         dx = inv * (dxhat - m1 - xhat * m2)
-        return dx, (g * xhat).sum(axis=0), g.sum(axis=0)
+        return dx, (g * xhat).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0)
 
-    return _node(xhat * gd[None, :] + bias.data[None, :], (x, gain, bias), bwd)
+    return _node(xhat * gd + bias.data, (x, gain, bias), bwd)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, key_mask, num_heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention as one node.
+
+    ``q``, ``k`` and ``v`` are [..., M, d] projections; each is split into
+    ``num_heads`` column blocks of width d/num_heads.  Per head the scores
+    q_h k_h^T / sqrt(d/num_heads) get the constant additive ``key_mask``
+    ([..., 1, M], broadcast over query rows and heads), a softmax over keys
+    weighs v_h, and the heads are merged back into [..., M, d].  The backward
+    pass is written out by hand instead of taping the ~10 ops per head.
+    """
+    shape = q.data.shape
+    if len(shape) < 2 or k.data.shape != shape or v.data.shape != shape:
+        raise ShapeError(f"attention: q/k/v shapes {shape}/{k.data.shape}/{v.data.shape}"
+                         f" differ or are not [..., M, d]")
+    *lead, m, d = shape
+    if num_heads < 1 or d % num_heads != 0:
+        raise ShapeError(f"attention: {num_heads} heads do not divide width {d}")
+    dh = d // num_heads
+    mask = np.asarray(key_mask, dtype=np.float64)[..., None, :, :]  # head axis
+    scale = 1.0 / np.sqrt(dh)
+
+    def split(a):  # [..., M, d] -> [..., H, M, dh]
+        return np.swapaxes(a.reshape(*lead, m, num_heads, dh), -2, -3)
+
+    def merge(a):  # [..., H, M, dh] -> [..., M, d]
+        return np.swapaxes(a, -2, -3).reshape(shape)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    scores = (qh @ np.swapaxes(kh, -1, -2)) * scale + mask
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+
+    def bwd(g):
+        gh = split(g)
+        dp = gh @ np.swapaxes(vh, -1, -2)
+        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * scale
+        return merge(ds @ kh), merge(np.swapaxes(ds, -1, -2) @ qh), \
+            merge(np.swapaxes(p, -1, -2) @ gh)
+
+    return _node(merge(p @ vh), (q, k, v), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -333,45 +403,54 @@ def sumsq(x: Tensor) -> Tensor:
     return _node(np.asarray((xd * xd).sum()), (x,), bwd)
 
 
-def cross_entropy(logits: Tensor, label: int) -> Tensor:
-    """Negative log-softmax probability of an integer label.
+def cross_entropy(logits: Tensor, label) -> Tensor:
+    """Negative log-softmax probability of integer labels, summed.
 
-    Accepts logits of shape [C] or [1, C].
+    ``logits`` is [..., C] with one example per leading index; ``label`` is
+    an integer or an integer array broadcast to the leading shape.  [C] and
+    [1, C] logits with one label give that example's loss.
     """
-    flat = logits.data.reshape(-1)
-    c = flat.shape[0]
-    if logits.data.ndim > 2 or (logits.data.ndim == 2 and logits.data.shape[0] != 1):
-        raise ShapeError(f"cross_entropy: logits shape {logits.data.shape} not [C] or [1, C]")
-    if not np.all(np.isfinite(flat)):
+    x = logits.data
+    if x.ndim < 1:
+        raise ShapeError(f"cross_entropy: logits shape {x.shape} has no class axis")
+    c = x.shape[-1]
+    if not np.all(np.isfinite(x)):
         raise ContractError("cross_entropy: logits contain non-finite values")
-    label = int(label)
-    if not 0 <= label < c:
-        raise IndexError(f"cross_entropy: label {label} out of range [0, {c})")
-    m = flat.max()
-    lse = m + np.log(np.exp(flat - m).sum())
-    probs = np.exp(flat - lse)
-    shape = logits.data.shape
+    labels = np.asarray(label, dtype=np.int64)
+    try:
+        labels = np.broadcast_to(labels, x.shape[:-1]).reshape(-1)
+    except ValueError:
+        raise ShapeError(
+            f"cross_entropy: labels shape {labels.shape} vs logits {x.shape}") from None
+    if labels.size and (labels.min() < 0 or labels.max() >= c):
+        raise IndexError(f"cross_entropy: label {labels.tolist()} out of range [0, {c})")
+    rows = x.reshape(-1, c)
+    picked = rows[np.arange(rows.shape[0]), labels]
+    m = rows.max(axis=-1)
+    lse = m + np.log(np.exp(rows - m[:, None]).sum(axis=-1))
+    probs = np.exp(rows - lse[:, None])
 
     def bwd(g):
         d = probs.copy()
-        d[label] -= 1.0
-        return (float(g) * d.reshape(shape),)
+        d[np.arange(d.shape[0]), labels] -= 1.0
+        return (float(g) * d.reshape(x.shape),)
 
-    return _node(np.asarray(lse - flat[label]), (logits,), bwd)
+    return _node(np.asarray((lse - picked).sum()), (logits,), bwd)
 
 
 def mse(pred: Tensor, target) -> Tensor:
-    """Mean squared error against a constant target array."""
+    """Squared error against a constant target array: the mean over the last
+    axis, summed over the leading axes (one example per leading index)."""
     t = np.asarray(target, dtype=np.float64)
-    if t.shape != pred.data.shape:
+    if t.shape != pred.data.shape or t.ndim < 1:
         raise ShapeError(f"mse: shapes {pred.data.shape} and {t.shape} differ")
     diff = pred.data - t
-    n = diff.size
+    n = diff.shape[-1]
 
     def bwd(g):
         return (float(g) * 2.0 * diff / n,)
 
-    return _node(np.asarray((diff * diff).mean()), (pred,), bwd)
+    return _node(np.asarray((diff * diff).mean(axis=-1).sum()), (pred,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -422,11 +501,10 @@ def backward(loss: Tensor, seed_grad: float = 1.0):
         for p, pg in zip(node._parents, parent_grads):
             if not p.requires_grad or pg is None:
                 continue
+            # Accumulate out of place: a rule may hand the same array to
+            # several parents (add passes g to both).
             cur = adjoint.get(id(p))
-            if cur is None:
-                adjoint[id(p)] = np.array(pg, dtype=np.float64)
-            else:
-                cur += pg
+            adjoint[id(p)] = pg if cur is None else cur + pg
     out = {}
     for node, g in leaves.values():
         if node.grad is None:

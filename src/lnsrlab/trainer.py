@@ -1,8 +1,10 @@
 """Training loop with per-example noise injection and the multi-seed harness.
 
 One run: Adam with bias correction and decoupled weight decay, linear
-warmup then linear decay to zero, and per batch the clean forward pass plus
-(in noisy modes) a perturbed pass whose trace deviation feeds the penalty.
+warmup then linear decay to zero, and per batch one batched clean forward
+pass plus (in noisy modes) one batched perturbed pass that reuses the clean
+entries below the injection layer and whose trace deviation feeds the
+penalty; one backward pass per batch gives the mean per-example gradient.
 
 Randomness discipline: weight init, data order, and noise each draw from
 their own named stream of the run seed, and the noise stream is further
@@ -50,6 +52,10 @@ class TrainConfig:
     reg: RegularizerConfig = field(default_factory=RegularizerConfig)
 
     def __post_init__(self):
+        for name in ("lr", "beta1", "beta2", "adam_eps", "weight_decay", "warmup_ratio"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValidationError(f"TrainConfig.{name} must be finite, got {value}")
         if not self.lr > 0:
             raise ValidationError(f"TrainConfig.lr must be positive, got {self.lr}")
         if not 0.0 <= self.warmup_ratio < 1.0:
@@ -158,34 +164,46 @@ def pearson(preds, targets) -> float:
     return float((pc * tc).sum() / denom)
 
 
+def _require_finite(named_arrays, where: str, examples):
+    """Raise naming the first example (a row along axis 0 of every array)
+    holding a non-finite value, and the first named array it shows up in."""
+    found = None
+    for name, arr in named_arrays:
+        bad = ~np.isfinite(arr.reshape(arr.shape[0], -1)).all(axis=1)
+        row = int(np.argmax(bad))
+        if bad[row] and (found is None or row < found[0]):
+            found = (row, name)
+    if found is not None:
+        raise ContractError(
+            f"non-finite {found[1]} at {where}, example {int(examples[found[0]])}")
+
+
 def evaluate(model: EncoderModel, dataset: TextDataset):
-    """Mean task loss and metric (accuracy, or correlation for regression)."""
-    losses = []
-    if model.config.regression:
-        preds, targets = [], []
-        for ids, label in dataset.examples:
-            logits, _ = forward_with_taps(model, ids)
-            losses.append(task_loss(logits, label, True).item())
-            preds.append(logits.data[0])
-            targets.append(float(label))
-        return float(np.mean(losses)), pearson(preds, targets)
-    hits = 0
-    for ids, label in dataset.examples:
-        logits, _ = forward_with_taps(model, ids)
-        losses.append(task_loss(logits, label, False).item())
-        hits += int(np.argmax(logits.data) == label)
-    return float(np.mean(losses)), hits / len(dataset.examples)
+    """Mean task loss and metric (accuracy, or correlation for regression),
+    from one batched forward pass over the whole dataset."""
+    ids = [ex[0] for ex in dataset.examples]
+    labels = np.array([ex[1] for ex in dataset.examples])
+    logits, _ = forward_with_taps(model.frozen(), ids)
+    _require_finite([("logits", logits.data)], "evaluation", np.arange(len(ids)))
+    regression = model.config.regression
+    loss = task_loss(logits, labels, regression).item() / len(ids)
+    if regression:
+        return loss, pearson(logits.data[:, 0], labels)
+    return loss, int((np.argmax(logits.data, axis=-1) == labels).sum()) / len(ids)
 
 
 def _standard_noise_matrix(clean_input: np.ndarray, mask: np.ndarray,
-                           spec: NoiseSpec, rng) -> np.ndarray:
-    """Per-token standard Gaussian noise, zero on pad rows."""
-    eps = rng.normal(0.0, spec.sigma, size=clean_input.shape)
+                           spec: NoiseSpec, rngs) -> np.ndarray:
+    """Per-token standard Gaussian noise for a [B, M, d] batch, one
+    generator per sequence, zero on pad rows."""
+    shape = clean_input.shape
+    eps = np.stack([rng.normal(0.0, spec.sigma, size=shape[1:]) for rng in rngs])
     eps[~mask] = 0.0
     if spec.rel_magnitude is not None:
         target = clean_input.copy()
         target[~mask] = 0.0
-        eps = rescale_relative_rows(eps, target, spec.rel_magnitude).data
+        eps = rescale_relative_rows(eps.reshape(-1, shape[-1]), target.reshape(-1, shape[-1]),
+                                    spec.rel_magnitude).data.reshape(shape)
     return eps
 
 
@@ -221,12 +239,61 @@ def _inmanifold_noise_matrix(model: EncoderModel, ids, clean_input: np.ndarray,
     return eps
 
 
+def _batch_backward(model: EncoderModel, train_ds: TextDataset, batch, cfg: TrainConfig,
+                    effective_noise: str, epoch: int, start: int, where: str) -> float:
+    """Clean pass, perturbed pass and objective for one batch, then one
+    backward pass that leaves the mean per-example gradient in ``.grad``.
+
+    Returns the objective summed over the batch.  The tape is freed when
+    this returns, before the next batch builds its own.
+    """
+    mode, b = cfg.reg.mode, cfg.reg.injection_layer
+    ids = [train_ds.examples[int(i)][0] for i in batch]
+    labels = np.array([train_ds.examples[int(i)][1] for i in batch])
+    logits_c, clean = forward_with_taps(model, ids)
+    _require_finite([(f"clean trace entry {r}", e.data) for r, e in enumerate(clean.layers)]
+                    + [("clean logits", logits_c.data)], where, batch)
+    logits_p, r_term, per_layer = None, None, None
+    if mode in NOISY_MODES:
+        clean_input = clean.layers[b - 1].data
+        mask = clean.token_mask
+        rngs = [substream_rng(cfg.seed, "noise", epoch, start + j) for j in range(len(batch))]
+        if effective_noise == "standard":
+            eps = _standard_noise_matrix(clean_input, mask, cfg.noise, rngs)
+        elif effective_noise == "in_manifold":
+            index = build_index(model.tok_emb.data)
+            basis_cache: dict = {}
+            eps = np.stack([_inmanifold_noise_matrix(
+                model, ids[j], clean_input[j], mask[j], cfg.noise, rngs[j],
+                cfg.knn_k, index, basis_cache) for j in range(len(batch))])
+        else:
+            eps = np.zeros_like(clean_input)
+        logits_p, pert = forward_with_taps(model, ids, injection=(b, eps), clean=clean)
+        _require_finite([(f"perturbed trace entry {r}", pert.layers[r].data)
+                         for r in range(b, len(pert.layers))]
+                        + [("perturbed logits", logits_p.data)], where, batch)
+        if mode in ("lnsr_standard", "lnsr_inmanifold"):
+            r_term, per_layer = lnsr_term(clean, pert, cfg.reg)
+    obj, _ = assemble_objective(logits_c, logits_p, labels, r_term, mode,
+                                regression=model.config.regression, per_layer_terms=per_layer)
+    if not np.isfinite(obj.data):
+        # The loss is one sum over the batch, so it names them all.
+        raise ContractError(f"non-finite loss at {where}, examples {batch.tolist()}")
+    T.backward(obj, seed_grad=1.0 / len(batch))
+    return obj.item()
+
+
 def run_training(model_cfg: EncoderConfig, train_ds: TextDataset,
                  dev_ds: TextDataset, cfg: TrainConfig) -> RunResult:
-    """One deterministic training run; see module docstring for the loop."""
+    """One deterministic training run; see module docstring for the loop.
+
+    A non-finite activation, loss or gradient raises ``ContractError``
+    naming the epoch and the global step, and the first bad example (an
+    activation) or the batch's examples (the loss and gradients, which are
+    sums over the batch).
+    """
     mode = cfg.reg.mode
-    noisy = mode in NOISY_MODES
-    effective_noise = cfg.noise.mode if noisy else "none"
+    effective_noise = cfg.noise.mode if mode in NOISY_MODES else "none"
     if effective_noise == "in_manifold" and model_cfg.vocab_size < cfg.knn_k + 1:
         raise ValidationError(
             f"in-manifold mode needs vocab_size >= knn_k + 1"
@@ -253,44 +320,25 @@ def run_training(model_cfg: EncoderConfig, train_ds: TextDataset,
         running = []
         for start in range(0, n, cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            index = None
-            basis_cache: dict = {}
-            if effective_noise == "in_manifold":
-                index = build_index(model.tok_emb.data)
+            where = f"epoch {epoch}, step {global_step + 1}"
             T.zero_grads(params)
-            inv = 1.0 / len(batch)
-            for j, ex_idx in enumerate(batch):
-                ids, label = train_ds.examples[int(ex_idx)]
-                logits_c, clean = forward_with_taps(model, ids)
-                logits_p, r_term, per_layer = None, None, None
-                if noisy:
-                    ex_rng = substream_rng(cfg.seed, "noise", epoch, start + j)
-                    clean_input = clean.layers[b - 1].data
-                    mask = clean.token_mask
-                    if effective_noise == "standard":
-                        eps = _standard_noise_matrix(clean_input, mask, cfg.noise, ex_rng)
-                    elif effective_noise == "in_manifold":
-                        eps = _inmanifold_noise_matrix(
-                            model, ids, clean_input, mask, cfg.noise, ex_rng,
-                            cfg.knn_k, index, basis_cache)
-                    else:
-                        eps = np.zeros_like(clean_input)
-                    logits_p, pert = forward_with_taps(model, ids, injection=(b, eps))
-                    if mode in ("lnsr_standard", "lnsr_inmanifold"):
-                        r_term, per_layer = lnsr_term(clean, pert, cfg.reg)
-                obj, _ = assemble_objective(
-                    logits_c, logits_p, label, r_term, mode,
-                    regression=model_cfg.regression, per_layer_terms=per_layer)
-                running.append(obj.item())
-                T.backward(obj, seed_grad=inv)
+            running.append(_batch_backward(model, train_ds, batch, cfg, effective_noise,
+                                           epoch, start, where))
             global_step += 1
             grads = [p.grad.data if p.grad is not None else np.zeros_like(p.data)
                      for p in params]
+            for pos, g in enumerate(grads):
+                if not np.isfinite(g).all():
+                    raise ContractError(f"non-finite gradient of parameter {pos} {g.shape}"
+                                        f" at {where}, examples {batch.tolist()}")
             step_lr = lr_at(global_step, total_steps, cfg.warmup_ratio, cfg.lr)
             adam_step(params, grads, state, global_step, cfg, lr=step_lr)
-        _, train_metric = evaluate(model, train_ds)
-        _, dev_metric = evaluate(model, dev_ds)
-        epoch_train_loss.append(float(np.mean(running)))
+        try:
+            _, train_metric = evaluate(model, train_ds)
+            _, dev_metric = evaluate(model, dev_ds)
+        except ContractError as exc:
+            raise ContractError(f"{exc} (after epoch {epoch}, step {global_step})") from exc
+        epoch_train_loss.append(math.fsum(running) / n)
         epoch_train_metric.append(train_metric)
         epoch_dev_metric.append(dev_metric)
 

@@ -54,7 +54,9 @@ def _rel_err(a, b, floor):
 
 
 def _primitive_cases(rng):
-    """Scalar-valued composites touching every tensor primitive once."""
+    """Scalar-valued composites touching every tensor primitive once, plus
+    the batched [B, M, d] form of every primitive with a leading-axis rule
+    and the fused attention (gradient taken w.r.t. q, k and v in turn)."""
     n, d = 3, 4
     a = T.Tensor(rng.normal(size=(n, d)), requires_grad=True)
     b = T.Tensor(rng.normal(size=(n, d)), requires_grad=True)
@@ -65,6 +67,46 @@ def _primitive_cases(rng):
     pred = T.Tensor(rng.normal(size=(n, 1)), requires_grad=True)
     tgt = rng.normal(size=(n, 1))
     ids = np.array([1, 4, 2])
+    # Batched forms: B=2 sequences of M=3 rows, one example per leading index.
+    # They draw from a child generator and come last, so the cases above see
+    # the same points and directions as before they were added.
+    brng = rng.spawn(1)[0]
+    nb, m = 2, 3
+    x3 = T.Tensor(brng.normal(size=(nb, m, d)), requires_grad=True)
+    pos = T.Tensor(brng.normal(size=(m, d)), requires_grad=True)
+    gain = T.Tensor(brng.normal(size=d), requires_grad=True)
+    pool = T.Tensor(brng.normal(size=(nb, 1, m)), requires_grad=True)
+    q3, k3, v3 = (T.Tensor(brng.normal(size=(nb, m, d)), requires_grad=True) for _ in range(3))
+    key_mask = np.array([[[0.0, 0.0, 0.0]], [[0.0, 0.0, -1e9]]])  # [B, 1, M]
+    logits3 = T.Tensor(brng.normal(size=(nb, m, 5)), requires_grad=True)
+    labels3 = np.array([[2, 0, 4], [1, 1, 3]])
+    pred3 = T.Tensor(brng.normal(size=(nb, m)), requires_grad=True)
+    tgt3 = brng.normal(size=(nb, m))
+    ids3 = np.array([[1, 4, 2], [5, 1, 1]])
+
+    def attend():
+        return T.sumsq(T.attention(q3, k3, v3, key_mask, 2))
+
+    batched = [
+        ("add_bias[B,M,d]+[d]", bias, lambda: T.sumsq(T.add_bias(x3, bias))),
+        ("add_bias[B,M,d]+[M,d]", pos, lambda: T.sumsq(T.add_bias(x3, pos))),
+        ("matmul[B,M,d]@[d,d] input", x3, lambda: T.sumsq(T.matmul(x3, w))),
+        ("matmul[B,M,d]@[d,d] weight", w, lambda: T.sumsq(T.matmul(x3, w))),
+        ("matmul[B,1,M]@[B,M,d] left", pool, lambda: T.sumsq(T.matmul(pool, x3))),
+        ("matmul[B,1,M]@[B,M,d] right", x3, lambda: T.sumsq(T.matmul(pool, x3))),
+        ("embedding[B,M]", emb, lambda: T.sumsq(T.embedding(emb, ids3))),
+        ("gelu[B,M,d]", x3, lambda: T.sumsq(T.gelu(x3))),
+        ("softmax[B,M,d]", x3, lambda: T.sumsq(T.softmax(x3))),
+        ("layernorm[B,M,d]", x3, lambda: T.sumsq(T.layernorm(x3, gain, bias))),
+        ("layernorm[B,M,d] gain", gain, lambda: T.sumsq(T.layernorm(x3, gain, bias))),
+        ("layernorm[B,M,d] bias", bias, lambda: T.sumsq(T.layernorm(x3, gain, bias))),
+        ("attention q", q3, attend),
+        ("attention k", k3, attend),
+        ("attention v", v3, attend),
+        ("cross_entropy[B,M,C]", logits3, lambda: T.cross_entropy(logits3, labels3)),
+        ("mse[B,M]", pred3, lambda: T.mse(pred3, tgt3)),
+        ("sumsq[B,M,d]", x3, lambda: T.sumsq(x3)),
+    ]
     return [
         ("add", a, lambda: T.sumsq(T.add(a, b))),
         ("sub", a, lambda: T.sumsq(T.sub(a, b))),
@@ -87,7 +129,7 @@ def _primitive_cases(rng):
         ("sumsq", a, lambda: T.sumsq(a)),
         ("cross_entropy", logits, lambda: T.cross_entropy(logits, 2)),
         ("mse", pred, lambda: T.mse(pred, tgt)),
-    ]
+    ] + batched
 
 
 def _check_direction(target, build, rng, floor=1e-3):
@@ -127,6 +169,7 @@ def test_criterion_01_gradient_fidelity():
     rcfg = RegularizerConfig(mode="lnsr_standard", lambda_weights=0.7,
                              injection_layer=1)
     ids, label = [2, 5, 7], 1
+    batch_ids, batch_labels = [[2, 5, 7], [9, 3]], np.array([1, 0])
     for point in range(20):
         model = build_encoder(cfg, init_seed=point)
         eps = substream_rng(point, "noise", 0).normal(
@@ -146,6 +189,27 @@ def test_criterion_01_gradient_fidelity():
             worst = max(worst, err)
             assert err <= 1e-5, \
                 f"[criterion 1] FAIL: objective rel err {err:.2e} at point {point}"
+
+        # the trainer's form: a batch of two sequences, the perturbed pass
+        # reusing the clean trace below the injection layer
+        eps_b = substream_rng(point, "noise", 1).normal(
+            size=(2, cfg.max_seq_len, cfg.embed_dim)) * 0.05
+
+        def batched_objective():
+            logits_c, clean = forward_with_taps(model, batch_ids)
+            logits_p, pert = forward_with_taps(model, batch_ids, injection=(1, eps_b),
+                                               clean=clean)
+            r, per_layer = lnsr_term(clean, pert, rcfg)
+            obj, _ = assemble_objective(logits_c, logits_p, batch_labels, r,
+                                        "lnsr_standard", per_layer_terms=per_layer)
+            return obj
+
+        rng = substream_rng(41, "probe", point)
+        for param in model.parameters():
+            err = _check_direction(param, batched_objective, rng, floor=1e-3)
+            worst = max(worst, err)
+            assert err <= 1e-5, \
+                f"[criterion 1] FAIL: batched objective rel err {err:.2e} at point {point}"
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0, f"[criterion 1] FAIL: took {elapsed:.1f}s (limit 60s)"
     print(f"[criterion 1] PASS: gradient fidelity worst rel err {worst:.2e} "

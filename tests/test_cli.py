@@ -222,6 +222,15 @@ def test_invalid_training_config_exit_1(tmp_path, capsys):
         ini.write_text(f"[{section}]\n{key} = {value}\n")
         assert main(["train", "--config", str(ini), "--out", str(tmp_path)]) == 1
         assert repr(key) in capsys.readouterr().err
+    # Non-finite numbers are rejected by field name.
+    for section, key, value in (("noise", "sigma", "inf"),
+                                ("noise", "rel_magnitude", "inf"),
+                                ("train", "lr", "inf"),
+                                ("train", "weight_decay", "inf"),
+                                ("regularizer", "lambda_weights", "nan")):
+        ini.write_text(f"[{section}]\n{key} = {value}\n")
+        assert main(["train", "--config", str(ini), "--out", str(tmp_path)]) == 1
+        assert key in capsys.readouterr().err
 
 
 def test_help_exits_zero():

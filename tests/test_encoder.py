@@ -212,3 +212,77 @@ def test_trace_perturbed_input_contract():
     with pytest.raises(ContractError):
         trace.perturbed_input_of(3)
     assert np.array_equal(trace.perturbed_input_of(1), trace.layers[0].data)
+
+
+# ------------------------------------------------------------------ batches
+
+BATCH = [[3, 4, 5], [7, 1, 2, 9, 9, 4, 8], [11], [6, 6, 13, 2, 40, 41, 42, 43, 44, 45, 46, 47]]
+
+
+def test_batch_matches_single_calls():
+    model = build_encoder(small_config(num_layers=3), init_seed=15)
+    noise = stream_rng(15, "noise").normal(0, 0.1, size=(len(BATCH), 12, 8))
+    for injection in (None, (2, noise)):
+        logits, trace = forward_with_taps(model, BATCH, injection=injection)
+        assert logits.data.shape == (len(BATCH), 2)
+        assert trace.token_mask.shape == (len(BATCH), 12)
+        for j, tokens in enumerate(BATCH):
+            single_inj = None if injection is None else (2, noise[j])
+            lj, tj = forward_with_taps(model, tokens, injection=single_inj)
+            assert np.allclose(logits.data[j], lj.data, rtol=0, atol=1e-12)
+            assert np.array_equal(trace.token_mask[j], tj.token_mask)
+            for batched, single in zip(trace.layers, tj.layers):
+                assert batched.data.shape == (len(BATCH), 12, 8)
+                assert np.allclose(batched.data[j], single.data, rtol=0, atol=1e-12)
+
+
+def test_batch_rows_do_not_see_each_other():
+    """Another sequence's tokens and length leave a sequence's trace
+    bit-identical: every mask and pooling weight is per sequence."""
+    model = build_encoder(small_config(), init_seed=16)
+    _, base = forward_with_taps(model, BATCH)
+    changed = list(BATCH)
+    changed[1] = [30, 31]  # different tokens, much more padding
+    changed[3] = [5] * 12  # no padding at all
+    logits, other = forward_with_taps(model, changed)
+    for a, b in zip(base.layers, other.layers):
+        for j in (0, 2):
+            assert np.array_equal(a.data[j], b.data[j])
+    assert not np.array_equal(base.layers[2].data[1], other.layers[2].data[1])
+
+
+def test_clean_prefix_reuse_matches_full_pass():
+    model = build_encoder(small_config(num_layers=3), init_seed=17)
+    noise = stream_rng(17, "noise").normal(0, 0.1, size=(len(BATCH), 12, 8))
+    _, clean = forward_with_taps(model, BATCH)
+    for b in (1, 2, 3):
+        full_logits, full = forward_with_taps(model, BATCH, injection=(b, noise))
+        logits, reused = forward_with_taps(model, BATCH, injection=(b, noise), clean=clean)
+        for r in range(b):
+            assert reused.layers[r] is clean.layers[r]
+        for x, y in zip(full.layers, reused.layers):
+            assert np.array_equal(x.data, y.data)
+        assert np.array_equal(full_logits.data, logits.data)
+        # Gradients reach the blocks below b through the shared prefix.
+        got = {p: g.data.copy() for p, g in T.backward(T.sumsq(reused.layers[-1])).items()}
+        T.zero_grads(model.parameters())
+        want = T.backward(T.sumsq(full.layers[-1]))
+        assert got.keys() == want.keys()
+        for p in got:
+            assert np.allclose(got[p], want[p].data, rtol=0, atol=1e-12)
+        T.zero_grads(model.parameters())
+
+
+def test_clean_prefix_contracts():
+    model = build_encoder(small_config(), init_seed=18)
+    _, clean = forward_with_taps(model, [1, 2, 3])
+    with pytest.raises(ContractError, match="injected"):
+        forward_with_taps(model, [1, 2, 3], clean=clean)
+    with pytest.raises(ContractError, match="different token"):
+        forward_with_taps(model, [1, 2], injection=(1, np.zeros((12, 8))), clean=clean)
+    with pytest.raises(ContractError, match="empty"):
+        forward_with_taps(model, [])
+    with pytest.raises(ShapeError):
+        forward_with_taps(model, BATCH, injection=(1, np.zeros((12, 8))))
+    with pytest.raises(IndexError, match=r"\[1, 50\]"):
+        forward_with_taps(model, [[2, 3], [1, 50]])

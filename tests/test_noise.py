@@ -25,6 +25,10 @@ def test_spec_validation():
         NoiseSpec(rel_magnitude=-0.05)
     with pytest.raises(ValidationError, match="injection_layer"):
         NoiseSpec(injection_layer=0)
+    for field in ("sigma", "rel_magnitude"):
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ValidationError, match=field):
+                NoiseSpec(**{field: bad})
 
 
 def test_standard_noise_moments_million_draws():

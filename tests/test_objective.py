@@ -112,6 +112,9 @@ def test_config_validation():
         RegularizerConfig(lambda_weights=-0.5)
     with pytest.raises(ValidationError):
         RegularizerConfig(injection_layer=0)
+    for bad in (float("nan"), float("inf"), (1.0, float("nan"))):
+        with pytest.raises(ValidationError, match="lambda_weights"):
+            RegularizerConfig(lambda_weights=bad)
 
 
 def test_gradient_flows_through_both_traces():
@@ -201,3 +204,63 @@ def test_per_example_average_equals_joint():
     joint = 0.5 * (ra.item() + rb.item())
     avg = T.scale(T.add(ra, rb), 0.5)
     assert avg.item() == pytest.approx(joint, rel=1e-12)
+
+
+# ------------------------------------------------------------------ batches
+
+BATCH = [[2, 3, 4], [5, 6], [7, 8, 9, 10, 11, 12]]
+LABELS = np.array([1, 0, 1])
+
+
+def _batched_traces(model, noise):
+    _, clean = forward_with_taps(model, BATCH)
+    _, pert = forward_with_taps(model, BATCH, injection=(1, noise), clean=clean)
+    return clean, pert
+
+
+def test_batched_term_is_sum_of_per_example_terms():
+    model, _, _ = model_and_traces(num_layers=3)
+    noise = stream_rng(8, "noise").normal(0, 0.1, size=(len(BATCH), 6, 8))
+    clean, pert = _batched_traces(model, noise)
+    for reduction in ("mean_squares", "sum_squares"):
+        cfg = RegularizerConfig(lambda_weights=(0.5, 1.0, 2.0), norm_reduction=reduction)
+        r, per_layer = lnsr_term(clean, pert, cfg)
+        r_sum, per_sum = 0.0, np.zeros(3)
+        for j, tokens in enumerate(BATCH):
+            _, c = forward_with_taps(model, tokens)
+            _, p = forward_with_taps(model, tokens, injection=(1, noise[j]))
+            rj, pj = lnsr_term(c, p, cfg)
+            r_sum += rj.item()
+            per_sum += pj
+        assert r.item() == pytest.approx(r_sum, rel=1e-12)
+        assert per_layer == pytest.approx(per_sum.tolist(), rel=1e-12)
+
+
+def test_batched_step_gradient_is_mean_of_per_example_gradients():
+    model, _, _ = model_and_traces(num_layers=2)
+    noise = stream_rng(9, "noise").normal(0, 0.1, size=(len(BATCH), 6, 8))
+    cfg = RegularizerConfig(lambda_weights=0.7, norm_reduction="mean_squares")
+    params = model.parameters()
+
+    def objective(tokens, eps, labels, clean_reuse):
+        logits_c, clean = forward_with_taps(model, tokens)
+        logits_p, pert = forward_with_taps(model, tokens, injection=(1, eps),
+                                           clean=clean if clean_reuse else None)
+        r, per = lnsr_term(clean, pert, cfg)
+        obj, bd = assemble_objective(logits_c, logits_p, labels, r, "lnsr_standard",
+                                     per_layer_terms=per)
+        return obj, bd
+
+    obj, bd = objective(BATCH, noise, LABELS, True)
+    T.backward(obj, seed_grad=1.0 / len(BATCH))
+    batched = [p.grad.data.copy() for p in params]
+    T.zero_grads(params)
+    total = 0.0
+    for j, tokens in enumerate(BATCH):
+        obj_j, _ = objective(tokens, noise[j], LABELS[j], False)
+        total += obj_j.item()
+        T.backward(obj_j, seed_grad=1.0 / len(BATCH))
+    for p, g in zip(params, batched):
+        assert np.allclose(g, p.grad.data, rtol=0, atol=1e-12)
+    assert obj.item() == pytest.approx(total, rel=1e-12)
+    assert bd.task_loss + bd.reg_term == pytest.approx(obj.item(), rel=1e-12)

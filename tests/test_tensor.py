@@ -199,6 +199,73 @@ def test_grad_composite_attention_like_block():
     check_grad(build, x0, rtol=1e-4)
 
 
+def _attention_by_heads(q, k, v, key_mask, num_heads):
+    """The fused op's reference: the per-head composition of primitives."""
+    dh = q.data.shape[1] // num_heads
+    mask = T.Tensor(np.broadcast_to(key_mask, (q.data.shape[0],) * 2))
+    heads = []
+    for h in range(num_heads):
+        qh, kh, vh = (T.slice_cols(t, h * dh, (h + 1) * dh) for t in (q, k, v))
+        scores = T.scale(T.matmul(qh, T.transpose(kh)), 1.0 / np.sqrt(dh))
+        heads.append(T.matmul(T.softmax(T.add(scores, mask)), vh))
+    return T.concat_cols(heads)
+
+
+def test_fused_attention_matches_per_head_composition():
+    nb, m, d, heads = 3, 5, 6, 3
+    qkv0 = [RNG.normal(size=(nb, m, d)) for _ in range(3)]
+    key_mask = np.zeros((nb, 1, m))
+    key_mask[1, 0, 3:] = -1e9
+    key_mask[2, 0, 1:] = -1e9
+    w = RNG.normal(size=(nb, m, d))
+    q, k, v = (T.Tensor(a, requires_grad=True) for a in qkv0)
+    fused = T.attention(q, k, v, key_mask, heads)
+    T.backward(T.tsum(T.mul(fused, T.Tensor(w))))
+    for j in range(nb):
+        qj, kj, vj = (T.Tensor(a[j], requires_grad=True) for a in qkv0)
+        ref = _attention_by_heads(qj, kj, vj, key_mask[j], heads)
+        assert np.allclose(fused.data[j], ref.data, rtol=0, atol=1e-12)
+        T.backward(T.tsum(T.mul(ref, T.Tensor(w[j]))))
+        for batched, single in ((q, qj), (k, kj), (v, vj)):
+            assert np.allclose(batched.grad.data[j], single.grad.data, rtol=0, atol=1e-12)
+    with pytest.raises(ShapeError):
+        T.attention(q, k, T.Tensor(np.ones((nb, m, d + 1))), key_mask, heads)
+    with pytest.raises(ShapeError):
+        T.attention(q, k, v, key_mask, 4)
+
+
+def test_leading_axes_match_per_example_calls():
+    """Each op on a [B, ...] batch equals B calls on the examples; the
+    losses sum the per-example values, weights sum their gradients."""
+    nb, m, d = 3, 4, 5
+    x0 = RNG.normal(size=(nb, m, d))
+    w0, bias0, pos0 = RNG.normal(size=(d, 2)), RNG.normal(size=2), RNG.normal(size=(m, d))
+    labels = np.array([1, 0, 1])
+
+    def run(x, w, bias, pos, label):
+        h = T.layernorm(T.add_bias(x, pos), T.Tensor(np.ones(d)), T.Tensor(np.zeros(d)))
+        out = T.add_bias(T.matmul(T.gelu(h), w), bias)
+        flat = T.reshape(out, out.data.shape[:-2] + (m * 2,))
+        return T.add(T.cross_entropy(flat, label), T.mse(flat, np.zeros(flat.data.shape)))
+
+    leaves = [T.Tensor(a, requires_grad=True) for a in (x0, w0, bias0, pos0)]
+    total = run(*leaves, labels)
+    T.backward(total)
+    parts = 0.0
+    sums = [np.zeros_like(a) for a in (w0, bias0, pos0)]
+    for j in range(nb):
+        single = [T.Tensor(a, requires_grad=True) for a in (x0[j], w0, bias0, pos0)]
+        loss = run(*single, labels[j])
+        parts += loss.item()
+        T.backward(loss)
+        assert np.allclose(leaves[0].grad.data[j], single[0].grad.data, rtol=0, atol=1e-12)
+        for acc, leaf in zip(sums, single[1:]):
+            acc += leaf.grad.data
+    assert total.item() == pytest.approx(parts, rel=1e-12)
+    for acc, leaf in zip(sums, leaves[1:]):
+        assert np.allclose(leaf.grad.data, acc, rtol=0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Tape semantics
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from lnsrlab.encoder import EncoderConfig
 from lnsrlab.errors import ContractError, ValidationError
 from lnsrlab.noise import NoiseSpec
 from lnsrlab.objective import RegularizerConfig
+from lnsrlab.rng import substream_rng
 from lnsrlab.trainer import (
     AdamState,
     RunResult,
@@ -148,6 +149,10 @@ def test_config_validation():
         _cfg(weight_decay=-0.1)
     with pytest.raises(ValidationError):
         _cfg(knn_k=0)
+    for field in ("lr", "weight_decay", "beta1", "beta2", "adam_eps", "warmup_ratio"):
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ValidationError, match=f"TrainConfig.{field}"):
+                _cfg(**{field: bad})
 
 
 def test_config_rejects_contradictory_mode_noise_pairs():
@@ -260,12 +265,72 @@ def test_inmanifold_training_runs(toy_task):
     assert res.mode == "lnsr_inmanifold"
 
 
+def test_batch_noise_is_keyed_by_epoch_and_position(toy_task, monkeypatch):
+    """Each sequence of a batch gets the draw of its own (epoch, position)
+    substream, zeroed on pad rows, as it did when examples ran one by one."""
+    import lnsrlab.trainer as trainer_module
+
+    mcfg, train, dev = toy_task
+    seen = []
+    original = trainer_module.forward_with_taps
+
+    def recording(model, tokens, injection=None, clean=None):
+        if injection is not None:
+            seen.append(np.array(injection[1]))
+        return original(model, tokens, injection=injection, clean=clean)
+
+    monkeypatch.setattr(trainer_module, "forward_with_taps", recording)
+    cfg = _cfg(epochs=2, noise=NoiseSpec(mode="standard", sigma=0.3, rel_magnitude=None),
+               reg=RegularizerConfig(mode="lnsr_standard", lambda_weights=0.5))
+    run_training(mcfg, train, dev, cfg)
+    steps = len(train.examples) // cfg.batch_size
+    assert len(seen) == 2 * steps
+    for step, eps in enumerate(seen):
+        epoch, start = divmod(step, steps)
+        start *= cfg.batch_size
+        order = substream_rng(cfg.seed, "order", epoch).permutation(len(train.examples))
+        for j, ex in enumerate(order[start:start + cfg.batch_size]):
+            want = substream_rng(cfg.seed, "noise", epoch, start + j).normal(
+                0.0, 0.3, size=(mcfg.max_seq_len, mcfg.embed_dim))
+            want[len(train.examples[ex][0]):] = 0.0
+            assert np.array_equal(eps[j], want)
+
+
+def test_non_finite_values_name_epoch_step_and_example(toy_task):
+    mcfg, train, dev = toy_task
+    order = substream_rng(3, "order", 0).permutation(len(train.examples))
+    # Step 1 moves every weight by ~1e200, so step 2's first block overflows.
+    with pytest.warns(RuntimeWarning), pytest.raises(ContractError) as exc:
+        run_training(mcfg, train, dev, _cfg(lr=1e200))
+    assert str(exc.value) == (f"non-finite clean trace entry 1 at epoch 0, step 2,"
+                              f" example {order[8]}")
+    # A finite trace whose penalty overflows names the batch it sums over.
+    with pytest.warns(RuntimeWarning), \
+            pytest.raises(ContractError, match=r"non-finite loss at epoch 0, step 1, examples \["
+                                            + ", ".join(str(i) for i in order[:8])):
+        run_training(mcfg, train, dev, _cfg(
+            noise=NoiseSpec(mode="standard", sigma=1.0, rel_magnitude=None),
+            reg=RegularizerConfig(mode="lnsr_standard", lambda_weights=1e308)))
+
+
 # -------------------------------------------------------- evaluate / pearson
 
 def test_pearson_basic():
     assert pearson([1, 2, 3], [2, 4, 6]) == pytest.approx(1.0)
     assert pearson([1, 2, 3], [-1, -2, -3]) == pytest.approx(-1.0)
     assert pearson([1, 1, 1], [2, 4, 6]) == 0.0
+
+
+def test_evaluate_names_first_example_with_non_finite_logits(toy_task):
+    from lnsrlab.encoder import build_encoder
+    mcfg, train, dev = toy_task
+    model = build_encoder(mcfg, init_seed=0)
+    token = dev.examples[-1][0][-1]
+    first = next(i for i, (ids, _) in enumerate(dev.examples) if token in ids)
+    model.tok_emb.data[token] = np.inf
+    with pytest.raises(ContractError, match=f"non-finite logits at evaluation, example {first}$"):
+        with np.errstate(invalid="ignore"):
+            evaluate(model, dev)
 
 
 def test_evaluate_on_untrained_model_is_finite(toy_task):
