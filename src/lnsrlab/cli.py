@@ -105,19 +105,35 @@ def _float_or_none(text: str):
     return float(text)
 
 
+def _comma_list(text: str, cast, name: str, minimum: int = 1) -> list:
+    """The comma-separated items of ``text`` (blank items skipped), each
+    cast; fewer than ``minimum`` items or a bad item is a ValidationError."""
+    try:
+        items = [cast(p) for p in text.split(",") if p.strip()]
+    except ValueError as exc:
+        raise ValidationError(f"{name}: bad item in {text!r} ({exc})") from exc
+    if len(items) < minimum:
+        raise ValidationError(f"{name}: need at least {minimum} comma-separated"
+                              f" item(s), got {text!r}")
+    return items
+
+
+def _seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _lambda_weights(text: str):
-    parts = [p for p in text.split(",") if p.strip()]
-    if len(parts) == 1:
-        return float(parts[0])
-    return tuple(float(p) for p in parts)
+    parts = _comma_list(text, float, "lambda_weights")
+    return parts[0] if len(parts) == 1 else tuple(parts)
 
 
 _SECTION_CASTERS = {
     "encoder": {"vocab_size": int, "embed_dim": int, "num_layers": int,
                 "num_heads": int, "ffn_dim": int, "max_seq_len": int,
                 "num_classes": int, "regression": _bool},
-    "noise": {"mode": str, "sigma": float, "rel_magnitude": _float_or_none,
-              "injection_layer": int},
+    "noise": {"mode": str, "sigma": float, "rel_magnitude": _float_or_none},
     "regularizer": {"lambda_weights": _lambda_weights, "mode": str,
                     "norm_reduction": str, "injection_layer": int},
     "train": {"lr": float, "batch_size": int, "beta1": float, "beta2": float,
@@ -235,8 +251,8 @@ def _cmd_sweep(args) -> int:
     settings = Settings(args)
     train_ds, dev_ds = settings.datasets()
     caster = int if args.param == "injection_layer" else float
-    values = [caster(v) for v in args.values.split(",") if v.strip()]
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    values = _comma_list(args.values, caster, "--values")
+    seeds = _comma_list(args.seeds, int, "--seeds", minimum=2)
     rows = sensitivity_sweep(settings.encoder, train_ds, dev_ds, settings.train,
                              args.param, values, seeds)
     path = _out_path(args, "sweep")
@@ -254,9 +270,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify_claim1(args) -> int:
     seed = args.seed if args.seed is not None else 0
-    sigmas = [float(s) for s in args.sigmas.split(",") if s.strip()]
-    if not sigmas:
-        raise ValidationError("verify-claim1: need at least one sigma")
+    sigmas = _comma_list(args.sigmas, float, "--sigmas")
     f, f_batch = random_smooth_map(args.dim, stream_rng(seed, "theory"))
     x = stream_rng(seed, "probe").normal(size=args.dim)
     reports = []
@@ -352,12 +366,10 @@ def _cmd_pca_spectrum(args) -> int:
 
 def _cmd_bench(args) -> int:
     kwargs = {"reps": args.reps}
-    if args.standard_rows:
-        kwargs["standard_rows"] = tuple(int(v) for v in args.standard_rows.split(","))
-    if args.k_values:
-        kwargs["k_values"] = tuple(int(v) for v in args.k_values.split(","))
-    if args.index_sizes:
-        kwargs["index_sizes"] = tuple(int(v) for v in args.index_sizes.split(","))
+    for name in ("standard_rows", "k_values", "index_sizes"):
+        text = getattr(args, name)
+        if text is not None:
+            kwargs[name] = tuple(_comma_list(text, int, "--" + name.replace("_", "-")))
     report = bench_complexity(seed=args.seed if args.seed is not None else 0,
                               **kwargs)
     path = _out_path(args, "bench")
@@ -376,10 +388,8 @@ def _cmd_bench(args) -> int:
 def _cmd_gap_report(args) -> int:
     settings = Settings(args)
     train_ds, dev_ds = settings.datasets()
-    modes = [m.strip() for m in args.modes.split(",") if m.strip()]
-    if not modes:
-        raise ValidationError("gap-report: need at least one mode")
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    modes = _comma_list(args.modes, str.strip, "--modes")
+    seeds = _comma_list(args.seeds, int, "--seeds", minimum=2)
     rows = []
     summaries = []
     for mode in modes:
@@ -414,8 +424,8 @@ def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None,
                         help="INI config with [encoder]/[noise]/[regularizer]/[train]/[data]")
-    common.add_argument("--seed", type=int, default=None,
-                        help="master seed override")
+    common.add_argument("--seed", type=_seed, default=None,
+                        help="master seed override (a non-negative integer)")
     common.add_argument("--out", default=".", help="output directory for CSV files")
 
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

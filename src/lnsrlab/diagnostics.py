@@ -17,6 +17,7 @@ import math
 import statistics
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -201,10 +202,7 @@ class SweepRow:
 
 def _apply_setting(base_cfg: TrainConfig, param: str, value) -> TrainConfig:
     if param == "injection_layer":
-        b = int(value)
-        return replace(base_cfg,
-                       noise=replace(base_cfg.noise, injection_layer=b),
-                       reg=replace(base_cfg.reg, injection_layer=b))
+        return replace(base_cfg, reg=replace(base_cfg.reg, injection_layer=int(value)))
     if param == "rel_magnitude":
         return replace(base_cfg, noise=replace(base_cfg.noise, rel_magnitude=float(value)))
     raise ContractError(f"sensitivity_sweep: unknown parameter {param!r}, "
@@ -295,52 +293,39 @@ def bench_complexity(standard_rows=(256, 512, 1024, 2048, 4096),
     records = []
     exponents = {}
 
-    sizes, medians = [], []
-    for m in standard_rows:
-        fn = lambda m=m: sample_standard_noise((int(m), standard_dim), 1.0, rng)
-        med = _median_time(fn, reps)
-        records.append(BenchRecord("standard", int(m) * standard_dim, med, reps))
-        sizes.append(int(m) * standard_dim)
-        medians.append(med)
-    if len(sizes) > 1:
-        exponents["standard"] = _fit_exponent(sizes, medians)
+    def stage(kind, params, setup):
+        # setup(p) -> (recorded size, timed callable); it runs just before
+        # its point is timed, so draws from rng keep their order.
+        sizes, medians = [], []
+        for p in params:
+            size, fn = setup(int(p))
+            med = _median_time(fn, reps)
+            records.append(BenchRecord(kind, size, med, reps))
+            sizes.append(size)
+            medians.append(med)
+        if len(sizes) > 1:
+            exponents[kind] = _fit_exponent(sizes, medians)
 
-    sizes, medians = [], []
-    for k in k_values:
-        k = int(k)
+    stage("standard", standard_rows, lambda m: (
+        m * standard_dim, lambda: sample_standard_noise((m, standard_dim), 1.0, rng)))
+
+    def inmanifold_sample(k):
         basis = np.linalg.qr(rng.normal(size=(sample_dim, k)))[0].T
-        fn = lambda k=k, basis=basis: rng.normal(size=(sample_count, k)) @ basis
-        med = _median_time(fn, reps)
-        records.append(BenchRecord("inmanifold_sample", k, med, reps))
-        sizes.append(k)
-        medians.append(med)
-    if len(sizes) > 1:
-        exponents["inmanifold_sample"] = _fit_exponent(sizes, medians)
+        return k, lambda: rng.normal(size=(sample_count, k)) @ basis
+    stage("inmanifold_sample", k_values, inmanifold_sample)
 
     queries = rng.normal(size=(8, index_dim))
-    sizes, medians = [], []
-    for n in index_sizes:
-        index = build_index(rng.normal(size=(int(n), index_dim)))
-        def fn(index=index):
+
+    def knn_query(n):
+        index = build_index(rng.normal(size=(n, index_dim)))
+
+        def fn():
             for q in queries:
                 knn(index, q, k=10)
-        med = _median_time(fn, reps)
-        records.append(BenchRecord("knn_query", int(n), med, reps))
-        sizes.append(int(n))
-        medians.append(med)
-    if len(sizes) > 1:
-        exponents["knn_query"] = _fit_exponent(sizes, medians)
+        return n, fn
+    stage("knn_query", index_sizes, knn_query)
 
-    sizes, medians = [], []
-    for k in k_values:
-        k = int(k)
-        vectors = rng.normal(size=(k, sample_dim))
-        fn = lambda vectors=vectors: gram_schmidt(vectors)
-        med = _median_time(fn, reps)
-        records.append(BenchRecord("gram_schmidt", k, med, reps))
-        sizes.append(k)
-        medians.append(med)
-    if len(sizes) > 1:
-        exponents["gram_schmidt"] = _fit_exponent(sizes, medians)
+    stage("gram_schmidt", k_values, lambda k: (
+        k, partial(gram_schmidt, rng.normal(size=(k, sample_dim)))))
 
     return BenchReport(records=records, exponents=exponents)

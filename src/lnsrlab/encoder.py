@@ -21,7 +21,7 @@ sequence's pad keys are masked out of its attention scores through an
 additive [..., 1, M] key mask, and its pad rows out of the mean pooling.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -293,16 +293,8 @@ def forward_with_taps(model: EncoderModel, tokens, injection=None, clean=None):
 
 def save_checkpoint(model: EncoderModel, path):
     """Write header (magic + config as decimal text) then float64 LE params."""
-    cfg = model.config
-    lines = [CHECKPOINT_MAGIC]
-    lines.append(f"vocab_size={cfg.vocab_size}")
-    lines.append(f"embed_dim={cfg.embed_dim}")
-    lines.append(f"num_layers={cfg.num_layers}")
-    lines.append(f"num_heads={cfg.num_heads}")
-    lines.append(f"ffn_dim={cfg.ffn_dim}")
-    lines.append(f"max_seq_len={cfg.max_seq_len}")
-    lines.append(f"num_classes={cfg.num_classes}")
-    lines.append(f"regression={int(cfg.regression)}")
+    lines = [CHECKPOINT_MAGIC] + [f"{f.name}={int(getattr(model.config, f.name))}"
+                                  for f in fields(EncoderConfig)]
     header = ("\n".join(lines) + "\n\n").encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)
@@ -321,23 +313,12 @@ def load_checkpoint(path) -> EncoderModel:
         raise ContractError(
             f"checkpoint {path}: bad magic {head_lines[0]!r}, expected {CHECKPOINT_MAGIC!r}"
         )
-    # Header keys not read below are ignored, so files that older versions
-    # wrote with extra keys still load.
-    fields = {}
-    for line in head_lines[1:]:
-        key, _, val = line.partition("=")
-        fields[key] = val
+    # Header keys that are not EncoderConfig fields are ignored, so files
+    # that older versions wrote with extra keys still load.
+    header = dict(line.partition("=")[::2] for line in head_lines[1:])
     try:
-        cfg = EncoderConfig(
-            vocab_size=int(fields["vocab_size"]),
-            embed_dim=int(fields["embed_dim"]),
-            num_layers=int(fields["num_layers"]),
-            num_heads=int(fields["num_heads"]),
-            ffn_dim=int(fields["ffn_dim"]),
-            max_seq_len=int(fields["max_seq_len"]),
-            num_classes=int(fields["num_classes"]),
-            regression=bool(int(fields["regression"])),
-        )
+        cfg = EncoderConfig(**{f.name: f.type(int(header[f.name]))
+                               for f in fields(EncoderConfig)})
     except KeyError as exc:
         raise ContractError(f"checkpoint {path}: missing header field {exc}") from exc
     model = build_encoder(cfg, init_seed=0)

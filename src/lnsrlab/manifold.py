@@ -180,10 +180,10 @@ def gram_schmidt(diffs) -> OrthoBasis:
 
 
 def sample_inmanifold_noise(x, basis: OrthoBasis, sigma: float,
-                            rng: np.random.Generator, mix_ratio: float | None = None) -> Tensor:
+                            rng: np.random.Generator) -> Tensor:
     """Random element of span(basis): sum of N(0, sigma^2) coefficients times
-    the basis directions.  With ``mix_ratio`` the result is rescaled so its
-    norm is ``mix_ratio`` times the norm of ``x``.
+    the basis directions.  ``x`` is the vector perturbed; only its length is
+    checked.  Relative rescaling is ``noise.rescale_relative_rows``.
     """
     if basis.size == 0:
         raise ContractError("sample_inmanifold_noise: empty basis")
@@ -195,16 +195,7 @@ def sample_inmanifold_noise(x, basis: OrthoBasis, sigma: float,
             f"sample_inmanifold_noise: x length {xd.shape[0]} vs basis dimension {basis.basis.shape[1]}"
         )
     coeffs = rng.normal(0.0, sigma, size=basis.size)
-    eps = coeffs @ basis.basis
-    if mix_ratio is not None:
-        if not mix_ratio >= 0:
-            raise ContractError(f"sample_inmanifold_noise: mix_ratio must be nonnegative, got {mix_ratio}")
-        xnorm = float(np.linalg.norm(xd))
-        enorm = float(np.linalg.norm(eps))
-        if xnorm == 0.0 or enorm == 0.0:
-            return Tensor(np.zeros_like(eps))
-        eps = eps * (mix_ratio * xnorm / enorm)
-    return Tensor(eps)
+    return Tensor(coeffs @ basis.basis)
 
 
 def neighborhood_basis(index: NeighborIndex, query, k: int = DEFAULT_K) -> OrthoBasis | None:

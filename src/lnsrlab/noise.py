@@ -2,11 +2,13 @@
 
 A perturbation is described by a :class:`NoiseSpec`: its mode (isotropic
 Gaussian, manifold-constrained, or none), the raw standard deviation of the
-draw, an optional relative magnitude that rescales the draw against the
-vector it perturbs, and the layer whose input receives it.
+draw, and an optional relative magnitude that rescales the draw against the
+vector it perturbs.  Which layer receives the noise is the regularizer's
+``injection_layer``.
 
 Rescaling makes each perturbation row's norm an exact fraction of the
-perturbed row's norm, ``|eps'| = rho * |x|``.
+perturbed row's norm, ``|eps'| = rho * |x|``.  It is the one place the
+relative-magnitude rule lives, for every noise kind.
 """
 
 import math
@@ -34,7 +36,6 @@ class NoiseSpec:
     mode: str = "standard"
     sigma: float = 1.0
     rel_magnitude: float | None = DEFAULT_REL_MAGNITUDE
-    injection_layer: int = 1
 
     def __post_init__(self):
         if self.mode not in NOISE_MODES:
@@ -45,10 +46,6 @@ class NoiseSpec:
             raise ValidationError(
                 f"NoiseSpec.rel_magnitude: must be positive and finite or None,"
                 f" got {self.rel_magnitude}"
-            )
-        if self.injection_layer < 1:
-            raise ValidationError(
-                f"NoiseSpec.injection_layer: must be >= 1, got {self.injection_layer}"
             )
 
 
@@ -66,24 +63,25 @@ def sample_standard_noise(shape, sigma: float, rng: np.random.Generator) -> Tens
 
 
 def rescale_relative_rows(noise, x, rho: float) -> Tensor:
-    """Row-wise relative rescaling of [n, d] matrices (per-token convention).
+    """Row-wise relative rescaling of [..., d] arrays (per-token convention).
 
-    Each row of the result has norm ``rho`` times the corresponding row of
-    ``x``; zero rows of ``x`` map to zero rows of noise.
+    Each row (last axis) of the result has norm ``rho`` times the
+    corresponding row of ``x``; zero rows of ``x`` map to zero rows of
+    noise, and a zero noise row against a nonzero row of ``x`` raises.
     """
     nd = _as_array(noise)
     xd = _as_array(x)
-    if nd.shape != xd.shape or nd.ndim != 2:
+    if nd.shape != xd.shape or nd.ndim < 1:
         raise ContractError(
-            f"rescale_relative_rows: need matching 2-d shapes, got {nd.shape} and {xd.shape}"
+            f"rescale_relative_rows: need matching [..., d] shapes, got {nd.shape} and {xd.shape}"
         )
     if not rho >= 0:
         raise ContractError(f"rescale_relative_rows: rho must be nonnegative, got {rho}")
-    xnorms = np.linalg.norm(xd, axis=1)
-    nnorms = np.linalg.norm(nd, axis=1)
+    xnorms = np.linalg.norm(xd, axis=-1)
+    nnorms = np.linalg.norm(nd, axis=-1)
     live = xnorms > 0.0
     if np.any(live & (nnorms == 0.0)):
         raise ContractError("rescale_relative_rows: zero-norm noise row against nonzero x row")
     eta = np.zeros_like(xnorms)
     eta[live] = rho * xnorms[live] / nnorms[live]
-    return Tensor(nd * eta[:, None])
+    return Tensor(nd * eta[..., None])

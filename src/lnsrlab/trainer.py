@@ -23,7 +23,7 @@ from . import tensor as T
 from .data import TextDataset
 from .encoder import EncoderConfig, EncoderModel, build_encoder, forward_with_taps
 from .errors import ContractError, ValidationError
-from .manifold import NeighborIndex, build_index, neighborhood_basis, sample_inmanifold_noise
+from .manifold import build_index, neighborhood_basis, sample_inmanifold_noise
 from .noise import NoiseSpec, rescale_relative_rows
 from .objective import (
     MODES,
@@ -69,6 +69,8 @@ class TrainConfig:
             )
         if not 0.0 <= self.weight_decay:
             raise ValidationError(f"TrainConfig.weight_decay must be >= 0, got {self.weight_decay}")
+        if self.seed < 0:
+            raise ValidationError(f"TrainConfig.seed must be >= 0, got {self.seed}")
         if self.knn_k < 1:
             raise ValidationError(f"TrainConfig.knn_k must be >= 1, got {self.knn_k}")
         mode = self.reg.mode
@@ -76,16 +78,12 @@ class TrainConfig:
             raise ValidationError("lnsr_standard pairs with standard or none noise")
         if mode == "lnsr_inmanifold" and self.noise.mode == "standard":
             raise ValidationError("lnsr_inmanifold pairs with in_manifold or none noise")
-        if self.noise.mode == "in_manifold" and self.noise.injection_layer > 1:
+        if mode in NOISY_MODES and self.noise.mode == "in_manifold" \
+                and self.reg.injection_layer > 1:
             # Bases come from token-embedding neighbourhoods, which describe
             # the embedding output only, not a hidden state further up.
             raise ValidationError(
-                f"in_manifold noise needs injection_layer 1, got {self.noise.injection_layer}"
-            )
-        if mode in NOISY_MODES and self.reg.injection_layer != self.noise.injection_layer:
-            raise ValidationError(
-                f"injection_layer mismatch: regularizer says {self.reg.injection_layer},"
-                f" noise spec says {self.noise.injection_layer}"
+                f"in_manifold noise needs injection_layer 1, got {self.reg.injection_layer}"
             )
 
 
@@ -146,7 +144,6 @@ class RunResult:
     final_dev_metric: float
     generalization_gap: float
     wall_time_seconds: float
-    config: dict
     # Snapshot of trained weights, in declaration order.  Kept so callers can
     # compare runs bit-for-bit or hand the weights to diagnostics.
     final_params: list = field(default_factory=list, repr=False)
@@ -192,55 +189,44 @@ def evaluate(model: EncoderModel, dataset: TextDataset):
     return loss, int((np.argmax(logits.data, axis=-1) == labels).sum()) / len(ids)
 
 
-def _standard_noise_matrix(clean_input: np.ndarray, mask: np.ndarray,
-                           spec: NoiseSpec, rngs) -> np.ndarray:
-    """Per-token standard Gaussian noise for a [B, M, d] batch, one
-    generator per sequence, zero on pad rows."""
-    shape = clean_input.shape
-    eps = np.stack([rng.normal(0.0, spec.sigma, size=shape[1:]) for rng in rngs])
+def _noise_batch(model: EncoderModel, ids, clean_input: np.ndarray, mask: np.ndarray,
+                 cfg: TrainConfig, rngs) -> np.ndarray:
+    """Per-token noise for a [B, M, d] batch, one generator per sequence.
+
+    The kinds differ only in the raw draw.  Standard noise draws a
+    sequence's whole [M, d] block at once.  In-manifold noise draws each
+    live row in the span of its token's vocabulary-neighbourhood basis (the
+    bases of the batch's distinct tokens are built once, in order of first
+    appearance), or a Gaussian row when the neighbourhood is degenerate.
+    Every kind then zeroes pad rows and, with ``rel_magnitude`` set,
+    rescales each row against its clean row.
+    """
+    spec = cfg.noise
+    if spec.mode == "none":
+        return np.zeros_like(clean_input)
+    if spec.mode == "standard":
+        eps = np.stack([rng.normal(0.0, spec.sigma, size=clean_input.shape[1:])
+                        for rng in rngs])
+    else:
+        index = build_index(model.tok_emb.data)
+        bases = {tok: neighborhood_basis(index, model.tok_emb.data[tok], k=cfg.knn_k)
+                 for tok in dict.fromkeys(int(t) for seq in ids for t in seq)}
+        eps = np.zeros_like(clean_input)
+        for j, (seq, rng) in enumerate(zip(ids, rngs)):
+            for pos, tok in enumerate(seq):
+                basis = bases[int(tok)]
+                eps[j, pos] = (
+                    rng.normal(0.0, spec.sigma, size=eps.shape[-1]) if basis is None
+                    else sample_inmanifold_noise(clean_input[j, pos], basis, spec.sigma, rng).data)
     eps[~mask] = 0.0
     if spec.rel_magnitude is not None:
-        target = clean_input.copy()
-        target[~mask] = 0.0
-        eps = rescale_relative_rows(eps.reshape(-1, shape[-1]), target.reshape(-1, shape[-1]),
-                                    spec.rel_magnitude).data.reshape(shape)
-    return eps
-
-
-def _inmanifold_noise_matrix(model: EncoderModel, ids, clean_input: np.ndarray,
-                             mask: np.ndarray, spec: NoiseSpec, rng, k: int,
-                             index: NeighborIndex, basis_cache: dict) -> np.ndarray:
-    """Per-token in-manifold noise from vocabulary neighborhoods.
-
-    Each non-pad position queries the embedding table around its own token,
-    orthonormalizes the neighbor differences, and draws coefficients; a
-    degenerate neighborhood falls back to a standard Gaussian row.
-    """
-    eps = np.zeros_like(clean_input)
-    padded = np.zeros(clean_input.shape[0], dtype=np.int64)
-    padded[:len(ids)] = np.asarray(ids)
-    for pos in np.flatnonzero(mask):
-        tok = int(padded[pos])
-        if tok not in basis_cache:
-            basis_cache[tok] = neighborhood_basis(index, model.tok_emb.data[tok], k=k)
-        basis = basis_cache[tok]
-        x_row = clean_input[pos]
-        if basis is None:
-            row = rng.normal(0.0, spec.sigma, size=x_row.shape[0])
-            if spec.rel_magnitude is not None:
-                nrm = np.linalg.norm(row)
-                xn = np.linalg.norm(x_row)
-                row = row * (spec.rel_magnitude * xn / nrm) if nrm > 0 and xn > 0 \
-                    else np.zeros_like(row)
-            eps[pos] = row
-        else:
-            eps[pos] = sample_inmanifold_noise(
-                x_row, basis, spec.sigma, rng, mix_ratio=spec.rel_magnitude).data
+        target = np.where(mask[..., None], clean_input, 0.0)
+        eps = rescale_relative_rows(eps, target, spec.rel_magnitude).data
     return eps
 
 
 def _batch_backward(model: EncoderModel, train_ds: TextDataset, batch, cfg: TrainConfig,
-                    effective_noise: str, epoch: int, start: int, where: str) -> float:
+                    epoch: int, start: int, where: str) -> float:
     """Clean pass, perturbed pass and objective for one batch, then one
     backward pass that leaves the mean per-example gradient in ``.grad``.
 
@@ -255,19 +241,8 @@ def _batch_backward(model: EncoderModel, train_ds: TextDataset, batch, cfg: Trai
                     + [("clean logits", logits_c.data)], where, batch)
     logits_p, r_term, per_layer = None, None, None
     if mode in NOISY_MODES:
-        clean_input = clean.layers[b - 1].data
-        mask = clean.token_mask
         rngs = [substream_rng(cfg.seed, "noise", epoch, start + j) for j in range(len(batch))]
-        if effective_noise == "standard":
-            eps = _standard_noise_matrix(clean_input, mask, cfg.noise, rngs)
-        elif effective_noise == "in_manifold":
-            index = build_index(model.tok_emb.data)
-            basis_cache: dict = {}
-            eps = np.stack([_inmanifold_noise_matrix(
-                model, ids[j], clean_input[j], mask[j], cfg.noise, rngs[j],
-                cfg.knn_k, index, basis_cache) for j in range(len(batch))])
-        else:
-            eps = np.zeros_like(clean_input)
+        eps = _noise_batch(model, ids, clean.layers[b - 1].data, clean.token_mask, cfg, rngs)
         logits_p, pert = forward_with_taps(model, ids, injection=(b, eps), clean=clean)
         _require_finite([(f"perturbed trace entry {r}", pert.layers[r].data)
                          for r in range(b, len(pert.layers))]
@@ -293,8 +268,8 @@ def run_training(model_cfg: EncoderConfig, train_ds: TextDataset,
     sums over the batch).
     """
     mode = cfg.reg.mode
-    effective_noise = cfg.noise.mode if mode in NOISY_MODES else "none"
-    if effective_noise == "in_manifold" and model_cfg.vocab_size < cfg.knn_k + 1:
+    if mode in NOISY_MODES and cfg.noise.mode == "in_manifold" \
+            and model_cfg.vocab_size < cfg.knn_k + 1:
         raise ValidationError(
             f"in-manifold mode needs vocab_size >= knn_k + 1"
             f" ({model_cfg.vocab_size} < {cfg.knn_k + 1})"
@@ -322,8 +297,7 @@ def run_training(model_cfg: EncoderConfig, train_ds: TextDataset,
             batch = order[start:start + cfg.batch_size]
             where = f"epoch {epoch}, step {global_step + 1}"
             T.zero_grads(params)
-            running.append(_batch_backward(model, train_ds, batch, cfg, effective_noise,
-                                           epoch, start, where))
+            running.append(_batch_backward(model, train_ds, batch, cfg, epoch, start, where))
             global_step += 1
             grads = [p.grad.data if p.grad is not None else np.zeros_like(p.data)
                      for p in params]
@@ -353,11 +327,6 @@ def run_training(model_cfg: EncoderConfig, train_ds: TextDataset,
         generalization_gap=gap,
         wall_time_seconds=time.perf_counter() - started,
         final_params=[p.data.copy() for p in params],
-        config={"model": vars(model_cfg).copy(),
-                "train": {k: v for k, v in vars(cfg).items()
-                          if k not in ("noise", "reg")},
-                "noise": vars(cfg.noise).copy(),
-                "reg": vars(cfg.reg).copy()},
     )
 
 

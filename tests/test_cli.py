@@ -201,6 +201,21 @@ def test_bad_arguments_exit_1(tmp_path, capsys):
     assert main(["sweep", "--values", "1"]) == 1          # missing --param
     assert main(["train", "--config", str(tmp_path / "missing.ini")]) == 1
     capsys.readouterr()
+    out = ["--out", str(tmp_path)]
+    for command in COMMANDS:
+        assert main([command, "--seed", "-1"] + out) == 1
+        assert "--seed" in capsys.readouterr().err
+    for argv in (["sweep", "--param", "rel_magnitude", "--values", ","],
+                 ["sweep", "--param", "injection_layer", "--values", "1.5"],
+                 ["bench", "--standard-rows", ","],
+                 ["verify-claim1", "--sigmas", ","],
+                 ["gap-report", "--modes", ","]):
+        assert main(argv + out) == 1
+        assert argv[-2] in capsys.readouterr().err
+    for command in ("sweep", "gap-report"):
+        extra = ["--param", "rel_magnitude", "--values", "0.05"] if command == "sweep" else []
+        assert main([command, "--seeds", "0"] + extra + out) == 1
+        assert "--seeds" in capsys.readouterr().err
 
 
 def test_runtime_failure_exit_2(tmp_path, capsys):
@@ -217,6 +232,7 @@ def test_invalid_training_config_exit_1(tmp_path, capsys):
     capsys.readouterr()
     # Keys that configured nothing are rejected by name.
     for section, key, value in (("noise", "seed", "0"),
+                                ("noise", "injection_layer", "1"),
                                 ("encoder", "dropout_rate", "0.0"),
                                 ("data", "kind", "classification")):
         ini.write_text(f"[{section}]\n{key} = {value}\n")
@@ -227,6 +243,7 @@ def test_invalid_training_config_exit_1(tmp_path, capsys):
                                 ("noise", "rel_magnitude", "inf"),
                                 ("train", "lr", "inf"),
                                 ("train", "weight_decay", "inf"),
+                                ("train", "seed", "-1"),
                                 ("regularizer", "lambda_weights", "nan")):
         ini.write_text(f"[{section}]\n{key} = {value}\n")
         assert main(["train", "--config", str(ini), "--out", str(tmp_path)]) == 1

@@ -171,12 +171,14 @@ def test_checkpoint_roundtrip(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, path)
     blob = path.read_bytes()
-    assert blob.startswith(b"LNSR1\nvocab_size=50\n")
+    # One line per EncoderConfig field, in declaration order.
+    assert blob.startswith(b"LNSR1\nvocab_size=50\nembed_dim=8\nnum_layers=3\nnum_heads=2\n"
+                           b"ffn_dim=16\nmax_seq_len=12\nnum_classes=2\nregression=1\n\n")
     # Older LNSR1 files also carry a dropout_rate line, which is ignored.
     legacy = tmp_path / "legacy.ckpt"
     legacy.write_bytes(blob.replace(b"\n\n", b"\ndropout_rate=0.0\n\n", 1))
     for back in (load_checkpoint(path), load_checkpoint(legacy)):
-        assert back.config == model.config
+        assert back.config == model.config and back.config.regression is True
         for a, b in zip(model.parameters(), back.parameters()):
             assert np.array_equal(a.data, b.data)
 
@@ -192,6 +194,9 @@ def test_checkpoint_rejects_corruption(tmp_path):
     (tmp_path / "magic.ckpt").write_bytes(b"XXXX" + blob[5:])
     with pytest.raises(ContractError, match="magic"):
         load_checkpoint(tmp_path / "magic.ckpt")
+    (tmp_path / "field.ckpt").write_bytes(blob.replace(b"num_heads=2\n", b"", 1))
+    with pytest.raises(ContractError, match="missing header field 'num_heads'"):
+        load_checkpoint(tmp_path / "field.ckpt")
 
 
 def test_checkpoint_forward_agreement(tmp_path):

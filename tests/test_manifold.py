@@ -16,6 +16,7 @@ from lnsrlab.manifold import (
     project_coefficients,
     sample_inmanifold_noise,
 )
+from lnsrlab.noise import rescale_relative_rows
 from lnsrlab.rng import stream_rng
 
 
@@ -110,13 +111,18 @@ def test_sample_projection_residual_bound():
         assert np.linalg.norm(eps - proj) <= 1e-10 * max(np.linalg.norm(eps), 1e-30)
 
 
-def test_sample_mix_ratio_norm():
+def test_sample_rescaled_norm():
+    """Relative magnitude is applied by the shared row rescale, and the
+    rescaled draw stays in the basis span."""
     rng = stream_rng(14, "noise")
     basis = gram_schmidt(rng.normal(size=(5, 16)))
     x = rng.normal(size=16)
     for ratio in (0.10, 0.12, 0.15, 0.20):
-        eps = sample_inmanifold_noise(x, basis, 1.0, rng, mix_ratio=ratio).data
+        raw = sample_inmanifold_noise(x, basis, 1.0, rng).data
+        eps = rescale_relative_rows(raw, x, ratio).data
         assert np.linalg.norm(eps) == pytest.approx(ratio * np.linalg.norm(x), rel=1e-10)
+        proj = project_coefficients(basis, eps) @ basis.basis
+        assert np.linalg.norm(eps - proj) <= 1e-10 * np.linalg.norm(eps)
 
 
 def test_sample_contracts():

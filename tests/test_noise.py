@@ -23,8 +23,9 @@ def test_spec_validation():
         NoiseSpec(sigma=0.0)
     with pytest.raises(ValidationError, match="rel_magnitude"):
         NoiseSpec(rel_magnitude=-0.05)
-    with pytest.raises(ValidationError, match="injection_layer"):
-        NoiseSpec(injection_layer=0)
+    # The injection layer is the regularizer's field alone.
+    with pytest.raises(TypeError):
+        NoiseSpec(injection_layer=1)
     for field in ("sigma", "rel_magnitude"):
         for bad in (float("inf"), float("nan")):
             with pytest.raises(ValidationError, match=field):
@@ -120,6 +121,23 @@ def test_rowwise_rescaling_per_token():
     assert np.array_equal(out[3], np.zeros(8))
     # Whole-matrix Frobenius ratio collapses to rho as well.
     assert np.linalg.norm(out) / np.linalg.norm(x) == pytest.approx(0.05, abs=1e-12)
+
+
+def test_rescale_acts_on_the_last_axis_of_any_shape():
+    rng = stream_rng(8, "noise")
+    x = rng.normal(size=(3, 4, 6))
+    x[1, 2] = 0.0
+    noise = rng.normal(size=(3, 4, 6))
+    out = rescale_relative_rows(noise, x, 0.2).data
+    flat = rescale_relative_rows(noise.reshape(-1, 6), x.reshape(-1, 6), 0.2).data
+    assert np.array_equal(out, flat.reshape(3, 4, 6))
+    row = rescale_relative_rows(noise[0, 0], x[0, 0], 0.2).data
+    assert np.array_equal(row, out[0, 0])
+    assert np.array_equal(rescale_relative_rows(noise[1, 2], x[1, 2], 0.2).data, np.zeros(6))
+    with pytest.raises(ContractError):
+        rescale_relative_rows(np.zeros(6), x[0, 0], 0.2)
+    with pytest.raises(ContractError):
+        rescale_relative_rows(noise, x[0], 0.2)
 
 
 def test_rowwise_zero_noise_row_contract():

@@ -14,7 +14,8 @@ from lnsrlab import tensor as T
 from lnsrlab.data import synth_classification
 from lnsrlab.encoder import EncoderConfig
 from lnsrlab.errors import ContractError, ValidationError
-from lnsrlab.noise import NoiseSpec
+from lnsrlab.manifold import build_index, neighborhood_basis
+from lnsrlab.noise import NoiseSpec, rescale_relative_rows
 from lnsrlab.objective import RegularizerConfig
 from lnsrlab.rng import substream_rng
 from lnsrlab.trainer import (
@@ -149,6 +150,8 @@ def test_config_validation():
         _cfg(weight_decay=-0.1)
     with pytest.raises(ValidationError):
         _cfg(knn_k=0)
+    with pytest.raises(ValidationError, match="TrainConfig.seed"):
+        _cfg(seed=-1)
     for field in ("lr", "weight_decay", "beta1", "beta2", "adam_eps", "warmup_ratio"):
         for bad in (float("inf"), float("nan")):
             with pytest.raises(ValidationError, match=f"TrainConfig.{field}"):
@@ -162,13 +165,13 @@ def test_config_rejects_contradictory_mode_noise_pairs():
     with pytest.raises(ValidationError):
         _cfg(noise=NoiseSpec(mode="standard"),
              reg=RegularizerConfig(mode="lnsr_inmanifold"))
-    with pytest.raises(ValidationError):
-        _cfg(noise=NoiseSpec(mode="standard", injection_layer=2),
-             reg=RegularizerConfig(mode="lnsr_standard", injection_layer=1))
     # Vocabulary neighbourhoods say nothing about a hidden state above block 1.
     with pytest.raises(ValidationError, match="injection_layer 1"):
-        _cfg(noise=NoiseSpec(mode="in_manifold", injection_layer=2),
+        _cfg(noise=NoiseSpec(mode="in_manifold"),
              reg=RegularizerConfig(mode="lnsr_inmanifold", injection_layer=2))
+    # Standard noise goes to any block.
+    _cfg(noise=NoiseSpec(mode="standard"),
+         reg=RegularizerConfig(mode="lnsr_standard", injection_layer=2))
 
 
 def test_inmanifold_requires_enough_real_tokens(toy_task):
@@ -265,35 +268,124 @@ def test_inmanifold_training_runs(toy_task):
     assert res.mode == "lnsr_inmanifold"
 
 
-def test_batch_noise_is_keyed_by_epoch_and_position(toy_task, monkeypatch):
-    """Each sequence of a batch gets the draw of its own (epoch, position)
-    substream, zeroed on pad rows, as it did when examples ran one by one."""
+def _record_injections(monkeypatch):
+    """Route the trainer's forward passes through a recorder; returns the
+    list that collects (model weights' token table, clean trace, noise) per
+    injected pass."""
     import lnsrlab.trainer as trainer_module
 
-    mcfg, train, dev = toy_task
     seen = []
     original = trainer_module.forward_with_taps
 
     def recording(model, tokens, injection=None, clean=None):
         if injection is not None:
-            seen.append(np.array(injection[1]))
+            seen.append((model.tok_emb.data.copy(), clean, np.array(injection[1])))
         return original(model, tokens, injection=injection, clean=clean)
 
     monkeypatch.setattr(trainer_module, "forward_with_taps", recording)
-    cfg = _cfg(epochs=2, noise=NoiseSpec(mode="standard", sigma=0.3, rel_magnitude=None),
-               reg=RegularizerConfig(mode="lnsr_standard", lambda_weights=0.5))
-    run_training(mcfg, train, dev, cfg)
+    return seen
+
+
+def _batches(cfg, train, n_seen):
+    """(epoch, start, dataset indices) of each recorded step."""
     steps = len(train.examples) // cfg.batch_size
-    assert len(seen) == 2 * steps
-    for step, eps in enumerate(seen):
+    assert n_seen == cfg.epochs * steps
+    for step in range(n_seen):
         epoch, start = divmod(step, steps)
         start *= cfg.batch_size
         order = substream_rng(cfg.seed, "order", epoch).permutation(len(train.examples))
-        for j, ex in enumerate(order[start:start + cfg.batch_size]):
+        yield epoch, start, order[start:start + cfg.batch_size]
+
+
+def test_batch_noise_is_keyed_by_epoch_and_position(toy_task, monkeypatch):
+    """Each sequence of a batch gets the draw of its own (epoch, position)
+    substream, zeroed on pad rows, as it did when examples ran one by one."""
+    mcfg, train, dev = toy_task
+    seen = _record_injections(monkeypatch)
+    cfg = _cfg(epochs=2, noise=NoiseSpec(mode="standard", sigma=0.3, rel_magnitude=None),
+               reg=RegularizerConfig(mode="lnsr_standard", lambda_weights=0.5))
+    run_training(mcfg, train, dev, cfg)
+    for (epoch, start, batch), (_, _, eps) in zip(_batches(cfg, train, len(seen)), seen):
+        for j, ex in enumerate(batch):
             want = substream_rng(cfg.seed, "noise", epoch, start + j).normal(
                 0.0, 0.3, size=(mcfg.max_seq_len, mcfg.embed_dim))
             want[len(train.examples[ex][0]):] = 0.0
             assert np.array_equal(eps[j], want)
+
+
+def _inmanifold_cfg(rel_magnitude, knn_k=4):
+    return _cfg(epochs=1, knn_k=knn_k,
+                noise=NoiseSpec(mode="in_manifold", sigma=0.3, rel_magnitude=rel_magnitude),
+                reg=RegularizerConfig(mode="lnsr_inmanifold", lambda_weights=0.5))
+
+
+def test_inmanifold_noise_rows_are_rescaled_in_their_token_span(toy_task, monkeypatch):
+    """Pad rows are zero; each live row has norm rel_magnitude times its clean
+    row and lies in the span of its token's basis from that step's table."""
+    mcfg, train, dev = toy_task
+    seen = _record_injections(monkeypatch)
+    cfg = _inmanifold_cfg(0.05)
+    run_training(mcfg, train, dev, cfg)
+    for (_, _, batch), (table, clean, eps) in zip(_batches(cfg, train, len(seen)), seen):
+        index = build_index(table)
+        clean_input = clean.layers[0].data
+        for j, ex in enumerate(batch):
+            ids = train.examples[ex][0]
+            assert not eps[j, len(ids):].any()
+            for pos, tok in enumerate(ids):
+                row = eps[j, pos]
+                assert abs(np.linalg.norm(row) - 0.05 * np.linalg.norm(clean_input[j, pos])) \
+                    <= 1e-12
+                basis = neighborhood_basis(index, table[tok], k=cfg.knn_k).basis
+                assert np.linalg.norm(row - (basis @ row) @ basis) <= 1e-12 * np.linalg.norm(row)
+
+
+def test_inmanifold_noise_without_rescale_is_the_substream_draw(toy_task, monkeypatch):
+    """With rel_magnitude None each live row is sigma-scale coefficients of
+    its token's basis, drawn in position order from the (epoch, position)
+    substream."""
+    mcfg, train, dev = toy_task
+    seen = _record_injections(monkeypatch)
+    cfg = _inmanifold_cfg(None)
+    run_training(mcfg, train, dev, cfg)
+    for (epoch, start, batch), (table, _, eps) in zip(_batches(cfg, train, len(seen)), seen):
+        index = build_index(table)
+        for j, ex in enumerate(batch):
+            ids = train.examples[ex][0]
+            rng = substream_rng(cfg.seed, "noise", epoch, start + j)
+            want = np.zeros_like(eps[j])
+            for pos, tok in enumerate(ids):
+                basis = neighborhood_basis(index, table[tok], k=cfg.knn_k).basis
+                want[pos] = rng.normal(0.0, 0.3, size=basis.shape[0]) @ basis
+            assert np.array_equal(eps[j], want)
+
+
+def test_inmanifold_degenerate_fallback_is_rescaled_gaussian(toy_task, monkeypatch):
+    """An all-equal token table leaves no neighbourhood: every live row is a
+    Gaussian draw from the substream, rescaled like any other row."""
+    import lnsrlab.trainer as trainer_module
+
+    mcfg, train, dev = toy_task
+    original = trainer_module.build_encoder
+
+    def flat_table(config, init_seed):
+        model = original(config, init_seed)
+        model.tok_emb.data[:] = 0.25
+        return model
+
+    monkeypatch.setattr(trainer_module, "build_encoder", flat_table)
+    seen = _record_injections(monkeypatch)
+    cfg = _inmanifold_cfg(0.05)
+    run_training(mcfg, train, dev, cfg)
+    (epoch, start, batch), (_, clean, eps) = next(zip(_batches(cfg, train, len(seen)), seen))
+    clean_input = clean.layers[0].data
+    for j, ex in enumerate(batch):
+        n = len(train.examples[ex][0])
+        raw = substream_rng(cfg.seed, "noise", epoch, start + j).normal(
+            0.0, 0.3, size=(n, mcfg.embed_dim))
+        want = rescale_relative_rows(raw, clean_input[j, :n], 0.05).data
+        assert np.array_equal(eps[j, :n], want)
+        assert not eps[j, n:].any()
 
 
 def test_non_finite_values_name_epoch_step_and_example(toy_task):
@@ -348,7 +440,7 @@ def _fake_run(dev, gap):
     return RunResult(seed=0, mode="ft", epoch_train_loss=[], epoch_train_metric=[],
                      epoch_dev_metric=[], final_train_metric=dev + gap,
                      final_dev_metric=dev, generalization_gap=gap,
-                     wall_time_seconds=0.0, config={})
+                     wall_time_seconds=0.0)
 
 
 def test_summary_statistics_worked_example():
