@@ -21,6 +21,7 @@ import numpy as np
 
 from .data import load_tsv, synth_classification, synth_manifold
 from .diagnostics import (
+    BENCH_MIN_REPS,
     bench_complexity,
     error_ratio_curve,
     pca_noise_spectrum,
@@ -32,7 +33,8 @@ from .manifold import build_index, neighborhood_basis, sample_inmanifold_noise
 from .noise import NoiseSpec, sample_standard_noise
 from .objective import RegularizerConfig
 from .rng import stream_rng, substream_rng
-from .theory import TAYLOR_CSV_COLUMNS, cross_term_mc, make_taylor_report, random_smooth_map
+from .theory import (MC_MIN_SAMPLES, TAYLOR_CSV_COLUMNS, cross_term_mc, make_taylor_report,
+                     random_smooth_map)
 from .trainer import TrainConfig, config_for_mode, multi_seed, run_training
 
 COMMANDS = ("train", "sweep", "verify-claim1", "cross-term", "noise-curve",
@@ -110,7 +112,7 @@ def _comma_list(text: str, cast, name: str, minimum: int = 1) -> list:
     cast; fewer than ``minimum`` items or a bad item is a ValidationError."""
     try:
         items = [cast(p) for p in text.split(",") if p.strip()]
-    except ValueError as exc:
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise ValidationError(f"{name}: bad item in {text!r} ({exc})") from exc
     if len(items) < minimum:
         raise ValidationError(f"{name}: need at least {minimum} comma-separated"
@@ -118,10 +120,13 @@ def _comma_list(text: str, cast, name: str, minimum: int = 1) -> list:
     return items
 
 
-def _seed(text: str) -> int:
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
-    return int(text)
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return int(text)
+    return integer
 
 
 def _lambda_weights(text: str):
@@ -194,6 +199,8 @@ class Settings:
 
         self.data = dict(_DATA_DEFAULTS)
         self.data.update(sections.get("data", {}))
+        if self.data["seed"] < 0:
+            raise ValidationError(f"[data] seed must be >= 0, got {self.data['seed']}")
         self.seed = self.train.seed
 
     def datasets(self):
@@ -208,19 +215,6 @@ class Settings:
         return synth_classification(d["n_per_class"], d["num_classes"],
                                     d["seq_len"], self.encoder.vocab_size,
                                     d["margin"], d["seed"])
-
-
-def _model_with_params(encoder_cfg: EncoderConfig, init_seed: int, param_values):
-    """Fresh model with its weights replaced by saved arrays."""
-    model = build_encoder(encoder_cfg, init_seed)
-    params = model.parameters()
-    if len(params) != len(param_values):
-        raise ContractError("parameter count mismatch when restoring weights")
-    for p, v in zip(params, param_values):
-        if p.data.shape != v.shape:
-            raise ContractError("parameter shape mismatch when restoring weights")
-        p.data = v.copy()
-    return model
 
 
 # ----------------------------------------------------------------- commands
@@ -240,8 +234,8 @@ def _cmd_train(args) -> int:
           f"gap={result.generalization_gap:.4f} "
           f"wall={result.wall_time_seconds:.2f}s")
     if args.save_model:
-        model = _model_with_params(settings.encoder, settings.seed,
-                                   result.final_params)
+        model = build_encoder(settings.encoder, settings.seed)
+        model.store[:] = np.concatenate(result.final_params, axis=None)
         save_checkpoint(model, args.save_model)
         print(f"wrote {args.save_model}")
     return 0
@@ -315,11 +309,15 @@ def _cmd_cross_term(args) -> int:
 
 
 def _cmd_noise_curve(args) -> int:
+    if not (np.isfinite(args.rel_magnitude) and args.rel_magnitude >= 0):
+        raise ValidationError(f"--rel-magnitude must be finite and >= 0, got {args.rel_magnitude}")
     settings = Settings(args)
     if args.checkpoint:
         model = load_checkpoint(args.checkpoint)
     else:
         model = build_encoder(settings.encoder, settings.seed)
+    if args.injection_layer > model.config.num_layers:
+        raise ValidationError(f"--injection-layer must be <= {model.config.num_layers}")
     _, dev_ds = settings.datasets()
     probes = dev_ds.examples[:args.probes]
     curve = error_ratio_curve(model, probes, args.injection_layer,
@@ -336,6 +334,8 @@ def _cmd_noise_curve(args) -> int:
 
 
 def _cmd_pca_spectrum(args) -> int:
+    if args.intrinsic >= args.dim:
+        raise ValidationError(f"--intrinsic {args.intrinsic} must be below --dim {args.dim}")
     seed = args.seed if args.seed is not None else 0
     rng = stream_rng(seed, "noise")
     standard = sample_standard_noise((args.samples, args.dim), args.sigma, rng).data
@@ -369,7 +369,7 @@ def _cmd_bench(args) -> int:
     for name in ("standard_rows", "k_values", "index_sizes"):
         text = getattr(args, name)
         if text is not None:
-            kwargs[name] = tuple(_comma_list(text, int, "--" + name.replace("_", "-")))
+            kwargs[name] = tuple(_comma_list(text, _int_at_least(1), "--" + name.replace("_", "-")))
     report = bench_complexity(seed=args.seed if args.seed is not None else 0,
                               **kwargs)
     path = _out_path(args, "bench")
@@ -424,7 +424,7 @@ def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None,
                         help="INI config with [encoder]/[noise]/[regularizer]/[train]/[data]")
-    common.add_argument("--seed", type=_seed, default=None,
+    common.add_argument("--seed", type=_int_at_least(0), default=None,
                         help="master seed override (a non-negative integer)")
     common.add_argument("--out", default=".", help="output directory for CSV files")
 
@@ -447,42 +447,42 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify-claim1", parents=[common],
                        help="second-order expansion vs Monte Carlo on a random smooth map")
-    p.add_argument("--dim", type=int, default=8)
+    p.add_argument("--dim", type=_int_at_least(1), default=8)
     p.add_argument("--sigmas", default="0.1,0.05,0.01")
-    p.add_argument("--mc-samples", type=int, default=20000)
+    p.add_argument("--mc-samples", type=_int_at_least(MC_MIN_SAMPLES), default=20000)
     p.set_defaults(func=_cmd_verify_claim1)
 
     p = sub.add_parser("cross-term", parents=[common],
                        help="Monte-Carlo means of the odd cross term over random pairs")
-    p.add_argument("--pairs", type=int, default=20)
-    p.add_argument("--dim", type=int, default=6)
+    p.add_argument("--pairs", type=_int_at_least(1), default=20)
+    p.add_argument("--dim", type=_int_at_least(1), default=6)
     p.add_argument("--sigma", type=float, default=0.05)
-    p.add_argument("--mc-samples", type=int, default=100000)
+    p.add_argument("--mc-samples", type=_int_at_least(MC_MIN_SAMPLES), default=100000)
     p.set_defaults(func=_cmd_cross_term)
 
     p = sub.add_parser("noise-curve", parents=[common],
                        help="per-layer deviation ratios after noise injection")
-    p.add_argument("--injection-layer", type=int, default=1)
+    p.add_argument("--injection-layer", type=_int_at_least(1), default=1)
     p.add_argument("--rel-magnitude", type=float, default=0.05)
-    p.add_argument("--probes", type=int, default=64)
+    p.add_argument("--probes", type=_int_at_least(1), default=64)
     p.add_argument("--checkpoint", default=None,
                    help="measure a saved model instead of a fresh one")
     p.set_defaults(func=_cmd_noise_curve)
 
     p = sub.add_parser("pca-spectrum", parents=[common],
                        help="covariance spectra of standard vs neighborhood noise")
-    p.add_argument("--dim", type=int, default=16)
-    p.add_argument("--intrinsic", type=int, default=3)
-    p.add_argument("--points", type=int, default=400)
-    p.add_argument("--samples", type=int, default=400)
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--dim", type=_int_at_least(2), default=16)
+    p.add_argument("--intrinsic", type=_int_at_least(1), default=3)
+    p.add_argument("--points", type=_int_at_least(2), default=400)
+    p.add_argument("--samples", type=_int_at_least(2), default=400)
+    p.add_argument("--k", type=_int_at_least(1), default=10)
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--curvature", type=float, default=0.0)
     p.set_defaults(func=_cmd_pca_spectrum)
 
     p = sub.add_parser("bench", parents=[common],
                        help="noise-pipeline timings with fitted scaling exponents")
-    p.add_argument("--reps", type=int, default=7)
+    p.add_argument("--reps", type=_int_at_least(BENCH_MIN_REPS), default=7)
     p.add_argument("--standard-rows", default=None)
     p.add_argument("--k-values", default=None)
     p.add_argument("--index-sizes", default=None)

@@ -21,7 +21,7 @@ sequence's pad keys are masked out of its attention scores through an
 additive [..., 1, M] key mask, and its pad rows out of the mean pooling.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -93,9 +93,7 @@ class BlockParams:
     ln2_bias: Tensor
 
     def parameters(self):
-        return [self.wq, self.bq, self.wk, self.bk, self.wv, self.bv,
-                self.wo, self.bo, self.ln1_gain, self.ln1_bias,
-                self.w1, self.b1, self.w2, self.b2, self.ln2_gain, self.ln2_bias]
+        return [getattr(self, f.name) for f in fields(self)]
 
 
 @dataclass
@@ -106,6 +104,9 @@ class EncoderModel:
     blocks: list
     w_head: Tensor
     b_head: Tensor
+    # All weights, flat, in parameters() order (None on a frozen copy); each
+    # .data is a view of its slice, so write in place: rebinding detaches it.
+    store: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def parameters(self):
         """All trainable tensors in fixed declaration order (checkpoint order)."""
@@ -114,10 +115,6 @@ class EncoderModel:
             params.extend(blk.parameters())
         params.extend([self.w_head, self.b_head])
         return params
-
-    @property
-    def param_count(self) -> int:
-        return sum(p.data.size for p in self.parameters())
 
     def frozen(self) -> "EncoderModel":
         """A copy whose weights are constants, so a forward pass on it keeps
@@ -191,7 +188,7 @@ def build_encoder(config: EncoderConfig, init_seed: int) -> EncoderModel:
             w2=_gauss(rng, (f, d)), b2=_zeros(d),
             ln2_gain=_ones(d), ln2_bias=_zeros(d),
         ))
-    return EncoderModel(
+    model = EncoderModel(
         config=config,
         tok_emb=_gauss(rng, (config.vocab_size, d)),
         pos_emb=_gauss(rng, (config.max_seq_len, d)),
@@ -199,6 +196,11 @@ def build_encoder(config: EncoderConfig, init_seed: int) -> EncoderModel:
         w_head=_gauss(rng, (d, config.num_outputs)),
         b_head=_zeros(config.num_outputs),
     )
+    params = model.parameters()
+    model.store = np.concatenate([p.data for p in params], axis=None)
+    for p, end in zip(params, np.cumsum([p.data.size for p in params])):
+        p.data = model.store[end - p.data.size:end].reshape(p.data.shape)
+    return model
 
 
 def _pad_tokens(seqs, config: EncoderConfig) -> np.ndarray:
@@ -292,14 +294,13 @@ def forward_with_taps(model: EncoderModel, tokens, injection=None, clean=None):
 
 
 def save_checkpoint(model: EncoderModel, path):
-    """Write header (magic + config as decimal text) then float64 LE params."""
+    """Write header (magic + config as decimal text) then the store as float64 LE."""
     lines = [CHECKPOINT_MAGIC] + [f"{f.name}={int(getattr(model.config, f.name))}"
                                   for f in fields(EncoderConfig)]
     header = ("\n".join(lines) + "\n\n").encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)
-        for p in model.parameters():
-            fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
+        fh.write(model.store.astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path) -> EncoderModel:
@@ -323,15 +324,10 @@ def load_checkpoint(path) -> EncoderModel:
         raise ContractError(f"checkpoint {path}: missing header field {exc}") from exc
     model = build_encoder(cfg, init_seed=0)
     payload = blob[sep + 2:]
-    if len(payload) != model.param_count * 8:
+    if len(payload) != model.store.nbytes:
         raise ContractError(
-            f"checkpoint {path}: expected {model.param_count * 8} payload bytes,"
+            f"checkpoint {path}: expected {model.store.nbytes} payload bytes,"
             f" found {len(payload)}"
         )
-    offset = 0
-    for p in model.parameters():
-        n = p.data.size
-        p.data = np.frombuffer(payload, dtype="<f8", count=n, offset=offset) \
-            .reshape(p.data.shape).copy()
-        offset += n * 8
+    model.store[:] = np.frombuffer(payload, dtype="<f8")
     return model

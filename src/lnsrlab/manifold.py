@@ -205,6 +205,8 @@ def neighborhood_basis(index: NeighborIndex, query, k: int = DEFAULT_K) -> Ortho
     exact matches, or every difference vanishes.  Callers substitute
     standard Gaussian noise in that case (the documented fallback).
     """
+    if k < 1:
+        raise ContractError(f"neighborhood_basis: k must be >= 1, got {k}")
     q = _as_array(query).reshape(-1)
     try:
         pairs = knn(index, q, k, exclude_exact_match=True)

@@ -28,6 +28,7 @@ from .errors import ContractError
 FD_JACOBIAN_H = 1e-5
 # Second differences lose precision faster, so the Hessian step is coarser.
 FD_HESSIAN_H = 1e-3
+MC_MIN_SAMPLES = 1000
 
 TAYLOR_CSV_COLUMNS = ("sigma", "mc_estimate", "mc_se", "r_j", "r_h_paper",
                       "r_h_exact", "r_jh_mc", "claim14_value")
@@ -103,8 +104,8 @@ def mc_noise_stability(f, x, sigma: float, n: int, rng: np.random.Generator,
     Returns (estimate, standard error).  ``f_batch``, when given, maps an
     [n, d] matrix of points to n values and replaces the per-sample loop.
     """
-    if n < 1000:
-        raise ContractError(f"mc_noise_stability: need n >= 1000, got {n}")
+    if n < MC_MIN_SAMPLES:
+        raise ContractError(f"mc_noise_stability: need n >= {MC_MIN_SAMPLES}, got {n}")
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     f0 = _eval_scalar(f, x)
     eps = rng.normal(0.0, sigma, size=(n, x.shape[0]))
@@ -160,8 +161,8 @@ def cross_term_mc(j, h, sigma: float, n: int, rng: np.random.Generator):
 
     Returns (mean, standard error).
     """
-    if n < 1000:
-        raise ContractError(f"cross_term_mc: need n >= 1000, got {n}")
+    if n < MC_MIN_SAMPLES:
+        raise ContractError(f"cross_term_mc: need n >= {MC_MIN_SAMPLES}, got {n}")
     j = np.asarray(j, dtype=np.float64).reshape(-1)
     h = np.asarray(h, dtype=np.float64)
     _check_symmetric(h)

@@ -87,38 +87,21 @@ class TrainConfig:
             )
 
 
-@dataclass
-class AdamState:
-    m: list
-    v: list
-
-    @classmethod
-    def for_params(cls, params):
-        return cls(m=[np.zeros_like(p.data) for p in params],
-                   v=[np.zeros_like(p.data) for p in params])
-
-
-def adam_step(params, grads, state: AdamState, t: int, cfg: TrainConfig,
-              lr: float | None = None):
-    """One Adam update with bias correction and decoupled weight decay."""
+def adam_step(store: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
+              t: int, cfg: TrainConfig, lr: float | None = None):
+    """One Adam update with bias correction and decoupled weight decay,
+    in place on the flat parameter ``store`` and moments ``m`` and ``v``."""
     if t < 1:
         raise ContractError(f"adam_step: t must be >= 1, got {t}")
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ContractError("adam_step: params/grads/state length mismatch")
+    if not store.shape == grad.shape == m.shape == v.shape:
+        raise ContractError(f"adam_step: shapes {store.shape} {grad.shape} {m.shape} {v.shape}")
     step_lr = cfg.lr if lr is None else lr
     b1, b2 = cfg.beta1, cfg.beta2
-    for i, (p, g) in enumerate(zip(params, grads)):
-        g = np.asarray(g, dtype=np.float64)
-        if g.shape != p.data.shape:
-            raise ContractError(
-                f"adam_step: gradient shape {g.shape} vs parameter {p.data.shape}"
-            )
-        state.m[i] = b1 * state.m[i] + (1.0 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1.0 - b2) * g * g
-        mhat = state.m[i] / (1.0 - b1 ** t)
-        vhat = state.v[i] / (1.0 - b2 ** t)
-        p.data = p.data - step_lr * (mhat / (np.sqrt(vhat) + cfg.adam_eps)
-                                     + cfg.weight_decay * p.data)
+    m[:] = b1 * m + (1.0 - b1) * grad
+    v[:] = b2 * v + (1.0 - b2) * grad * grad
+    mhat = m / (1.0 - b1 ** t)
+    vhat = v / (1.0 - b2 ** t)
+    store -= step_lr * (mhat / (np.sqrt(vhat) + cfg.adam_eps) + cfg.weight_decay * store)
 
 
 def lr_at(step: int, total_steps: int, warmup_ratio: float, base_lr: float) -> float:
@@ -230,8 +213,9 @@ def _batch_backward(model: EncoderModel, train_ds: TextDataset, batch, cfg: Trai
     """Clean pass, perturbed pass and objective for one batch, then one
     backward pass that leaves the mean per-example gradient in ``.grad``.
 
-    Returns the objective summed over the batch.  The tape is freed when
-    this returns, before the next batch builds its own.
+    Returns the objective summed over the batch and that gradient, flat in
+    store order.  The tape is freed when this returns, before the next
+    batch builds its own.
     """
     mode, b = cfg.reg.mode, cfg.reg.injection_layer
     ids = [train_ds.examples[int(i)][0] for i in batch]
@@ -255,7 +239,9 @@ def _batch_backward(model: EncoderModel, train_ds: TextDataset, batch, cfg: Trai
         # The loss is one sum over the batch, so it names them all.
         raise ContractError(f"non-finite loss at {where}, examples {batch.tolist()}")
     T.backward(obj, seed_grad=1.0 / len(batch))
-    return obj.item()
+    # Gathered while the tape is alive, the gradient lands above it on the heap,
+    # so malloc cannot trim the freed tape and the next batch does not refault it.
+    return obj.item(), np.concatenate([p.grad.data for p in model.parameters()], axis=None)
 
 
 def run_training(model_cfg: EncoderConfig, train_ds: TextDataset,
@@ -283,7 +269,7 @@ def run_training(model_cfg: EncoderConfig, train_ds: TextDataset,
     started = time.perf_counter()
     model = build_encoder(model_cfg, cfg.seed)
     params = model.parameters()
-    state = AdamState.for_params(params)
+    m, v = np.zeros_like(model.store), np.zeros_like(model.store)
     n = len(train_ds.examples)
     steps_per_epoch = math.ceil(n / cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
@@ -297,16 +283,16 @@ def run_training(model_cfg: EncoderConfig, train_ds: TextDataset,
             batch = order[start:start + cfg.batch_size]
             where = f"epoch {epoch}, step {global_step + 1}"
             T.zero_grads(params)
-            running.append(_batch_backward(model, train_ds, batch, cfg, epoch, start, where))
+            loss, grad = _batch_backward(model, train_ds, batch, cfg, epoch, start, where)
+            running.append(loss)
             global_step += 1
-            grads = [p.grad.data if p.grad is not None else np.zeros_like(p.data)
-                     for p in params]
-            for pos, g in enumerate(grads):
-                if not np.isfinite(g).all():
-                    raise ContractError(f"non-finite gradient of parameter {pos} {g.shape}"
-                                        f" at {where}, examples {batch.tolist()}")
+            if not np.isfinite(grad).all():
+                ends = np.cumsum([p.data.size for p in params])
+                pos = int(np.searchsorted(ends, np.argmin(np.isfinite(grad)), side="right"))
+                raise ContractError(f"non-finite gradient of parameter {pos} {params[pos].shape}"
+                                    f" at {where}, examples {batch.tolist()}")
             step_lr = lr_at(global_step, total_steps, cfg.warmup_ratio, cfg.lr)
-            adam_step(params, grads, state, global_step, cfg, lr=step_lr)
+            adam_step(model.store, grad, m, v, global_step, cfg, lr=step_lr)
         try:
             _, train_metric = evaluate(model, train_ds)
             _, dev_metric = evaluate(model, dev_ds)

@@ -21,7 +21,9 @@ from lnsrlab.cli import (
     main,
     write_csv,
 )
+from lnsrlab.encoder import load_checkpoint
 from lnsrlab.errors import ValidationError
+from lnsrlab.trainer import run_training
 
 
 def _only_csv(out_dir, command):
@@ -51,10 +53,19 @@ def test_train_writes_epoch_csv(tmp_path):
 def test_train_save_model_checkpoint(tmp_path):
     out = str(tmp_path)
     ckpt = str(tmp_path / "model.bin")
-    assert main(["train", "--out", out, "--save-model", ckpt]) == 0
-    from lnsrlab.encoder import load_checkpoint
+    assert main(["train", "--out", out, "--seed", "3", "--save-model", ckpt]) == 0
     model = load_checkpoint(ckpt)
     assert model.config.num_layers == 2
+    # The saved weights are the trained ones, bit for bit.
+    class Args:
+        config = None
+        seed = 3
+    settings = Settings(Args())
+    result = run_training(settings.encoder, *settings.datasets(), settings.train)
+    params = model.parameters()
+    assert len(params) == len(result.final_params)
+    for p, want in zip(params, result.final_params):
+        assert p.data.shape == want.shape and np.array_equal(p.data, want)
 
 
 def test_train_is_deterministic_per_seed(tmp_path):
@@ -216,6 +227,27 @@ def test_bad_arguments_exit_1(tmp_path, capsys):
         extra = ["--param", "rel_magnitude", "--values", "0.05"] if command == "sweep" else []
         assert main([command, "--seeds", "0"] + extra + out) == 1
         assert "--seeds" in capsys.readouterr().err
+    # Numbers out of range exit 1 naming the option, and write nothing.
+    for argv in (["bench", "--reps", "3"],
+                 ["bench", "--standard-rows", "0"],
+                 ["noise-curve", "--injection-layer", "5"],
+                 ["noise-curve", "--injection-layer", "0"],
+                 ["noise-curve", "--probes", "0"],
+                 ["noise-curve", "--rel-magnitude", "-1"],
+                 ["verify-claim1", "--dim", "0"],
+                 ["verify-claim1", "--mc-samples", "10"],
+                 ["cross-term", "--mc-samples", "10"],
+                 ["cross-term", "--pairs", "0"],
+                 ["pca-spectrum", "--samples", "1"],
+                 ["pca-spectrum", "--intrinsic", "16"],
+                 ["pca-spectrum", "--k", "0"]):
+        assert main(argv + out) == 1, argv
+        assert argv[-2] in capsys.readouterr().err
+    assert not glob.glob(os.path.join(str(tmp_path), "*.csv"))
+    ini = tmp_path / "data.ini"
+    ini.write_text("[data]\nseed = -1\n")
+    assert main(["train", "--config", str(ini)] + out) == 1
+    assert "[data] seed" in capsys.readouterr().err
 
 
 def test_runtime_failure_exit_2(tmp_path, capsys):

@@ -166,6 +166,25 @@ def test_full_model_gradcheck_small():
             assert ad == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
 
+def _assert_weights_live_in_store(model):
+    params = model.parameters()
+    assert model.store.dtype == np.float64 and model.store.flags.c_contiguous
+    assert model.store.size == sum(p.data.size for p in params)
+    for p in params:
+        assert np.shares_memory(p.data, model.store)
+    assert np.array_equal(np.concatenate([p.data for p in params], axis=None), model.store)
+
+
+def test_parameters_are_views_of_one_store(tmp_path):
+    model = build_encoder(small_config(num_layers=3), init_seed=11)
+    _assert_weights_live_in_store(model)
+    model.store[:] = 0.5
+    assert all((p.data == 0.5).all() for p in model.parameters())
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    _assert_weights_live_in_store(load_checkpoint(path))
+
+
 def test_checkpoint_roundtrip(tmp_path):
     model = build_encoder(small_config(num_layers=3, regression=True), init_seed=11)
     path = tmp_path / "model.ckpt"

@@ -155,6 +155,13 @@ def test_neighborhood_basis_and_fallback():
     assert neighborhood_basis(same, [1.0, 1.0], k=2) is None
 
 
+def test_neighborhood_basis_rejects_bad_k():
+    # A bad k is the caller's error, not a degenerate neighbourhood.
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
+    with pytest.raises(ContractError, match="k must be >= 1, got 0"):
+        neighborhood_basis(build_index(pts), [0.0, 0.0], k=0)
+
+
 def test_lle_exact_affine_combination():
     a = np.array([1.0, 0.0, 0.0])
     b = np.array([0.0, 1.0, 0.0])

@@ -10,16 +10,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from lnsrlab import tensor as T
 from lnsrlab.data import synth_classification
-from lnsrlab.encoder import EncoderConfig
+from lnsrlab.encoder import EncoderConfig, build_encoder
 from lnsrlab.errors import ContractError, ValidationError
 from lnsrlab.manifold import build_index, neighborhood_basis
 from lnsrlab.noise import NoiseSpec, rescale_relative_rows
 from lnsrlab.objective import RegularizerConfig
 from lnsrlab.rng import substream_rng
 from lnsrlab.trainer import (
-    AdamState,
     RunResult,
     TrainConfig,
     adam_step,
@@ -49,32 +47,33 @@ def toy_task():
 
 # ---------------------------------------------------------------- adam_step
 
+def _moments(store):
+    return np.zeros_like(store), np.zeros_like(store)
+
+
 def test_adam_first_step_closed_form():
     # t=1 bias correction makes mhat = g and vhat = g^2, so the update is
     # lr * g / (|g| + eps) regardless of g's magnitude.
-    p = T.Tensor(np.array([[1.0]]), requires_grad=True)
+    store = np.array([1.0])
     cfg = _cfg(lr=0.1)
-    st = AdamState.for_params([p])
-    adam_step([p], [np.array([[1.0]])], st, 1, cfg)
+    adam_step(store, np.array([1.0]), *_moments(store), 1, cfg)
     expected = 1.0 - 0.1 * (1.0 / (1.0 + cfg.adam_eps))
-    assert p.data[0, 0] == pytest.approx(expected, abs=1e-15)
+    assert store[0] == pytest.approx(expected, abs=1e-15)
 
 
 def test_adam_zero_grad_zero_decay_is_identity():
-    vals = np.array([[0.5, -2.0], [3.0, 0.0]])
-    p = T.Tensor(vals.copy(), requires_grad=True)
-    st = AdamState.for_params([p])
-    adam_step([p], [np.zeros((2, 2))], st, 1, _cfg(lr=0.1))
-    assert np.array_equal(p.data, vals)
+    vals = np.array([0.5, -2.0, 3.0, 0.0])
+    store = vals.copy()
+    adam_step(store, np.zeros(4), *_moments(store), 1, _cfg(lr=0.1))
+    assert np.array_equal(store, vals)
 
 
 def test_adam_weight_decay_scales_param():
-    p = T.Tensor(np.array([[4.0]]), requires_grad=True)
+    store = np.array([4.0])
     cfg = _cfg(lr=0.1, weight_decay=0.01)
-    st = AdamState.for_params([p])
-    adam_step([p], [np.zeros((1, 1))], st, 1, cfg)
+    adam_step(store, np.zeros(1), *_moments(store), 1, cfg)
     # decoupled decay: p -> p * (1 - lr * wd)
-    assert p.data[0, 0] == pytest.approx(4.0 * (1.0 - 0.1 * 0.01), rel=1e-14)
+    assert store[0] == pytest.approx(4.0 * (1.0 - 0.1 * 0.01), rel=1e-14)
 
 
 def test_adam_descends_random_quadratic_bowls():
@@ -84,24 +83,45 @@ def test_adam_descends_random_quadratic_bowls():
         dim = int(rng.integers(2, 6))
         a = rng.normal(size=(dim, dim))
         h = a @ a.T + dim * np.eye(dim)          # strictly positive definite
-        x0 = rng.normal(size=(dim, 1))
-        p = T.Tensor(x0.copy(), requires_grad=True)
-        st = AdamState.for_params([p])
-        loss0 = float((x0.T @ h @ x0).item())
-        adam_step([p], [2.0 * h @ x0], st, 1, cfg)
-        loss1 = float((p.data.T @ h @ p.data).item())
+        x0 = rng.normal(size=dim)
+        store = x0.copy()
+        loss0 = float(x0 @ h @ x0)
+        adam_step(store, 2.0 * h @ x0, *_moments(store), 1, cfg)
+        loss1 = float(store @ h @ store)
         assert loss1 < loss0
 
 
 def test_adam_contracts():
-    p = T.Tensor(np.ones((2, 2)), requires_grad=True)
-    st = AdamState.for_params([p])
+    store = np.ones(4)
     with pytest.raises(ContractError):
-        adam_step([p], [np.ones((2, 2))], st, 0, _cfg())
+        adam_step(store, np.ones(4), *_moments(store), 0, _cfg())
     with pytest.raises(ContractError):
-        adam_step([p], [np.ones((3, 2))], st, 1, _cfg())
+        adam_step(store, np.ones(6), *_moments(store), 1, _cfg())
     with pytest.raises(ContractError):
-        adam_step([p], [], st, 1, _cfg())
+        adam_step(store, np.ones(4), np.zeros(4), np.zeros(3), 1, _cfg())
+
+
+def test_adam_step_writes_the_model_store_in_place(toy_task):
+    """Every parameter stays a view of the store it updates, and the
+    update equals the textbook per-tensor formula bit for bit."""
+    mcfg, _, _ = toy_task
+    model = build_encoder(mcfg, init_seed=0)
+    store = model.store
+    before = [p.data.copy() for p in model.parameters()]
+    grad = np.random.default_rng(1).normal(size=store.shape)
+    m, v = _moments(store)
+    cfg = _cfg(lr=0.1, weight_decay=0.01)
+    adam_step(store, grad, m, v, 1, cfg)
+    assert model.store is store
+    offset = 0
+    for p, old in zip(model.parameters(), before):
+        assert np.shares_memory(p.data, store)
+        g = grad[offset:offset + old.size].reshape(old.shape)
+        offset += old.size
+        mhat = ((1.0 - cfg.beta1) * g) / (1.0 - cfg.beta1)
+        vhat = ((1.0 - cfg.beta2) * g * g) / (1.0 - cfg.beta2)
+        want = old - cfg.lr * (mhat / (np.sqrt(vhat) + cfg.adam_eps) + cfg.weight_decay * old)
+        assert np.array_equal(p.data, want)
 
 
 # -------------------------------------------------------------------- lr_at
@@ -403,6 +423,58 @@ def test_non_finite_values_name_epoch_step_and_example(toy_task):
         run_training(mcfg, train, dev, _cfg(
             noise=NoiseSpec(mode="standard", sigma=1.0, rel_magnitude=None),
             reg=RegularizerConfig(mode="lnsr_standard", lambda_weights=1e308)))
+
+
+def _capture_model(monkeypatch):
+    """Route the trainer's build_encoder through a recorder; returns the
+    list that collects each model it builds."""
+    import lnsrlab.trainer as trainer_module
+
+    built = []
+    original = trainer_module.build_encoder
+
+    def recording(config, init_seed):
+        built.append(original(config, init_seed))
+        return built[-1]
+
+    monkeypatch.setattr(trainer_module, "build_encoder", recording)
+    return built
+
+
+def test_training_keeps_weights_in_the_store_and_returns_copies(toy_task, monkeypatch):
+    mcfg, train, dev = toy_task
+    built = _capture_model(monkeypatch)
+    res = run_training(mcfg, train, dev, _cfg(epochs=1))
+    (model,) = built
+    params = model.parameters()
+    assert len(res.final_params) == len(params)
+    for p, final in zip(params, res.final_params):
+        assert np.shares_memory(p.data, model.store)
+        assert not np.shares_memory(final, model.store)
+        assert np.array_equal(final, p.data)
+
+
+def test_non_finite_gradient_names_parameter_and_batch(toy_task, monkeypatch):
+    import lnsrlab.trainer as trainer_module
+
+    mcfg, train, dev = toy_task
+    built = _capture_model(monkeypatch)
+    original = trainer_module.T.backward
+
+    def poisoned(loss, seed_grad=1.0):
+        out = original(loss, seed_grad=seed_grad)
+        built[0].blocks[0].w1.grad.data[0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(trainer_module.T, "backward", poisoned)
+    order = substream_rng(3, "order", 0).permutation(len(train.examples))
+    with pytest.raises(ContractError) as exc:
+        run_training(mcfg, train, dev, _cfg())
+    # tok_emb, pos_emb, then block 1's wq, bq, wk, bk, wv, bv, wo, bo,
+    # ln1_gain, ln1_bias: w1 is parameter 12, and its first entry is the
+    # first offset past parameter 11.
+    assert str(exc.value) == ("non-finite gradient of parameter 12 (8, 16) at epoch 0,"
+                              f" step 1, examples {order[:8].tolist()}")
 
 
 # -------------------------------------------------------- evaluate / pearson
