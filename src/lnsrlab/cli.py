@@ -13,6 +13,7 @@ failure.
 import argparse
 import configparser
 import csv
+import math
 import os
 import sys
 from datetime import datetime
@@ -22,6 +23,7 @@ import numpy as np
 from .data import load_tsv, synth_classification, synth_manifold
 from .diagnostics import (
     BENCH_MIN_REPS,
+    BENCH_SAMPLE_DIM,
     bench_complexity,
     error_ratio_curve,
     pca_noise_spectrum,
@@ -29,7 +31,7 @@ from .diagnostics import (
 )
 from .encoder import EncoderConfig, build_encoder, load_checkpoint, save_checkpoint
 from .errors import ContractError, ValidationError
-from .manifold import build_index, neighborhood_basis, sample_inmanifold_noise
+from .manifold import build_index, neighborhood_basis
 from .noise import NoiseSpec, sample_standard_noise
 from .objective import RegularizerConfig
 from .rng import stream_rng, substream_rng
@@ -120,13 +122,23 @@ def _comma_list(text: str, cast, name: str, minimum: int = 1) -> list:
     return items
 
 
-def _int_at_least(low: int):
-    """An argparse type: an integer no smaller than ``low``."""
+def _int_at_least(low: int, high: int | None = None):
+    """An argparse type: an integer no smaller than ``low`` and, when
+    ``high`` is given, no larger than it."""
     def integer(text: str) -> int:
-        if int(text) < low:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        if int(text) < low or (high is not None and int(text) > high):
+            bounds = f">= {low}" if high is None else f"in {low}..{high}"
+            raise argparse.ArgumentTypeError(f"expected an integer {bounds}, got {text!r}")
         return int(text)
     return integer
+
+
+def _positive_float(text: str) -> float:
+    """An argparse type: a finite number above zero."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+    return value
 
 
 def _lambda_weights(text: str):
@@ -264,7 +276,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify_claim1(args) -> int:
     seed = args.seed if args.seed is not None else 0
-    sigmas = _comma_list(args.sigmas, float, "--sigmas")
+    sigmas = _comma_list(args.sigmas, _positive_float, "--sigmas")
     f, f_batch = random_smooth_map(args.dim, stream_rng(seed, "theory"))
     x = stream_rng(seed, "probe").normal(size=args.dim)
     reports = []
@@ -347,9 +359,10 @@ def _cmd_pca_spectrum(args) -> int:
     basis = neighborhood_basis(index, mset.points[0], k=args.k)
     if basis is None:
         raise ContractError("pca-spectrum: degenerate neighborhood, no basis")
-    batch = np.stack([
-        sample_inmanifold_noise(mset.points[0], basis, args.sigma, rng).data
-        for _ in range(args.samples)])
+    # One [n, m] draw gives the n consecutive m-coefficient draws; the
+    # stacked matmul rounds as each row's ``c @ basis`` does.
+    coef = rng.normal(0.0, args.sigma, size=(args.samples, basis.size))
+    batch = np.matmul(coef[:, None, :], basis.basis)[:, 0]
     man_rep = pca_noise_spectrum(batch, source="in_manifold")
 
     path = _out_path(args, "pca-spectrum")
@@ -369,7 +382,9 @@ def _cmd_bench(args) -> int:
     for name in ("standard_rows", "k_values", "index_sizes"):
         text = getattr(args, name)
         if text is not None:
-            kwargs[name] = tuple(_comma_list(text, _int_at_least(1), "--" + name.replace("_", "-")))
+            # A basis cannot hold more directions than its sample dimension.
+            cast = _int_at_least(1, BENCH_SAMPLE_DIM if name == "k_values" else None)
+            kwargs[name] = tuple(_comma_list(text, cast, "--" + name.replace("_", "-")))
     report = bench_complexity(seed=args.seed if args.seed is not None else 0,
                               **kwargs)
     path = _out_path(args, "bench")
@@ -456,7 +471,7 @@ def build_parser() -> _Parser:
                        help="Monte-Carlo means of the odd cross term over random pairs")
     p.add_argument("--pairs", type=_int_at_least(1), default=20)
     p.add_argument("--dim", type=_int_at_least(1), default=6)
-    p.add_argument("--sigma", type=float, default=0.05)
+    p.add_argument("--sigma", type=_positive_float, default=0.05)
     p.add_argument("--mc-samples", type=_int_at_least(MC_MIN_SAMPLES), default=100000)
     p.set_defaults(func=_cmd_cross_term)
 
@@ -476,7 +491,7 @@ def build_parser() -> _Parser:
     p.add_argument("--points", type=_int_at_least(2), default=400)
     p.add_argument("--samples", type=_int_at_least(2), default=400)
     p.add_argument("--k", type=_int_at_least(1), default=10)
-    p.add_argument("--sigma", type=float, default=1.0)
+    p.add_argument("--sigma", type=_positive_float, default=1.0)
     p.add_argument("--curvature", type=float, default=0.0)
     p.set_defaults(func=_cmd_pca_spectrum)
 

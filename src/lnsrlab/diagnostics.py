@@ -34,6 +34,8 @@ log = logging.getLogger(__name__)
 
 SPECTRUM_SOURCES = ("standard", "in_manifold")
 BENCH_MIN_REPS = 5
+# Dimension of the bench's in-manifold samples: the largest basis size it takes.
+BENCH_SAMPLE_DIM = 64
 SWEEP_PARAMS = ("injection_layer", "rel_magnitude")
 
 
@@ -263,7 +265,7 @@ def bench_complexity(standard_rows=(256, 512, 1024, 2048, 4096),
                      standard_dim: int = 64,
                      k_values=(8, 16, 32, 64),
                      sample_count: int = 8192,
-                     sample_dim: int = 64,
+                     sample_dim: int = BENCH_SAMPLE_DIM,
                      index_sizes=(512, 1024, 2048, 4096),
                      index_dim: int = 32,
                      reps: int = 7,

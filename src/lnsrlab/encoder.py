@@ -21,6 +21,8 @@ sequence's pad keys are masked out of its attention scores through an
 additive [..., 1, M] key mask, and its pad rows out of the mean pooling.
 """
 
+import itertools
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -156,50 +158,46 @@ class ActivationTrace:
         return base
 
 
-def _gauss(rng, shape):
-    return Tensor(rng.normal(0.0, INIT_STD, size=shape), requires_grad=True)
-
-
-def _zeros(shape):
-    return Tensor(np.zeros(shape), requires_grad=True)
-
-
-def _ones(shape):
-    return Tensor(np.ones(shape), requires_grad=True)
+def _leaf(view: np.ndarray) -> Tensor:
+    """A trainable tensor whose ``.data`` is ``view`` itself, not a copy."""
+    t = Tensor(0.0, requires_grad=True)
+    t.data = view
+    return t
 
 
 def build_encoder(config: EncoderConfig, init_seed: int) -> EncoderModel:
     """Fresh model with N(0, 0.02^2) weights, zero biases, unit norm gains.
 
     Deterministic: the same ``init_seed`` yields bit-identical parameters.
+    Every weight is drawn straight into its slice of the flat store.
     """
     config.validate()
+    d, f, o = config.embed_dim, config.ffn_dim, config.num_outputs
+    # In BlockParams field order, which is the store order.
+    block = dict(wq=(d, d), bq=(d,), wk=(d, d), bk=(d,), wv=(d, d), bv=(d,),
+                 wo=(d, d), bo=(d,), ln1_gain=(d,), ln1_bias=(d,), w1=(d, f), b1=(f,),
+                 w2=(f, d), b2=(d,), ln2_gain=(d,), ln2_bias=(d,))
+    shapes = ([(config.vocab_size, d), (config.max_seq_len, d)]
+              + [shape for _ in range(config.num_layers) for shape in block.values()]
+              + [(d, o), (o,)])
+    sizes = [math.prod(shape) for shape in shapes]
+    store = np.zeros(sum(sizes))
+    params = [_leaf(store[end - size:end].reshape(shape))
+              for shape, size, end in zip(shapes, sizes, itertools.accumulate(sizes))]
+    n = len(block)
+    blocks = [BlockParams(*params[2 + i * n:2 + (i + 1) * n]) for i in range(config.num_layers)]
+    model = EncoderModel(config=config, tok_emb=params[0], pos_emb=params[1], blocks=blocks,
+                         w_head=params[-2], b_head=params[-1], store=store)
+    for blk in blocks:
+        blk.ln1_gain.data[:] = 1.0
+        blk.ln2_gain.data[:] = 1.0
+    # The draw order (each block's weights, then the embeddings and the
+    # head) fixes which values each weight gets, so it never changes.
     rng = stream_rng(init_seed, "init")
-    d, f = config.embed_dim, config.ffn_dim
-    blocks = []
-    for _ in range(config.num_layers):
-        blocks.append(BlockParams(
-            wq=_gauss(rng, (d, d)), bq=_zeros(d),
-            wk=_gauss(rng, (d, d)), bk=_zeros(d),
-            wv=_gauss(rng, (d, d)), bv=_zeros(d),
-            wo=_gauss(rng, (d, d)), bo=_zeros(d),
-            ln1_gain=_ones(d), ln1_bias=_zeros(d),
-            w1=_gauss(rng, (d, f)), b1=_zeros(f),
-            w2=_gauss(rng, (f, d)), b2=_zeros(d),
-            ln2_gain=_ones(d), ln2_bias=_zeros(d),
-        ))
-    model = EncoderModel(
-        config=config,
-        tok_emb=_gauss(rng, (config.vocab_size, d)),
-        pos_emb=_gauss(rng, (config.max_seq_len, d)),
-        blocks=blocks,
-        w_head=_gauss(rng, (d, config.num_outputs)),
-        b_head=_zeros(config.num_outputs),
-    )
-    params = model.parameters()
-    model.store = np.concatenate([p.data for p in params], axis=None)
-    for p, end in zip(params, np.cumsum([p.data.size for p in params])):
-        p.data = model.store[end - p.data.size:end].reshape(p.data.shape)
+    drawn = [w for blk in blocks for w in (blk.wq, blk.wk, blk.wv, blk.wo, blk.w1, blk.w2)]
+    for w in drawn + [model.tok_emb, model.pos_emb, model.w_head]:
+        rng.standard_normal(out=w.data)
+        w.data *= INIT_STD
     return model
 
 

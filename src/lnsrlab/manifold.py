@@ -14,6 +14,15 @@ differences are orthonormalized by modified Gram-Schmidt and a random
 linear combination with i.i.d. N(0, sigma^2) coefficients is returned.
 The result lies in the local tangent-ish subspace by construction.
 
+Two paths build these bases.  ``neighborhood_bases`` serves training: it
+answers all of a batch's T distinct tokens at once, with one [T, N]
+estimate product, one re-rank of the shortlisted (query, row) pairs, and
+both Gram-Schmidt sweeps as a loop over the k directions across all T
+queries.  Every step matches the one-query path bit for bit.  The one-query
+functions (``knn``, ``gram_schmidt``, ``neighborhood_basis``) stay for
+single lookups, diagnostics and the CLI, where a T=1 batch costs more than
+they do, and they are the batched path's test oracle.
+
 A locally-linear-embedding residual (how well x is reconstructed as a
 linear combination of its neighbors) serves as the flatness diagnostic.
 """
@@ -215,6 +224,93 @@ def neighborhood_basis(index: NeighborIndex, query, k: int = DEFAULT_K) -> Ortho
     except ContractError as exc:
         log.warning("degenerate neighborhood (%s); falling back to standard noise", exc)
         return None
+
+
+def neighborhood_bases(index: NeighborIndex, queries, k: int = DEFAULT_K):
+    """``neighborhood_basis`` for each of T query rows at once.
+
+    Returns ``(bases, sizes)``: ``bases[t, :sizes[t]]`` equals
+    ``neighborhood_basis(index, queries[t], k).basis`` bit for bit and the
+    rows after it are zero; ``sizes[t] == 0`` marks a degenerate
+    neighborhood (where ``neighborhood_basis`` returns None).
+
+    The kNN step bounds every (query, row) estimate as ``knn`` does and
+    re-ranks only the shortlisted pairs by the direct formula, ordered by
+    (exact copy, distance, row); a query whose shortlist holds fewer than
+    k non-copies within its cut is re-ranked over every row, so the result
+    is that of a full scan.  Memory is O(T N + T k d).  The Gram-Schmidt
+    step stores a dropped direction as a zero row, which later sweeps
+    subtract as an exact 0, and dots by ``np.vecdot``, which rounds as the
+    one-query ``v @ b`` does.
+    """
+    if k < 1:
+        raise ContractError(f"neighborhood_bases: k must be >= 1, got {k}")
+    q = np.atleast_2d(_as_array(queries))
+    if q.ndim != 2 or q.shape[1] != index.d:
+        raise ShapeError(f"neighborhood_bases: queries shape {q.shape} vs index dimension {index.d}")
+    rows, found = _knn_rows(index, q, k)
+    # Direction-major [k, T, d], so each direction is one contiguous block.
+    diffs = (index.vectors[rows] - q[:, None, :]).transpose(1, 0, 2)
+    basis = np.zeros_like(diffs)
+    live = np.zeros((q.shape[0], k), dtype=bool)
+    for j in range(k):
+        v = diffs[j].copy()
+        original = np.sqrt(np.vecdot(v, v))
+        # Two sweeps over the directions so far, as in ``gram_schmidt``.
+        for _ in range(2):
+            for b in basis[:j]:
+                v -= np.vecdot(v, b)[:, None] * b
+        residual = np.sqrt(np.vecdot(v, v))
+        live[:, j] = found & (original != 0.0) & ~(residual < GS_DROP_RATIO * original)
+        np.divide(v, residual[:, None], out=basis[j], where=live[:, j, None])
+    sizes = live.sum(axis=1)
+    # Kept directions first, in their order; dropped (zero) rows after them.
+    order = np.argsort(~live, axis=1, kind="stable")
+    bases = np.take_along_axis(basis.transpose(1, 0, 2), order[:, :, None], axis=1)
+    if not sizes.all():
+        log.warning("%d degenerate neighborhood(s); falling back to standard noise",
+                    int((sizes == 0).sum()))
+    return bases, sizes
+
+
+def _knn_rows(index: NeighborIndex, q: np.ndarray, k: int):
+    """[T, k] index rows of each query's k nearest stored points, exact
+    copies excluded, ordered by (distance, row), and a [T] mask of the
+    queries that have k such points (the other queries' rows are filler)."""
+    vectors, n, t = index.vectors, index.n, q.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq, qq = index.sq_norms, np.vecdot(q, q)[:, None]
+        approx = sq - 2.0 * (q @ vectors.T) + qq
+        bound = (2 * index.d + 8) * (_EPS * (sq + qq) + _UNDERFLOW)
+        lower, upper = approx - bound, approx + bound
+    # As in ``knn``: a query that is a stored row is its own exact copy, so
+    # the cut is the (k+1)-th smallest upper estimate.  A query with more
+    # copies than that finds fewer than k others within it and re-ranks
+    # every row.
+    kk = k + 1
+    if kk < n:
+        cut = np.partition(upper, kk - 1, axis=1)[:, kk - 1]
+        short = lower <= cut[:, None]
+        short[~np.isfinite(approx).all(axis=1)] = True
+    else:
+        cut = np.full(t, np.inf)
+        short = np.ones((t, n), dtype=bool)
+    while True:
+        who, rows = np.nonzero(short)
+        near = vectors[rows]
+        diffs = near - q[who]
+        d2 = (diffs * diffs).sum(axis=1)
+        copy = np.all(near == q[who], axis=1)
+        within = np.bincount(who[~copy & (d2 <= cut[who])], minlength=t)
+        rescan = (within < k) & ~short.all(axis=1)
+        if not rescan.any():
+            break
+        short[rescan] = True
+    ranked = np.lexsort((rows, d2, copy, who))
+    starts = np.searchsorted(who, np.arange(t))
+    pick = np.minimum(starts[:, None] + np.arange(k), rows.shape[0] - 1)
+    found = np.bincount(who[~copy], minlength=t) >= k
+    return rows[ranked[pick]], found
 
 
 def lle_reconstruction_error(x, neighbors) -> float:

@@ -23,7 +23,7 @@ from . import tensor as T
 from .data import TextDataset
 from .encoder import EncoderConfig, EncoderModel, build_encoder, forward_with_taps
 from .errors import ContractError, ValidationError
-from .manifold import build_index, neighborhood_basis, sample_inmanifold_noise
+from .manifold import build_index, neighborhood_bases
 from .noise import NoiseSpec, rescale_relative_rows
 from .objective import (
     MODES,
@@ -177,12 +177,18 @@ def _noise_batch(model: EncoderModel, ids, clean_input: np.ndarray, mask: np.nda
     """Per-token noise for a [B, M, d] batch, one generator per sequence.
 
     The kinds differ only in the raw draw.  Standard noise draws a
-    sequence's whole [M, d] block at once.  In-manifold noise draws each
-    live row in the span of its token's vocabulary-neighbourhood basis (the
-    bases of the batch's distinct tokens are built once, in order of first
-    appearance), or a Gaussian row when the neighbourhood is degenerate.
-    Every kind then zeroes pad rows and, with ``rel_magnitude`` set,
-    rescales each row against its clean row.
+    sequence's whole [M, d] block at once.  In-manifold noise puts each
+    live row in the span of its token's vocabulary-neighbourhood basis,
+    or draws a Gaussian row when the neighbourhood is degenerate.  The
+    bases of the batch's distinct tokens come from one batched call, and
+    each sequence draws all of its coefficients (m per row with an
+    m-direction basis, d per degenerate row) in position order in one
+    call, which yields the values of consecutive per-row draws.  Rows whose
+    bases have the same size are then combined in one stacked matmul,
+    which rounds as a per-row ``c @ basis`` does; so the noise equals that
+    of ``neighborhood_basis`` plus ``sample_inmanifold_noise`` row by row,
+    bit for bit.  Every kind then zeroes pad rows and, with
+    ``rel_magnitude`` set, rescales each row against its clean row.
     """
     spec = cfg.noise
     if spec.mode == "none":
@@ -192,15 +198,24 @@ def _noise_batch(model: EncoderModel, ids, clean_input: np.ndarray, mask: np.nda
                         for rng in rngs])
     else:
         index = build_index(model.tok_emb.data)
-        bases = {tok: neighborhood_basis(index, model.tok_emb.data[tok], k=cfg.knn_k)
-                 for tok in dict.fromkeys(int(t) for seq in ids for t in seq)}
+        lengths = [len(seq) for seq in ids]
+        seq_of = np.repeat(np.arange(len(ids)), lengths)
+        pos = np.concatenate([np.arange(n) for n in lengths])
+        toks, which = np.unique(np.concatenate(ids).astype(np.int64), return_inverse=True)
+        bases, sizes = neighborhood_bases(index, index.vectors[toks], k=cfg.knn_k)
+        d = clean_input.shape[-1]
+        row_size = sizes[which]
+        n_coef = np.where(row_size > 0, row_size, d)
+        first = np.cumsum(n_coef) - n_coef
+        per_seq = np.add.reduceat(n_coef, np.cumsum(lengths) - lengths)
+        coef = np.concatenate([rng.normal(0.0, spec.sigma, size=n)
+                               for rng, n in zip(rngs, per_seq)])
         eps = np.zeros_like(clean_input)
-        for j, (seq, rng) in enumerate(zip(ids, rngs)):
-            for pos, tok in enumerate(seq):
-                basis = bases[int(tok)]
-                eps[j, pos] = (
-                    rng.normal(0.0, spec.sigma, size=eps.shape[-1]) if basis is None
-                    else sample_inmanifold_noise(clean_input[j, pos], basis, spec.sigma, rng).data)
+        for m in np.unique(row_size):
+            sel = np.flatnonzero(row_size == m)
+            c = coef[first[sel, None] + np.arange(m or d)]
+            eps[seq_of[sel], pos[sel]] = (
+                c if m == 0 else np.matmul(c[:, None, :], bases[which[sel], :m])[:, 0])
     eps[~mask] = 0.0
     if spec.rel_magnitude is not None:
         target = np.where(mask[..., None], clean_input, 0.0)

@@ -21,8 +21,13 @@ from lnsrlab.cli import (
     main,
     write_csv,
 )
+from lnsrlab.data import synth_manifold
+from lnsrlab.diagnostics import pca_noise_spectrum
 from lnsrlab.encoder import load_checkpoint
 from lnsrlab.errors import ValidationError
+from lnsrlab.manifold import build_index, neighborhood_basis, sample_inmanifold_noise
+from lnsrlab.noise import sample_standard_noise
+from lnsrlab.rng import stream_rng
 from lnsrlab.trainer import run_training
 
 
@@ -248,6 +253,38 @@ def test_bad_arguments_exit_1(tmp_path, capsys):
     ini.write_text("[data]\nseed = -1\n")
     assert main(["train", "--config", str(ini)] + out) == 1
     assert "[data] seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["cross-term", "--sigma", "-1"], "--sigma"),
+    (["verify-claim1", "--sigmas", "-0.1"], "--sigmas"),
+    (["pca-spectrum", "--sigma", "0"], "--sigma"),
+    (["bench", "--k-values", "100"], "--k-values"),
+])
+def test_float_and_basis_size_arguments_exit_1(tmp_path, capsys, argv, option):
+    """A sigma that is not positive, or a bench basis size above its sample
+    dimension, is an argument error naming its option, not a runtime one."""
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    assert option in capsys.readouterr().err
+    assert not glob.glob(os.path.join(str(tmp_path), "*.csv"))
+
+
+def test_pca_spectrum_in_manifold_rows_are_per_sample_draws(tmp_path):
+    """The in-manifold spectrum is that of samples drawn one at a time
+    after the standard batch, each ``sample_inmanifold_noise`` in the
+    basis of the manifold's first point."""
+    out = str(tmp_path)
+    assert main(["pca-spectrum", "--out", out, "--seed", "2"]) == 0
+    rows = _read(_only_csv(out, "pca-spectrum"))
+    got = [float(r[2]) for r in rows[1:] if r[0] == "in_manifold"]
+    rng = stream_rng(2, "noise")
+    sample_standard_noise((400, 16), 1.0, rng)
+    points = synth_manifold(400, 16, 3, 0.0, 2).points
+    basis = neighborhood_basis(build_index(points), points[0], k=10)
+    batch = np.stack([sample_inmanifold_noise(points[0], basis, 1.0, rng).data
+                      for _ in range(400)])
+    want = pca_noise_spectrum(batch, source="in_manifold").sorted_eigenvalues
+    assert got == [float(v) for v in want]
 
 
 def test_runtime_failure_exit_2(tmp_path, capsys):

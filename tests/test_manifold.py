@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lnsrlab.errors import ContractError
+from lnsrlab.encoder import EncoderConfig, build_encoder
+from lnsrlab.errors import ContractError, ShapeError
 from lnsrlab.manifold import (
     build_index,
     gram_schmidt,
     knn,
     lle_reconstruction_error,
+    neighborhood_bases,
     neighborhood_basis,
     project_coefficients,
     sample_inmanifold_noise,
@@ -160,6 +162,75 @@ def test_neighborhood_basis_rejects_bad_k():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
     with pytest.raises(ContractError, match="k must be >= 1, got 0"):
         neighborhood_basis(build_index(pts), [0.0, 0.0], k=0)
+
+
+# ---------------------------------------------- batched neighbourhood bases
+
+def assert_bases_match_one_query(table, k, queries=None):
+    """Each query's batched basis is its ``neighborhood_basis``, bit for bit,
+    followed by zero rows; size 0 where the one-query path returns None."""
+    index = build_index(table)
+    queries = index.vectors if queries is None else queries
+    bases, sizes = neighborhood_bases(index, queries, k)
+    assert bases.shape == (len(queries), k, index.d) and sizes.shape == (len(queries),)
+    for q, basis, size in zip(queries, bases, sizes):
+        want = neighborhood_basis(index, q, k)
+        if want is None:
+            assert size == 0
+        else:
+            assert size == want.size and np.array_equal(basis[:size], want.basis)
+        assert not basis[size:].any()
+    return sizes
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_bases_match_on_the_gap_vocabulary(seed):
+    """The token table of the benchmark's training shape, at init."""
+    cfg = EncoderConfig(vocab_size=30, embed_dim=16, num_layers=2, num_heads=2,
+                        ffn_dim=32, max_seq_len=8)
+    table = build_encoder(cfg, seed).tok_emb.data
+    assert (assert_bases_match_one_query(table, 10) == 10).all()
+
+
+def test_bases_match_with_duplicated_rows():
+    """Exact copies of the query are excluded, and a row with more than k
+    copies makes its query re-rank every row.  Copies that are neighbours
+    of another row give equal differences, so its basis loses directions."""
+    rng = np.random.default_rng(7)
+    table = rng.normal(size=(40, 6))
+    table[[3, 9, 21]] = table[0]
+    table[[11, 12, 13, 14, 15, 16, 30]] = table[5]
+    sizes = assert_bases_match_one_query(table, 4)
+    assert sizes[0] == sizes[5] == 4 and sizes.min() < 4
+
+
+def test_bases_match_when_directions_are_dependent():
+    """Points in a plane through the origin: every third direction drops."""
+    rng = np.random.default_rng(8)
+    table = rng.normal(size=(25, 2)) @ rng.normal(size=(2, 6))
+    assert (assert_bases_match_one_query(table, 5) == 2).all()
+
+
+def test_bases_all_equal_table_is_degenerate():
+    sizes = assert_bases_match_one_query(np.full((12, 5), 0.25), 4)
+    assert not sizes.any()
+
+
+def test_bases_match_on_a_tie_lattice():
+    """Many exactly equal distances at the k-th cut, for stored rows and for
+    queries between them."""
+    axis = np.arange(5.0)
+    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    assert_bases_match_one_query(grid, 10)
+    assert_bases_match_one_query(grid, 10, queries=grid[::7] + 0.5)
+
+
+def test_bases_contracts():
+    index = build_index(np.random.default_rng(9).normal(size=(8, 3)))
+    with pytest.raises(ContractError, match="k must be >= 1, got 0"):
+        neighborhood_bases(index, index.vectors, k=0)
+    with pytest.raises(ShapeError):
+        neighborhood_bases(index, np.zeros((2, 4)), k=2)
 
 
 def test_lle_exact_affine_combination():

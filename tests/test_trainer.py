@@ -380,6 +380,27 @@ def test_inmanifold_noise_without_rescale_is_the_substream_draw(toy_task, monkey
             assert np.array_equal(eps[j], want)
 
 
+def test_inmanifold_rescaled_noise_equals_the_per_row_reference(toy_task, monkeypatch):
+    """The batched noise equals, bit for bit, rows drawn one at a time in
+    the span of each token's ``neighborhood_basis`` and then rescaled by
+    ``rescale_relative_rows``."""
+    mcfg, train, dev = toy_task
+    seen = _record_injections(monkeypatch)
+    cfg = _inmanifold_cfg(0.05)
+    run_training(mcfg, train, dev, cfg)
+    for (epoch, start, batch), (table, clean, eps) in zip(_batches(cfg, train, len(seen)), seen):
+        index = build_index(table)
+        raw = np.zeros_like(eps)
+        for j, ex in enumerate(batch):
+            rng = substream_rng(cfg.seed, "noise", epoch, start + j)
+            for pos, tok in enumerate(train.examples[ex][0]):
+                basis = neighborhood_basis(index, table[tok], k=cfg.knn_k).basis
+                raw[j, pos] = rng.normal(0.0, 0.3, size=basis.shape[0]) @ basis
+        mask = clean.token_mask[..., None]
+        want = rescale_relative_rows(raw, np.where(mask, clean.layers[0].data, 0.0), 0.05).data
+        assert np.array_equal(eps, want)
+
+
 def test_inmanifold_degenerate_fallback_is_rescaled_gaussian(toy_task, monkeypatch):
     """An all-equal token table leaves no neighbourhood: every live row is a
     Gaussian draw from the substream, rescaled like any other row."""
