@@ -201,7 +201,13 @@ def _noise_batch(model: EncoderModel, ids, clean_input: np.ndarray, mask: np.nda
         lengths = [len(seq) for seq in ids]
         seq_of = np.repeat(np.arange(len(ids)), lengths)
         pos = np.concatenate([np.arange(n) for n in lengths])
-        toks, which = np.unique(np.concatenate(ids).astype(np.int64), return_inverse=True)
+        # Distinct tokens, and each position's index among them, by a mask:
+        # np.unique, here and for the size groups below, would fault in
+        # about 1 MB more code pages and raise the process's peak RSS.
+        tokens = np.concatenate(ids).astype(np.int64)
+        present = np.zeros(index.n, dtype=bool)
+        present[tokens] = True
+        toks, which = np.flatnonzero(present), np.cumsum(present)[tokens] - 1
         bases, sizes = neighborhood_bases(index, index.vectors[toks], k=cfg.knn_k)
         d = clean_input.shape[-1]
         row_size = sizes[which]
@@ -211,7 +217,7 @@ def _noise_batch(model: EncoderModel, ids, clean_input: np.ndarray, mask: np.nda
         coef = np.concatenate([rng.normal(0.0, spec.sigma, size=n)
                                for rng, n in zip(rngs, per_seq)])
         eps = np.zeros_like(clean_input)
-        for m in np.unique(row_size):
+        for m in np.flatnonzero(np.bincount(row_size)):
             sel = np.flatnonzero(row_size == m)
             c = coef[first[sel, None] + np.arange(m or d)]
             eps[seq_of[sel], pos[sel]] = (
