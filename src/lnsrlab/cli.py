@@ -221,8 +221,8 @@ class Settings:
         if d["train_path"]:
             if not d["dev_path"]:
                 raise ValidationError("data.train_path given without data.dev_path")
-            train = load_tsv(d["train_path"], split="train")
-            dev = load_tsv(d["dev_path"], vocab=train.vocab, split="dev")
+            train = load_tsv(d["train_path"])
+            dev = load_tsv(d["dev_path"], vocab=train.vocab)
             return train, dev
         return synth_classification(d["n_per_class"], d["num_classes"],
                                     d["seq_len"], self.encoder.vocab_size,

@@ -26,16 +26,14 @@ FIRST_REAL_ID = 2
 class TextDataset:
     """Tokenized examples with a frozen vocabulary.
 
-    ``examples`` holds (token-id list, label) pairs, unpadded; true lengths
-    are the list lengths.  Labels are ints for classification, floats under
-    ``regression``.
+    ``examples`` holds (token-id list, integer label) pairs, unpadded; true
+    lengths are the list lengths.  ``num_classes`` is one more than the
+    largest label the data can hold.
     """
 
     examples: list
     vocab: dict
-    num_classes: int | None
-    regression: bool
-    split: str
+    num_classes: int
 
     def __len__(self):
         return len(self.examples)
@@ -45,7 +43,7 @@ class TextDataset:
         return FIRST_REAL_ID + len(self.vocab)
 
 
-def load_tsv(path, vocab: dict | None = None, split: str = "train") -> TextDataset:
+def load_tsv(path, vocab: dict | None = None) -> TextDataset:
     """Parse lines of "label<TAB>text" with whitespace tokenization.
 
     With ``vocab=None`` the vocabulary is built from this file (the train
@@ -87,14 +85,12 @@ def load_tsv(path, vocab: dict | None = None, split: str = "train") -> TextDatas
             max_label = max(max_label, label)
     if not examples:
         raise ValidationError(f"{path}: no examples found")
-    return TextDataset(examples=examples, vocab=vocab,
-                       num_classes=max_label + 1, regression=False, split=split)
+    return TextDataset(examples=examples, vocab=vocab, num_classes=max_label + 1)
 
 
 @dataclass
 class SyntheticManifoldSet:
     points: np.ndarray
-    intrinsic_dim: int
 
 
 def synth_classification(n_per_class: int, num_classes: int, seq_len: int,
@@ -166,11 +162,8 @@ def synth_classification(n_per_class: int, num_classes: int, seq_len: int,
             made += 1
 
     vocab = {f"tok{i}": i for i in range(FIRST_REAL_ID, vocab_size)}
-    train = TextDataset(examples=train_examples, vocab=vocab,
-                        num_classes=num_classes, regression=False, split="train")
-    dev = TextDataset(examples=dev_examples, vocab=vocab,
-                      num_classes=num_classes, regression=False, split="dev")
-    return train, dev
+    return (TextDataset(examples=train_examples, vocab=vocab, num_classes=num_classes),
+            TextDataset(examples=dev_examples, vocab=vocab, num_classes=num_classes))
 
 
 def synth_manifold(n: int, d: int, k_true: int, curvature: float, seed: int) -> SyntheticManifoldSet:
@@ -199,4 +192,4 @@ def synth_manifold(n: int, d: int, k_true: int, curvature: float, seed: int) -> 
         m = bend_dirs.shape[0]
         coupling = rng.normal(size=(k_true, m)) / np.sqrt(k_true)
         points = points + curvature * (quad @ coupling) @ bend_dirs
-    return SyntheticManifoldSet(points=points, intrinsic_dim=k_true)
+    return SyntheticManifoldSet(points=points)

@@ -59,24 +59,24 @@ class ErrorRatioCurve:
     n_probes: int
 
 
-def ratio_entries(clean, pert):
+def ratio_entries(clean, pert, b: int, noise: np.ndarray):
     """Layer indices and deviation ratios for one clean/perturbed trace pair.
 
-    The perturbed trace must carry an injection record; entries run from
-    the injected block b through the last block, measuring each block's
-    *input* (the injected one with its noise applied).
+    ``b`` and ``noise`` are the injection layer and the noise the caller
+    added to block b's input on the perturbed pass.  Entries run from b
+    through the last block, measuring each block's *input*: the injected
+    one as the clean input plus ``noise``, the others from ``pert``.
     """
-    if pert.injected_layer is None:
-        raise ContractError("ratio_entries: perturbed trace has no injection record")
-    b = pert.injected_layer
     num_layers = len(pert.layers) - 1
     if len(clean.layers) != len(pert.layers):
         raise ContractError("ratio_entries: trace lengths differ")
+    if not 1 <= b <= num_layers:
+        raise ContractError(f"ratio_entries: injection layer {b} outside 1..{num_layers}")
     layers = list(range(b, num_layers + 1))
     ratios = []
     for r in layers:
-        xhat = pert.perturbed_input_of(r)
         x = clean.layers[r - 1].data
+        xhat = x + noise if r == b else pert.layers[r - 1].data
         denom = float(np.linalg.norm(x))
         if denom == 0.0:
             raise ContractError(f"ratio_entries: clean input of block {r} has zero norm")
@@ -122,7 +122,7 @@ def error_ratio_curve(model: EncoderModel, probe_data, b: int, rho: float,
         raw = gen.normal(size=clean_input.shape)
         eps = rescale_relative_rows(raw, clean_input, rho).data
         _, pert = forward_with_taps(model, ids, injection=(b, eps), clean=clean)
-        layers, ratios = ratio_entries(clean, pert)
+        layers, ratios = ratio_entries(clean, pert, b, eps)
         if columns is None:
             columns = [[] for _ in layers]
         for col, r in zip(columns, ratios):
@@ -143,7 +143,6 @@ class SpectrumReport:
 
     sorted_eigenvalues: np.ndarray
     source: str
-    batch_size: int
 
     def top_mass(self, m: int) -> float:
         """Fraction of total variance captured by the m leading directions."""
@@ -168,7 +167,7 @@ def pca_noise_spectrum(noise_batch, source: str = "standard") -> SpectrumReport:
     n = x.shape[0]
     centered = x - x.mean(axis=0)
     cov = centered.T @ centered / (n - 1)
-    evals, _ = jacobi_eigh(cov)
+    evals = jacobi_eigh(cov)
     scale = max(1.0, float(np.abs(evals).max()))
     if evals.min() < -1e-12 * scale:
         raise ContractError(
@@ -179,10 +178,8 @@ def pca_noise_spectrum(noise_batch, source: str = "standard") -> SpectrumReport:
     total = float(evals.sum())
     if total == 0.0:
         log.warning("pca_noise_spectrum: zero-variance batch, spectrum is all zeros")
-        return SpectrumReport(sorted_eigenvalues=np.zeros_like(evals),
-                              source=source, batch_size=n)
-    return SpectrumReport(sorted_eigenvalues=evals / total,
-                          source=source, batch_size=n)
+        return SpectrumReport(sorted_eigenvalues=np.zeros_like(evals), source=source)
+    return SpectrumReport(sorted_eigenvalues=evals / total, source=source)
 
 
 # ------------------------------------------------------------------ sweeps

@@ -11,9 +11,9 @@ block r, every entry [M, d] for one sequence or [B, M, d] for a batch of B
 sequences; both run the same code, which acts on the trailing axes.  Under
 injection at layer b the entries 0..b-1 are bit-identical to a clean pass
 (and are the clean pass's own tensors when its trace is handed in); the
-noise is applied between trace[b-1] and block b and is stored on the
-trace, so the perturbed input of layer b is reconstructed as trace[b-1] +
-injected_noise.
+noise is applied between trace[b-1] and block b and is not recorded, so
+the perturbed input of layer b is trace[b-1] plus the noise the caller
+passed in.
 
 Attention runs as one fused tape node for all heads
 (``tensor.attention``).  Token id 0 is reserved for padding: each
@@ -28,11 +28,11 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import tensor as T
+from .data import PAD_ID
 from .errors import ContractError, ShapeError, ValidationError
 from .rng import stream_rng
 from .tensor import Tensor
 
-PAD_ID = 0
 ATTN_MASK_VALUE = -1e9
 INIT_STD = 0.02
 CHECKPOINT_MAGIC = "LNSR1"
@@ -142,20 +142,9 @@ class ActivationTrace:
 
     layers: list
     token_mask: np.ndarray
-    injected_layer: int | None = None
-    injected_noise: Tensor | None = None
 
     def __len__(self):
         return len(self.layers)
-
-    def perturbed_input_of(self, layer: int) -> np.ndarray:
-        """Value fed into block ``layer`` on this pass (noise applied if any)."""
-        if not 1 <= layer <= len(self.layers) - 1:
-            raise ContractError(f"layer {layer} outside 1..{len(self.layers) - 1}")
-        base = self.layers[layer - 1].data
-        if self.injected_layer == layer and self.injected_noise is not None:
-            return base + self.injected_noise.data
-        return base
 
 
 def _leaf(view: np.ndarray) -> Tensor:
@@ -286,9 +275,7 @@ def forward_with_taps(model: EncoderModel, tokens, injection=None, clean=None):
     pooled = T.matmul(Tensor(pool), layers[-1])
     logits = T.reshape(T.add_bias(T.matmul(pooled, model.w_head), model.b_head),
                        ids.shape[:-1] + (cfg.num_outputs,))
-    trace = ActivationTrace(layers=layers, token_mask=mask,
-                            injected_layer=b, injected_noise=noise_t)
-    return logits, trace
+    return logits, ActivationTrace(layers=layers, token_mask=mask)
 
 
 def save_checkpoint(model: EncoderModel, path):

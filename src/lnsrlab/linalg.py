@@ -1,6 +1,7 @@
-"""Self-contained symmetric eigendecomposition.
+"""Self-contained symmetric eigenvalue solver.
 
-It backs the covariance-spectrum diagnostics.  It is written out longhand
+It backs the covariance-spectrum diagnostics, which need the eigenvalues
+only, so no eigenvectors are accumulated.  It is written out longhand
 so the test suite can cross-check it against ``np.linalg`` rather than
 having both sides call the same LAPACK routine.
 
@@ -55,14 +56,13 @@ def _rotation(app, aqq, apq):
     return c, t * c
 
 
-def jacobi_eigh(a, tol: float = 1e-12, max_sweeps: int = 100):
-    """Eigendecomposition of a symmetric matrix by Jacobi rotations in
-    Brent-Luk parallel order.
+def jacobi_eigh(a, tol: float = 1e-12, max_sweeps: int = 100) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix by Jacobi rotations in Brent-Luk
+    parallel order, sorted descending.
 
-    Returns ``(eigvals, eigvecs)`` with eigenvalues sorted descending and
-    eigenvectors in the matching columns.  Symmetry and finite entries are
-    preconditions.  Raises ``ContractError`` when the off-diagonal norm is
-    still above ``tol`` times the Frobenius norm after ``max_sweeps``.
+    Symmetry and finite entries are preconditions.  Raises
+    ``ContractError`` when the off-diagonal norm is still above ``tol``
+    times the Frobenius norm after ``max_sweeps``.
     """
     a = np.array(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -75,7 +75,7 @@ def jacobi_eigh(a, tol: float = 1e-12, max_sweeps: int = 100):
         raise ContractError("jacobi_eigh: matrix is not symmetric")
     a = 0.5 * (a + a.T)
     if n == 1:
-        return a.diagonal().copy(), np.eye(1)
+        return a.diagonal().copy()
 
     # Odd n gets a bye: a zero row and column, whose rotations are identities.
     m = n + n % 2
@@ -84,10 +84,8 @@ def jacobi_eigh(a, tol: float = 1e-12, max_sweeps: int = 100):
     landing = np.argsort(step)
     padded = np.zeros((m, m))
     padded[:n, :n] = a
-    # a and u are held in the current stage's layout; the rows of u are the
-    # eigenvector estimates in the original coordinates.
+    # a is held in the current stage's layout.
     a = padded[np.ix_(layout, layout)]
-    u = np.eye(m)[layout]
     target = tol * max(scale, 1e-300)
     for sweep in range(max_sweeps + 1):
         off = _offdiag_norm(a)
@@ -109,11 +107,7 @@ def jacobi_eigh(a, tol: float = 1e-12, max_sweeps: int = 100):
             # Exact zeros: the rounding residue would cost rank-deficient
             # input extra sweeps.
             a[landing[0::2], landing[1::2]] = a[landing[1::2], landing[0::2]] = 0.0
-            u = np.matmul(rot, u.reshape(m // 2, 2, m)).reshape(m, m)[step]
             layout = layout[step]
 
-    rows = np.argsort(layout)[:n]
-    eigvals = a.diagonal()[rows]
-    v = u[rows, :n].T
-    order = np.argsort(eigvals)[::-1]
-    return eigvals[order], v[:, order]
+    eigvals = a.diagonal()[np.argsort(layout)[:n]]
+    return eigvals[np.argsort(eigvals)[::-1]]

@@ -34,6 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContractError, ShapeError
+from .noise import _as_array
 from .tensor import Tensor
 
 log = logging.getLogger(__name__)
@@ -46,12 +47,6 @@ GS_DROP_RATIO = 1e-8
 # error gradual underflow can add.
 _EPS = float(np.finfo(np.float64).eps)
 _UNDERFLOW = 4 * float(np.finfo(np.float64).smallest_subnormal)
-
-
-def _as_array(x) -> np.ndarray:
-    if isinstance(x, Tensor):
-        return x.data
-    return np.asarray(x, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -94,18 +89,19 @@ def build_index(vectors) -> NeighborIndex:
     return NeighborIndex(vectors=arr)
 
 
-def knn(index: NeighborIndex, query, k: int, exclude_exact_match: bool = True):
-    """The k nearest stored points, as (vector, squared distance) pairs.
+def knn(index: NeighborIndex, query, k: int):
+    """The k nearest stored points other than copies of the query, as
+    (vector, squared distance) pairs.
 
-    Sorted by ascending distance with ties broken by lower row index.  With
-    ``exclude_exact_match`` every stored row bitwise-equal to the query is
-    removed before selection.
+    Sorted by ascending distance with ties broken by lower row index.
+    Every stored row bitwise-equal to the query is removed before
+    selection, so a stored point is never its own neighbour.
 
     The search is exact.  Each row's distance is first estimated by the
     norm expansion, which is off by at most ``(2d + 8) * eps * (|v|^2 +
     |q|^2)`` plus a few subnormal spacings; the bound also covers the
     rounding of the direct formula.  If ``cut`` is the kk-th smallest
-    upper estimate (kk = k, or k + 1 when exact matches are excluded), kk
+    upper estimate (kk = k + 1, counting one exact copy of the query), kk
     rows certainly lie within ``cut``, so a row whose lower estimate
     exceeds ``cut`` cannot be among the k nearest.  The other rows, the
     shortlist, are re-ranked by the direct formula ``sum((v - q)^2)`` in
@@ -131,7 +127,7 @@ def knn(index: NeighborIndex, query, k: int, exclude_exact_match: bool = True):
     shortlisting = bool(np.isfinite(approx).all())
     # A query that is a stored row, as neighbourhood queries are, is its own
     # exact copy; counting it up front saves a second round.
-    kk = k + 1 if exclude_exact_match else k
+    kk = k + 1
     while True:
         if shortlisting and kk < index.n:
             cut = np.partition(upper, kk - 1)[kk - 1]
@@ -141,18 +137,15 @@ def knn(index: NeighborIndex, query, k: int, exclude_exact_match: bool = True):
         near = vectors[rows]
         diffs = near - q[None, :]
         d2 = (diffs * diffs).sum(axis=1)
-        if exclude_exact_match:
-            keep = ~np.all(near == q[None, :], axis=1)
-        else:
-            keep = np.ones(rows.shape[0], dtype=bool)
+        keep = ~np.all(near == q[None, :], axis=1)
         if rows.shape[0] == index.n or np.count_nonzero(keep & (d2 <= cut)) >= k:
             break
         kk += max(1, rows.shape[0] - int(np.count_nonzero(keep)))
     candidates = np.flatnonzero(keep)
     if k > candidates.shape[0]:
         raise ContractError(
-            f"knn: k={k} exceeds the {candidates.shape[0]} available points"
-            f" (N={index.n}, exclude_exact_match={exclude_exact_match})"
+            f"knn: k={k} exceeds the {candidates.shape[0]} points that are not"
+            f" copies of the query (N={index.n})"
         )
     chosen = candidates[np.argsort(d2[candidates], kind="stable")[:k]]
     return [(vectors[rows[i]].copy(), float(d2[i])) for i in chosen]
@@ -218,7 +211,7 @@ def neighborhood_basis(index: NeighborIndex, query, k: int = DEFAULT_K) -> Ortho
         raise ContractError(f"neighborhood_basis: k must be >= 1, got {k}")
     q = _as_array(query).reshape(-1)
     try:
-        pairs = knn(index, q, k, exclude_exact_match=True)
+        pairs = knn(index, q, k)
         diffs = np.array([vec - q for vec, _ in pairs])
         return gram_schmidt(diffs)
     except ContractError as exc:

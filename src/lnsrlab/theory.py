@@ -97,27 +97,23 @@ def fd_hessian(f, x, h: float = FD_HESSIAN_H) -> np.ndarray:
     return 0.5 * (hess + hess.T)
 
 
-def mc_noise_stability(f, x, sigma: float, n: int, rng: np.random.Generator,
-                       f_batch=None):
+def mc_noise_stability(f, x, sigma: float, n: int, rng: np.random.Generator, f_batch):
     """Monte-Carlo estimate of E[(f(x+eps)-f(x))^2], eps ~ N(0, sigma^2 I).
 
-    Returns (estimate, standard error).  ``f_batch``, when given, maps an
-    [n, d] matrix of points to n values and replaces the per-sample loop.
+    Returns (estimate, standard error).  ``f`` gives f(x); ``f_batch`` maps
+    an [n, d] matrix of points to their n values.
     """
     if n < MC_MIN_SAMPLES:
         raise ContractError(f"mc_noise_stability: need n >= {MC_MIN_SAMPLES}, got {n}")
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     f0 = _eval_scalar(f, x)
     eps = rng.normal(0.0, sigma, size=(n, x.shape[0]))
-    if f_batch is not None:
-        vals = np.asarray(f_batch(x[None, :] + eps), dtype=np.float64).reshape(-1)
-        if vals.shape[0] != n:
-            raise ContractError(f"f_batch returned {vals.shape[0]} values for {n} points")
-    else:
-        vals = np.array([_eval_scalar(f, x + e) for e in eps])
+    vals = np.asarray(f_batch(x[None, :] + eps), dtype=np.float64).reshape(-1)
+    if vals.shape[0] != n:
+        raise ContractError(f"f_batch returned {vals.shape[0]} values for {n} points")
     sq = (vals - f0) ** 2
     est = float(sq.mean())
-    se = float(sq.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    se = float(sq.std(ddof=1) / np.sqrt(n))
     return est, se
 
 
@@ -242,12 +238,12 @@ def random_smooth_map(dim: int, rng: np.random.Generator):
 
 
 def make_taylor_report(f, x, sigma: float, n: int, rng: np.random.Generator,
-                       f_batch=None) -> TaylorReport:
+                       f_batch) -> TaylorReport:
     """Full report at one sigma: finite-difference terms plus MC estimates."""
     j = fd_jacobian(f, x)
     h = fd_hessian(f, x)
     terms = taylor_terms(j, h, sigma)
-    est, se = mc_noise_stability(f, x, sigma, n, rng, f_batch=f_batch)
+    est, se = mc_noise_stability(f, x, sigma, n, rng, f_batch)
     cross, _ = cross_term_mc(j, h, sigma, n, rng)
     return TaylorReport(sigma=sigma, mc_estimate=est, mc_se=se,
                         r_j=terms["r_j"], r_h_paper=terms["r_h_paper"],

@@ -272,7 +272,8 @@ def run_training(model_cfg: EncoderConfig, train_ds: TextDataset,
     A non-finite activation, loss or gradient raises ``ContractError``
     naming the epoch and the global step, and the first bad example (an
     activation) or the batch's examples (the loss and gradients, which are
-    sums over the batch).
+    sums over the batch).  A dataset with more classes (when classifying)
+    or token ids than the encoder has raises ``ValidationError``.
     """
     mode = cfg.reg.mode
     if mode in NOISY_MODES and cfg.noise.mode == "in_manifold" \
@@ -285,6 +286,18 @@ def run_training(model_cfg: EncoderConfig, train_ds: TextDataset,
     if not 1 <= b <= model_cfg.num_layers:
         raise ValidationError(
             f"injection_layer {b} outside 1..{model_cfg.num_layers}"
+        )
+    classes = max(train_ds.num_classes, dev_ds.num_classes)
+    if not model_cfg.regression and classes > model_cfg.num_classes:
+        raise ValidationError(
+            f"the data has {classes} classes: EncoderConfig.num_classes must be"
+            f" >= {classes}, got {model_cfg.num_classes}"
+        )
+    if train_ds.vocab_size > model_cfg.vocab_size:
+        raise ValidationError(
+            f"the data's vocabulary has {train_ds.vocab_size} token ids:"
+            f" EncoderConfig.vocab_size must be >= {train_ds.vocab_size},"
+            f" got {model_cfg.vocab_size}"
         )
 
     started = time.perf_counter()

@@ -209,6 +209,60 @@ def test_lambda_weights_list_parses(tmp_path):
     assert s.train.reg.lambda_weights == (0.5, 0.25)
 
 
+# ----------------------------------------------------------------- TSV data
+
+TSV_TRAIN = ("0\tapple pear fig apple\n0\tpear plum fig\n0\tfig apple plum pear\n"
+             "1\tcar bus tram\n1\tbus car car van\n1\tvan tram bus\n"
+             "2\tred blue green\n2\tblue red red teal\n2\tteal green blue\n")
+TSV_DEV = "0\tplum apple kiwi\n1\ttram van car\n2\tgreen teal red\n"
+
+
+def _tsv_config(tmp_path, encoder="num_classes = 3\n"):
+    (tmp_path / "train.tsv").write_text(TSV_TRAIN, encoding="utf-8")
+    (tmp_path / "dev.tsv").write_text(TSV_DEV, encoding="utf-8")
+    ini = tmp_path / "tsv.ini"
+    ini.write_text(f"[encoder]\n{encoder}[data]\ntrain_path = {tmp_path / 'train.tsv'}\n"
+                   f"dev_path = {tmp_path / 'dev.tsv'}\n")
+    return str(ini)
+
+
+def test_train_on_tsv_files(tmp_path):
+    """Three labels from TSV files train a three-class encoder, and the
+    same seed writes the same CSV."""
+    ini = _tsv_config(tmp_path)
+    out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
+    assert main(["train", "--config", ini, "--out", out_a, "--seed", "4"]) == 0
+    assert main(["train", "--config", ini, "--out", out_b, "--seed", "4"]) == 0
+    a, b = _only_csv(out_a, "train"), _only_csv(out_b, "train")
+    rows = _read(a)
+    assert rows[0] == ["epoch", "train_loss", "train_metric", "dev_metric"]
+    assert len(rows) == 3
+    assert open(a, "rb").read() == open(b, "rb").read()
+
+
+@pytest.mark.parametrize("command, synthetic, encoder, needs", [
+    ("train", True, "", "EncoderConfig.num_classes must be >= 3"),
+    ("gap-report", True, "", "EncoderConfig.num_classes must be >= 3"),
+    ("train", False, "", "EncoderConfig.num_classes must be >= 3"),
+    ("train", False, "num_classes = 3\nvocab_size = 12\n",
+     "EncoderConfig.vocab_size must be >= 14"),
+], ids=["synthetic-train", "synthetic-gap-report", "tsv-labels", "tsv-vocab"])
+def test_data_that_does_not_fit_the_encoder_exits_1(tmp_path, capsys, command, synthetic,
+                                                    encoder, needs):
+    """More classes or token ids than the encoder has is a configuration
+    error naming the field and the value it needs, not a runtime failure."""
+    if synthetic:
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[data]\nnum_classes = 3\n")
+        ini = str(ini)
+    else:
+        ini = _tsv_config(tmp_path, encoder=encoder)
+    out = str(tmp_path / "out")
+    assert main([command, "--config", ini, "--out", out]) == 1
+    assert needs in capsys.readouterr().err
+    assert not glob.glob(os.path.join(out, "*.csv"))
+
+
 # --------------------------------------------------------------- exit codes
 
 def test_bad_arguments_exit_1(tmp_path, capsys):

@@ -36,11 +36,8 @@ def probe_setup():
     return model, train, dev
 
 
-def _trace(layers, mask, b=None, noise=None):
-    return ActivationTrace(layers=[T.Tensor(a) for a in layers],
-                           token_mask=mask,
-                           injected_layer=b,
-                           injected_noise=None if noise is None else T.Tensor(noise))
+def _trace(layers, mask):
+    return ActivationTrace(layers=[T.Tensor(a) for a in layers], token_mask=mask)
 
 
 # ------------------------------------------------------------ ratio_entries
@@ -55,8 +52,8 @@ def test_identity_propagation_keeps_ratio_constant():
     eps *= 0.05 / np.linalg.norm(eps)
     mask = np.ones(4, dtype=bool)
     clean = _trace([x, x, x], mask)
-    pert = _trace([x, x + eps, x + eps], mask, b=1, noise=eps)
-    layers, ratios = ratio_entries(clean, pert)
+    pert = _trace([x, x + eps, x + eps], mask)
+    layers, ratios = ratio_entries(clean, pert, 1, eps)
     assert layers == [1, 2]
     assert ratios == pytest.approx([0.05, 0.05], rel=1e-12)
 
@@ -65,14 +62,14 @@ def test_ratio_entries_contracts():
     x = np.ones((2, 2))
     mask = np.ones(2, dtype=bool)
     clean = _trace([x, x], mask)
-    with pytest.raises(ContractError):
-        ratio_entries(clean, _trace([x, x], mask))          # no injection record
-    with pytest.raises(ContractError):
-        ratio_entries(clean, _trace([x, x, x], mask, b=1))  # length mismatch
+    for b in (0, 2):
+        with pytest.raises(ContractError, match=f"injection layer {b} outside 1..1"):
+            ratio_entries(clean, _trace([x, x], mask), b, x)
+    with pytest.raises(ContractError, match="trace lengths differ"):
+        ratio_entries(clean, _trace([x, x, x], mask), 1, x)
     zero = _trace([np.zeros((2, 2)), x], mask)
-    with pytest.raises(ContractError):
-        ratio_entries(zero, _trace([np.zeros((2, 2)), x], mask, b=1,
-                                   noise=np.ones((2, 2))))
+    with pytest.raises(ContractError, match="zero norm"):
+        ratio_entries(zero, _trace([np.zeros((2, 2)), x], mask), 1, np.ones((2, 2)))
 
 
 # -------------------------------------------------------- error_ratio_curve

@@ -5,8 +5,10 @@ import pytest
 
 from lnsrlab import tensor as T
 from lnsrlab.encoder import (
+    ATTN_MASK_VALUE,
     ActivationTrace,
     EncoderConfig,
+    _block,
     build_encoder,
     forward_with_taps,
     load_checkpoint,
@@ -78,9 +80,12 @@ def test_injection_locality():
                 f"entry {r} must be clean below injection layer {b}"
         for r in range(b, 4):
             assert not np.array_equal(pert.layers[r].data, clean.layers[r].data)
-        assert pert.injected_layer == b
-        base = clean.layers[b - 1].data
-        assert np.array_equal(pert.perturbed_input_of(b), base + noise)
+        # The noise enters block b's input: block b on the clean input plus
+        # the noise gives the perturbed entry b bit for bit.
+        key_mask = np.where(clean.token_mask, 0.0, ATTN_MASK_VALUE)[None, :]
+        out = _block(T.add(clean.layers[b - 1], T.Tensor(noise)), model.blocks[b - 1],
+                     key_mask, model.config.num_heads)
+        assert np.array_equal(out.data, pert.layers[b].data)
 
 
 def test_all_zero_parameters_give_zero_logits():
@@ -226,16 +231,6 @@ def test_checkpoint_forward_agreement(tmp_path):
     la, _ = forward_with_taps(model, [7, 8, 9])
     lb, _ = forward_with_taps(back, [7, 8, 9])
     assert np.array_equal(la.data, lb.data)
-
-
-def test_trace_perturbed_input_contract():
-    model = build_encoder(small_config(), init_seed=14)
-    _, trace = forward_with_taps(model, [1, 2])
-    with pytest.raises(ContractError):
-        trace.perturbed_input_of(0)
-    with pytest.raises(ContractError):
-        trace.perturbed_input_of(3)
-    assert np.array_equal(trace.perturbed_input_of(1), trace.layers[0].data)
 
 
 # ------------------------------------------------------------------ batches

@@ -33,13 +33,13 @@ def test_build_index_contracts():
         build_index(np.ones((1, 3)))
     # Duplicate rows are allowed and retrievable.
     dup = build_index(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]))
-    got = knn(dup, [2.0, 0.0], 2, exclude_exact_match=False)
+    got = knn(dup, [2.0, 0.0], 2)
     assert np.array_equal(got[0][0], [1.0, 0.0])
     assert np.array_equal(got[1][0], [1.0, 0.0])
 
 
 def test_knn_forced_ordering():
-    got = knn(line_index(), [1.5], 2, exclude_exact_match=False)
+    got = knn(line_index(), [1.5], 2)
     vals = sorted(v[0] for v, _ in got)
     assert vals == [1.0, 2.0]
     # Squared Euclidean distances.
@@ -48,7 +48,7 @@ def test_knn_forced_ordering():
 
 def test_knn_tie_break_by_row_index():
     idx = build_index(np.array([[1.0], [-1.0], [3.0]]))
-    got = knn(idx, [0.0], 2, exclude_exact_match=False)
+    got = knn(idx, [0.0], 2)
     # 1.0 (row 0) and -1.0 (row 1) tie at distance 1; row 0 first.
     assert got[0][0][0] == 1.0
     assert got[1][0][0] == -1.0
@@ -56,17 +56,17 @@ def test_knn_tie_break_by_row_index():
 
 def test_knn_exclusion_and_k_contract():
     idx = line_index()
-    got = knn(idx, [1.0], 3, exclude_exact_match=True)
+    got = knn(idx, [1.0], 3)
     assert all(v[0] != 1.0 for v, _ in got)
-    with pytest.raises(ContractError, match=r"k=4 exceeds the 3 available points"
-                                            r" \(N=4, exclude_exact_match=True\)"):
-        knn(idx, [1.0], 4, exclude_exact_match=True)
-    knn(idx, [1.0], 4, exclude_exact_match=False)
+    with pytest.raises(ContractError, match=r"k=4 exceeds the 3 points that are not"
+                                            r" copies of the query \(N=4\)"):
+        knn(idx, [1.0], 4)
+    assert len(knn(idx, [1.5], 4)) == 4
 
 
 def test_knn_excludes_all_duplicates_of_query():
     idx = build_index(np.array([[2.0], [2.0], [5.0], [7.0]]))
-    got = knn(idx, [2.0], 2, exclude_exact_match=True)
+    got = knn(idx, [2.0], 2)
     assert [v[0][0] for v in got] == [5.0, 7.0]
 
 
@@ -256,20 +256,19 @@ def test_lle_planar_patch():
     assert lle_reconstruction_error(x, pts) <= 1e-10
 
 
-def rescan(pts, q, k, exclude_exact_match):
-    """Reference kNN: a full direct scan ordered by (squared distance, row)."""
+def rescan(pts, q, k):
+    """Reference kNN: a full direct scan over the rows that are not copies
+    of the query, ordered by (squared distance, row)."""
     d2 = ((pts - q) ** 2).sum(axis=1)
-    rows = np.arange(pts.shape[0])
-    if exclude_exact_match:
-        rows = rows[~np.all(pts == q, axis=1)]
+    rows = np.flatnonzero(~np.all(pts == q, axis=1))
     order = rows[np.lexsort((rows, d2[rows]))][:k]
     return order, d2[order]
 
 
-def assert_knn_matches_rescan(pts, q, k, exclude_exact_match):
+def assert_knn_matches_rescan(pts, q, k):
     """knn returns the rescan's rows and distances bit for bit."""
-    got = knn(build_index(pts), q, k, exclude_exact_match=exclude_exact_match)
-    rows, d2 = rescan(pts, q, k, exclude_exact_match)
+    got = knn(build_index(pts), q, k)
+    rows, d2 = rescan(pts, q, k)
     assert len(got) == len(rows)
     for (vec, dist), row, want in zip(got, rows, d2):
         assert np.array_equal(vec, pts[row])
@@ -278,14 +277,14 @@ def assert_knn_matches_rescan(pts, q, k, exclude_exact_match):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1), st.integers(100, 400), st.integers(1, 12),
-       st.integers(2, 16), st.sampled_from(["fresh", "row", "near"]), st.booleans())
-def test_property_knn_matches_rescan(seed, n, k, d, where, exclude):
+       st.integers(2, 16), st.sampled_from(["fresh", "row", "near"]))
+def test_property_knn_matches_rescan(seed, n, k, d, where):
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(n, d))
     q = {"fresh": rng.normal(size=d),
          "row": pts[rng.integers(n)],
          "near": pts[rng.integers(n)] + 1e-9 * rng.normal(size=d)}[where]
-    assert_knn_matches_rescan(pts, q, k, exclude)
+    assert_knn_matches_rescan(pts, q, k)
 
 
 @pytest.mark.parametrize("offset, spread",
@@ -299,8 +298,7 @@ def test_knn_scaled_clouds_match_rescan(offset, spread):
     queries = [pts[7], pts[150], offset + spread * rng.normal(size=8)]
     with np.errstate(over="ignore"):
         for q in queries:
-            for exclude in (True, False):
-                assert_knn_matches_rescan(pts, q, 10, exclude)
+            assert_knn_matches_rescan(pts, q, 10)
 
 
 def test_knn_more_than_k_copies_of_query():
@@ -308,34 +306,30 @@ def test_knn_more_than_k_copies_of_query():
     pts = rng.normal(size=(200, 4))
     copies = [5, 17, 40, 41, 42, 90, 91, 120, 150, 151, 160, 170, 180, 190, 199]
     pts[copies] = pts[5]
-    for exclude in (True, False):
-        assert_knn_matches_rescan(pts, pts[5], 10, exclude)
+    assert_knn_matches_rescan(pts, pts[5], 10)
 
 
 def test_knn_ties_at_the_cut_on_a_lattice():
     axis = np.arange(5.0)
     grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
     for q in np.concatenate([grid[::11], grid[::13] + 0.5]):
-        for exclude in (True, False):
-            assert_knn_matches_rescan(grid, q, 10, exclude)
+        assert_knn_matches_rescan(grid, q, 10)
 
 
 def test_knn_n_equals_k_plus_one():
     rng = np.random.default_rng(5)
     pts = rng.normal(size=(11, 3))
     for q in (pts[4], rng.normal(size=3)):
-        for exclude in (True, False):
-            assert_knn_matches_rescan(pts, q, 10, exclude)
+        assert_knn_matches_rescan(pts, q, 10)
 
 
 def test_knn_nan_query_takes_the_first_rows():
     """Every distance is NaN, so the stable order keeps rows 0..k-1."""
     pts = np.random.default_rng(6).normal(size=(50, 3))
     q = np.array([np.nan, 0.0, 1.0])
-    for exclude in (True, False):
-        got = knn(build_index(pts), q, 4, exclude_exact_match=exclude)
-        assert all(np.array_equal(vec, pts[i]) for i, (vec, _) in enumerate(got))
-        assert all(np.isnan(dist) for _, dist in got)
+    got = knn(build_index(pts), q, 4)
+    assert all(np.array_equal(vec, pts[i]) for i, (vec, _) in enumerate(got))
+    assert all(np.isnan(dist) for _, dist in got)
 
 
 @settings(max_examples=40, deadline=None)

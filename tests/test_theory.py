@@ -72,7 +72,8 @@ def test_mc_linear_closed_form():
 
 def test_mc_constant_function_is_zero():
     rng = stream_rng(1, "theory")
-    est, se = mc_noise_stability(lambda x: 7.0, np.zeros(3), 0.5, 2000, rng)
+    est, se = mc_noise_stability(lambda x: 7.0, np.zeros(3), 0.5, 2000, rng,
+                                 f_batch=lambda pts: np.full(len(pts), 7.0))
     assert est == 0.0 and se == 0.0
 
 
@@ -214,7 +215,7 @@ def test_spectral_norm_zero_map():
 def test_report_and_csv_roundtrip(tmp_path):
     rng = stream_rng(9, "theory")
     rep = make_taylor_report(lambda x: float(np.sin(x).sum()), np.zeros(3),
-                             0.05, 2000, rng)
+                             0.05, 2000, rng, f_batch=lambda pts: np.sin(pts).sum(axis=1))
     assert np.isfinite(rep.mc_estimate) and rep.mc_se > 0
     path = tmp_path / "report.csv"
     write_csv(path, TAYLOR_CSV_COLUMNS, [rep.csv_row()])
@@ -227,7 +228,14 @@ def test_report_and_csv_roundtrip(tmp_path):
 
 def test_mc_contracts():
     rng = stream_rng(10, "theory")
+
+    def zeros(pts):
+        return np.zeros(len(pts))
+
     with pytest.raises(ContractError):
-        mc_noise_stability(lambda x: 0.0, np.zeros(2), 0.1, 10, rng)
+        mc_noise_stability(lambda x: 0.0, np.zeros(2), 0.1, 10, rng, zeros)
     with pytest.raises(ContractError):
-        mc_noise_stability(lambda x: float("nan"), np.zeros(2), 0.1, 2000, rng)
+        mc_noise_stability(lambda x: float("nan"), np.zeros(2), 0.1, 2000, rng, zeros)
+    with pytest.raises(ContractError, match="f_batch returned 1999 values for 2000 points"):
+        mc_noise_stability(lambda x: 0.0, np.zeros(2), 0.1, 2000, rng,
+                           lambda pts: np.zeros(len(pts) - 1))
