@@ -1,10 +1,11 @@
 """Command-line interface: experiments in, CSV files out.
 
-Every subcommand reads an optional INI-style config file (sections
-[encoder], [noise], [regularizer], [train], [data] mirroring the config
-dataclasses), runs one experiment, and writes `<command>-<timestamp>.csv`
-into the output directory.  Floats are serialized with repr() so parsing
-the file recovers them bit for bit.
+Every subcommand runs one experiment and writes `<command>-<timestamp>.csv`
+into the output directory.  The four that build an encoder (train, sweep,
+noise-curve, gap-report) also read an optional INI-style config file
+(sections [encoder], [noise], [regularizer], [train], [data] mirroring the
+config dataclasses).  Floats are serialized with repr() so parsing the
+file recovers them bit for bit.
 
 Exit codes: 0 success, 1 configuration or argument problem, 2 runtime
 failure.
@@ -29,7 +30,8 @@ from .diagnostics import (
     pca_noise_spectrum,
     sensitivity_sweep,
 )
-from .encoder import EncoderConfig, build_encoder, load_checkpoint, save_checkpoint
+from .encoder import (EncoderConfig, build_encoder, check_data_fits, load_checkpoint,
+                      save_checkpoint)
 from .errors import ContractError, ValidationError
 from .manifold import build_index, neighborhood_basis
 from .noise import NoiseSpec, sample_standard_noise
@@ -275,13 +277,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify_claim1(args) -> int:
-    seed = args.seed if args.seed is not None else 0
     sigmas = _comma_list(args.sigmas, _positive_float, "--sigmas")
-    f, f_batch = random_smooth_map(args.dim, stream_rng(seed, "theory"))
-    x = stream_rng(seed, "probe").normal(size=args.dim)
+    f, f_batch = random_smooth_map(args.dim, stream_rng(args.seed, "theory"))
+    x = stream_rng(args.seed, "probe").normal(size=args.dim)
     reports = []
     for i, sigma in enumerate(sigmas):
-        rng = substream_rng(seed, "theory", i)
+        rng = substream_rng(args.seed, "theory", i)
         reports.append(make_taylor_report(f, x, sigma, args.mc_samples, rng,
                                           f_batch=f_batch))
     path = _out_path(args, "verify-claim1")
@@ -299,11 +300,10 @@ def _cmd_verify_claim1(args) -> int:
 
 
 def _cmd_cross_term(args) -> int:
-    seed = args.seed if args.seed is not None else 0
     rows = []
     worst = 0.0
     for i in range(args.pairs):
-        rng = substream_rng(seed, "theory", i)
+        rng = substream_rng(args.seed, "theory", i)
         j = rng.normal(size=args.dim)
         a = rng.normal(size=(args.dim, args.dim))
         h = 0.5 * (a + a.T)
@@ -332,6 +332,7 @@ def _cmd_noise_curve(args) -> int:
         raise ValidationError(f"--injection-layer must be <= {model.config.num_layers}")
     _, dev_ds = settings.datasets()
     probes = dev_ds.examples[:args.probes]
+    check_data_fits(model.config, probes)
     curve = error_ratio_curve(model, probes, args.injection_layer,
                               args.rel_magnitude, settings.seed)
     path = _out_path(args, "noise-curve")
@@ -348,13 +349,12 @@ def _cmd_noise_curve(args) -> int:
 def _cmd_pca_spectrum(args) -> int:
     if args.intrinsic >= args.dim:
         raise ValidationError(f"--intrinsic {args.intrinsic} must be below --dim {args.dim}")
-    seed = args.seed if args.seed is not None else 0
-    rng = stream_rng(seed, "noise")
+    rng = stream_rng(args.seed, "noise")
     standard = sample_standard_noise((args.samples, args.dim), args.sigma, rng).data
     std_rep = pca_noise_spectrum(standard, source="standard")
 
     mset = synth_manifold(args.points, args.dim, args.intrinsic,
-                          args.curvature, seed)
+                          args.curvature, args.seed)
     index = build_index(mset.points)
     basis = neighborhood_basis(index, mset.points[0], k=args.k)
     if basis is None:
@@ -385,8 +385,7 @@ def _cmd_bench(args) -> int:
             # A basis cannot hold more directions than its sample dimension.
             cast = _int_at_least(1, BENCH_SAMPLE_DIM if name == "k_values" else None)
             kwargs[name] = tuple(_comma_list(text, cast, "--" + name.replace("_", "-")))
-    report = bench_complexity(seed=args.seed if args.seed is not None else 0,
-                              **kwargs)
+    report = bench_complexity(seed=args.seed, **kwargs)
     path = _out_path(args, "bench")
     rows = [("timing", r.kind, r.size, r.median_seconds, r.reps, None)
             for r in report.records]
@@ -436,22 +435,26 @@ def _cmd_gap_report(args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="lnsrlab",
                      description="Noise-stability training and diagnostics.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None,
-                        help="INI config with [encoder]/[noise]/[regularizer]/[train]/[data]")
-    common.add_argument("--seed", type=_int_at_least(0), default=None,
-                        help="master seed override (a non-negative integer)")
-    common.add_argument("--out", default=".", help="output directory for CSV files")
+    # Only the commands that build an encoder read --config.  There an unset
+    # --seed leaves the file's [train] seed; elsewhere it is 0.
+    configured = argparse.ArgumentParser(add_help=False)
+    configured.add_argument("--config", default=None,
+                            help="INI config with [encoder]/[noise]/[regularizer]/[train]/[data]")
+    seeded = argparse.ArgumentParser(add_help=False)
+    for common, seed in ((configured, None), (seeded, 0)):
+        common.add_argument("--seed", type=_int_at_least(0), default=seed,
+                            help="master seed (a non-negative integer)")
+        common.add_argument("--out", default=".", help="output directory for CSV files")
 
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("train", parents=[common],
+    p = sub.add_parser("train", parents=[configured],
                        help="one training run, per-epoch metrics to CSV")
     p.add_argument("--save-model", default=None,
                    help="also write the trained weights to this checkpoint path")
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("sweep", parents=[common],
+    p = sub.add_parser("sweep", parents=[configured],
                        help="multi-seed summaries while varying one knob")
     p.add_argument("--param", required=True,
                    choices=("injection_layer", "rel_magnitude"))
@@ -460,14 +463,14 @@ def build_parser() -> _Parser:
     p.add_argument("--seeds", default="0,1,2", help="comma-separated seeds")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("verify-claim1", parents=[common],
+    p = sub.add_parser("verify-claim1", parents=[seeded],
                        help="second-order expansion vs Monte Carlo on a random smooth map")
     p.add_argument("--dim", type=_int_at_least(1), default=8)
     p.add_argument("--sigmas", default="0.1,0.05,0.01")
     p.add_argument("--mc-samples", type=_int_at_least(MC_MIN_SAMPLES), default=20000)
     p.set_defaults(func=_cmd_verify_claim1)
 
-    p = sub.add_parser("cross-term", parents=[common],
+    p = sub.add_parser("cross-term", parents=[seeded],
                        help="Monte-Carlo means of the odd cross term over random pairs")
     p.add_argument("--pairs", type=_int_at_least(1), default=20)
     p.add_argument("--dim", type=_int_at_least(1), default=6)
@@ -475,7 +478,7 @@ def build_parser() -> _Parser:
     p.add_argument("--mc-samples", type=_int_at_least(MC_MIN_SAMPLES), default=100000)
     p.set_defaults(func=_cmd_cross_term)
 
-    p = sub.add_parser("noise-curve", parents=[common],
+    p = sub.add_parser("noise-curve", parents=[configured],
                        help="per-layer deviation ratios after noise injection")
     p.add_argument("--injection-layer", type=_int_at_least(1), default=1)
     p.add_argument("--rel-magnitude", type=float, default=0.05)
@@ -484,7 +487,7 @@ def build_parser() -> _Parser:
                    help="measure a saved model instead of a fresh one")
     p.set_defaults(func=_cmd_noise_curve)
 
-    p = sub.add_parser("pca-spectrum", parents=[common],
+    p = sub.add_parser("pca-spectrum", parents=[seeded],
                        help="covariance spectra of standard vs neighborhood noise")
     p.add_argument("--dim", type=_int_at_least(2), default=16)
     p.add_argument("--intrinsic", type=_int_at_least(1), default=3)
@@ -495,7 +498,7 @@ def build_parser() -> _Parser:
     p.add_argument("--curvature", type=float, default=0.0)
     p.set_defaults(func=_cmd_pca_spectrum)
 
-    p = sub.add_parser("bench", parents=[common],
+    p = sub.add_parser("bench", parents=[seeded],
                        help="noise-pipeline timings with fitted scaling exponents")
     p.add_argument("--reps", type=_int_at_least(BENCH_MIN_REPS), default=7)
     p.add_argument("--standard-rows", default=None)
@@ -503,7 +506,7 @@ def build_parser() -> _Parser:
     p.add_argument("--index-sizes", default=None)
     p.set_defaults(func=_cmd_bench)
 
-    p = sub.add_parser("gap-report", parents=[common],
+    p = sub.add_parser("gap-report", parents=[configured],
                        help="train/dev gap comparison across objective modes")
     p.add_argument("--modes", default="ft,lnsr_standard")
     p.add_argument("--seeds", default="0,1,2,3,4")

@@ -91,20 +91,19 @@ def _probe_generator(entropy: int, ids) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
 
 
-def error_ratio_curve(model: EncoderModel, probe_data, b: int, rho: float,
+def error_ratio_curve(model: EncoderModel, probes: list, b: int, rho: float,
                       rng: int) -> ErrorRatioCurve:
     """Average deviation ratios over a probe set, noise rescaled per token.
 
-    ``probe_data`` is a dataset or a list of (ids, label) pairs; ``rng``
-    is an integer seed.  The injected noise is a standard Gaussian draw
-    rescaled row-wise so every position moves by ``rho`` times its own
-    norm; all positions of the padded [M, d] input are treated alike, which
-    pins the first curve entry to exactly ``rho``.  Each probe's perturbed
+    ``probes`` is a list of (ids, label) pairs; ``rng`` is an integer
+    seed.  The injected noise is a standard Gaussian draw rescaled row-wise
+    so every position moves by ``rho`` times its own norm; all positions of
+    the padded [M, d] input are treated alike, which pins the first curve
+    entry to exactly ``rho``.  Each probe's perturbed
     pass starts from its clean trace at block b.  The passes run on frozen
     weights and keep no tape, one probe at a time.
     """
-    examples = getattr(probe_data, "examples", probe_data)
-    if len(examples) == 0:
+    if len(probes) == 0:
         raise ContractError("error_ratio_curve: empty probe set")
     cfg = model.config
     if not 1 <= b <= cfg.num_layers:
@@ -115,12 +114,12 @@ def error_ratio_curve(model: EncoderModel, probe_data, b: int, rho: float,
     model = model.frozen()
 
     columns = None
-    for ids, _label in examples:
+    for ids, _label in probes:
         _, clean = forward_with_taps(model, ids)
         clean_input = clean.layers[b - 1].data
         gen = _probe_generator(entropy, ids)
         raw = gen.normal(size=clean_input.shape)
-        eps = rescale_relative_rows(raw, clean_input, rho).data
+        eps = rescale_relative_rows(raw, clean_input, rho)
         _, pert = forward_with_taps(model, ids, injection=(b, eps), clean=clean)
         layers, ratios = ratio_entries(clean, pert, b, eps)
         if columns is None:
@@ -132,7 +131,7 @@ def error_ratio_curve(model: EncoderModel, probe_data, b: int, rho: float,
     mean_ratios = [math.fsum(col) / len(col) for col in columns]
     return ErrorRatioCurve(injection_layer=b, rel_magnitude=float(rho),
                            layers=layers, ratios=mean_ratios,
-                           n_probes=len(examples))
+                           n_probes=len(probes))
 
 
 # ----------------------------------------------------------------- spectra
@@ -161,7 +160,7 @@ def pca_noise_spectrum(noise_batch, source: str = "standard") -> SpectrumReport:
     """
     if source not in SPECTRUM_SOURCES:
         raise ContractError(f"pca_noise_spectrum: source must be one of {SPECTRUM_SOURCES}")
-    x = np.asarray(getattr(noise_batch, "data", noise_batch), dtype=np.float64)
+    x = np.asarray(noise_batch, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ContractError(f"pca_noise_spectrum: need an [n>=2, d] batch, got shape {x.shape}")
     n = x.shape[0]

@@ -190,6 +190,18 @@ def build_encoder(config: EncoderConfig, init_seed: int) -> EncoderModel:
     return model
 
 
+def check_data_fits(config: EncoderConfig, examples) -> None:
+    """Raise ``ValidationError`` unless the encoder takes every (ids, label)
+    example: no sequence longer than ``max_seq_len`` and no token id at or
+    above ``vocab_size``.  The message names the field and the value needed."""
+    needed = {"max_seq_len": max((len(ids) for ids, _ in examples), default=0),
+              "vocab_size": 1 + max((max(ids) for ids, _ in examples if ids), default=-1)}
+    for name, need in needed.items():
+        if need > getattr(config, name):
+            raise ValidationError(f"the data does not fit the encoder: EncoderConfig.{name}"
+                                  f" must be >= {need}, got {getattr(config, name)}")
+
+
 def _pad_tokens(seqs, config: EncoderConfig) -> np.ndarray:
     """[len(seqs), max_seq_len] ids, each sequence left-aligned and padded."""
     full = np.full((len(seqs), config.max_seq_len), PAD_ID, dtype=np.int64)

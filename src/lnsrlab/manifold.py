@@ -1,11 +1,11 @@
 """Neighborhood geometry: exact kNN, orthonormal bases, in-manifold noise.
 
-Exact kNN is answered in two steps.  One matrix-vector product gives every
-squared distance by the norm expansion |v|^2 - 2 v.q + |q|^2, with a
-per-row forward-error bound.  Only the rows the bound cannot rule out of
-the k nearest (a shortlist, typically little more than k) are then
-re-ranked by the direct formula sum((v - q)^2), so the distances and
-their tie-break equal those of a full direct scan bit for bit.
+Exact kNN is one search, ``_knn_rows``, for one query (``knn``) or a
+batch of T queries.  A matrix product estimates every squared distance by
+the norm expansion |v|^2 - 2 v.q + |q|^2 with a per-row error bound; only
+the rows the bound cannot rule out of the k nearest are re-ranked by the
+direct formula sum((v - q)^2), so the distances and their tie-break equal
+those of a full direct scan bit for bit.
 
 The in-manifold perturbation of a vector x is built from its k nearest
 neighbors in a reference point set (the token-embedding vocabulary in
@@ -14,14 +14,13 @@ differences are orthonormalized by modified Gram-Schmidt and a random
 linear combination with i.i.d. N(0, sigma^2) coefficients is returned.
 The result lies in the local tangent-ish subspace by construction.
 
-Two paths build these bases.  ``neighborhood_bases`` serves training: it
-answers all of a batch's T distinct tokens at once, with one [T, N]
-estimate product, one re-rank of the shortlisted (query, row) pairs, and
-both Gram-Schmidt sweeps as a loop over the k directions across all T
-queries.  Every step matches the one-query path bit for bit.  The one-query
-functions (``knn``, ``gram_schmidt``, ``neighborhood_basis``) stay for
-single lookups, diagnostics and the CLI, where a T=1 batch costs more than
-they do, and they are the batched path's test oracle.
+``neighborhood_bases`` serves training: it answers all of a batch's T
+distinct tokens with one search and runs both Gram-Schmidt sweeps as a
+loop over the k directions across all T queries, bit for bit as the
+one-query ``neighborhood_basis`` does.  ``gram_schmidt`` and
+``neighborhood_basis`` stay for single lookups, diagnostics and the CLI,
+where the batched sweeps cost more for one query, and they are the
+batched path's test oracle.
 
 A locally-linear-embedding residual (how well x is reconstructed as a
 linear combination of its neighbors) serves as the flatness diagnostic.
@@ -34,7 +33,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContractError, ShapeError
-from .noise import _as_array
 from .tensor import Tensor
 
 log = logging.getLogger(__name__)
@@ -80,7 +78,7 @@ class OrthoBasis:
 
 def build_index(vectors) -> NeighborIndex:
     """Snapshot a [N, d] point set into an immutable exact-search index."""
-    arr = np.array(_as_array(vectors), dtype=np.float64)
+    arr = np.array(vectors, dtype=np.float64)
     if arr.ndim != 2:
         raise ShapeError(f"build_index: expected [N, d] matrix, got shape {arr.shape}")
     if arr.shape[0] < 2:
@@ -95,60 +93,23 @@ def knn(index: NeighborIndex, query, k: int):
 
     Sorted by ascending distance with ties broken by lower row index.
     Every stored row bitwise-equal to the query is removed before
-    selection, so a stored point is never its own neighbour.
-
-    The search is exact.  Each row's distance is first estimated by the
-    norm expansion, which is off by at most ``(2d + 8) * eps * (|v|^2 +
-    |q|^2)`` plus a few subnormal spacings; the bound also covers the
-    rounding of the direct formula.  If ``cut`` is the kk-th smallest
-    upper estimate (kk = k + 1, counting one exact copy of the query), kk
-    rows certainly lie within ``cut``, so a row whose lower estimate
-    exceeds ``cut`` cannot be among the k nearest.  The other rows, the
-    shortlist, are re-ranked by the direct formula ``sum((v - q)^2)`` in
-    ascending row order, which gives the distances and tie-break of a full
-    scan bit for bit.  When exact copies of the query leave fewer than k
-    shortlisted rows within ``cut``, kk grows by the number excluded and
-    the search repeats.  A non-finite estimate, or kk reaching N, makes
-    every row the shortlist.
+    selection, so a stored point is never its own neighbour.  The search
+    is exact: it is ``_knn_rows`` for one query, which describes how.
     """
-    q = _as_array(query).reshape(-1)
+    q = np.asarray(query, dtype=np.float64).reshape(-1)
     if q.shape[0] != index.d:
         raise ShapeError(f"knn: query length {q.shape[0]} vs index dimension {index.d}")
     if k < 1:
         raise ContractError(f"knn: k must be >= 1, got {k}")
-    vectors = index.vectors
-    # Overflow here only sends the search to the full scan, which warns as
-    # a direct scan would.
-    with np.errstate(over="ignore", invalid="ignore"):
-        sq, qq = index.sq_norms, q @ q
-        approx = sq - 2.0 * (vectors @ q) + qq
-        bound = (2 * index.d + 8) * (_EPS * (sq + qq) + _UNDERFLOW)
-        lower, upper = approx - bound, approx + bound
-    shortlisting = bool(np.isfinite(approx).all())
-    # A query that is a stored row, as neighbourhood queries are, is its own
-    # exact copy; counting it up front saves a second round.
-    kk = k + 1
-    while True:
-        if shortlisting and kk < index.n:
-            cut = np.partition(upper, kk - 1)[kk - 1]
-            rows = np.flatnonzero(lower <= cut)
-        else:
-            rows = np.arange(index.n)
-        near = vectors[rows]
-        diffs = near - q[None, :]
-        d2 = (diffs * diffs).sum(axis=1)
-        keep = ~np.all(near == q[None, :], axis=1)
-        if rows.shape[0] == index.n or np.count_nonzero(keep & (d2 <= cut)) >= k:
-            break
-        kk += max(1, rows.shape[0] - int(np.count_nonzero(keep)))
-    candidates = np.flatnonzero(keep)
-    if k > candidates.shape[0]:
+    # A k above N cannot be met: capping it keeps the [1, k] result small,
+    # and the search still scans every row and counts the non-copies.
+    rows, dists, count = _knn_rows(index, q[None, :], min(k, index.n))
+    if count[0] < k:
         raise ContractError(
-            f"knn: k={k} exceeds the {candidates.shape[0]} points that are not"
+            f"knn: k={k} exceeds the {count[0]} points that are not"
             f" copies of the query (N={index.n})"
         )
-    chosen = candidates[np.argsort(d2[candidates], kind="stable")[:k]]
-    return [(vectors[rows[i]].copy(), float(d2[i])) for i in chosen]
+    return [(index.vectors[r].copy(), float(d2)) for r, d2 in zip(rows[0], dists[0])]
 
 
 def gram_schmidt(diffs) -> OrthoBasis:
@@ -158,7 +119,7 @@ def gram_schmidt(diffs) -> OrthoBasis:
     far are dropped.  All-zero input is a degenerate neighborhood and a
     contract error; callers that need a fallback catch it.
     """
-    mat = np.atleast_2d(np.array(_as_array(diffs), dtype=np.float64))
+    mat = np.atleast_2d(np.array(diffs, dtype=np.float64))
     if mat.size == 0:
         raise ContractError("gram_schmidt: no difference vectors given")
     kept = []
@@ -191,7 +152,7 @@ def sample_inmanifold_noise(x, basis: OrthoBasis, sigma: float,
         raise ContractError("sample_inmanifold_noise: empty basis")
     if not sigma > 0:
         raise ContractError(f"sample_inmanifold_noise: sigma must be positive, got {sigma}")
-    xd = _as_array(x).reshape(-1)
+    xd = np.asarray(x, dtype=np.float64).reshape(-1)
     if xd.shape[0] != basis.basis.shape[1]:
         raise ShapeError(
             f"sample_inmanifold_noise: x length {xd.shape[0]} vs basis dimension {basis.basis.shape[1]}"
@@ -209,7 +170,7 @@ def neighborhood_basis(index: NeighborIndex, query, k: int = DEFAULT_K) -> Ortho
     """
     if k < 1:
         raise ContractError(f"neighborhood_basis: k must be >= 1, got {k}")
-    q = _as_array(query).reshape(-1)
+    q = np.asarray(query, dtype=np.float64).reshape(-1)
     try:
         pairs = knn(index, q, k)
         diffs = np.array([vec - q for vec, _ in pairs])
@@ -227,21 +188,18 @@ def neighborhood_bases(index: NeighborIndex, queries, k: int = DEFAULT_K):
     rows after it are zero; ``sizes[t] == 0`` marks a degenerate
     neighborhood (where ``neighborhood_basis`` returns None).
 
-    The kNN step bounds every (query, row) estimate as ``knn`` does and
-    re-ranks only the shortlisted pairs by the direct formula, ordered by
-    (exact copy, distance, row); a query whose shortlist holds fewer than
-    k non-copies within its cut is re-ranked over every row, so the result
-    is that of a full scan.  Memory is O(T N + T k d).  The Gram-Schmidt
-    step stores a dropped direction as a zero row, which later sweeps
-    subtract as an exact 0, and dots by ``np.vecdot``, which rounds as the
-    one-query ``v @ b`` does.
+    The kNN step is one ``_knn_rows`` call for all T queries.  Memory is
+    O(T N + T k d).  The Gram-Schmidt step stores a dropped direction as a
+    zero row, which later sweeps subtract as an exact 0, and dots by
+    ``np.vecdot``, which rounds as the one-query ``v @ b`` does.
     """
     if k < 1:
         raise ContractError(f"neighborhood_bases: k must be >= 1, got {k}")
-    q = np.atleast_2d(_as_array(queries))
+    q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     if q.ndim != 2 or q.shape[1] != index.d:
         raise ShapeError(f"neighborhood_bases: queries shape {q.shape} vs index dimension {index.d}")
-    rows, found = _knn_rows(index, q, k)
+    rows, _, count = _knn_rows(index, q, k)
+    found = count >= k
     # Direction-major [k, T, d], so each direction is one contiguous block.
     diffs = (index.vectors[rows] - q[:, None, :]).transpose(1, 0, 2)
     basis = np.zeros_like(diffs)
@@ -267,19 +225,38 @@ def neighborhood_bases(index: NeighborIndex, queries, k: int = DEFAULT_K):
 
 
 def _knn_rows(index: NeighborIndex, q: np.ndarray, k: int):
-    """[T, k] index rows of each query's k nearest stored points, exact
-    copies excluded, ordered by (distance, row), and a [T] mask of the
-    queries that have k such points (the other queries' rows are filler)."""
+    """Exact kNN for each of T query rows ([T, d]); ``knn`` is its T = 1 case.
+
+    Returns ``(rows, dists, count)``.  ``rows[t]`` ([T, k]) are the index
+    rows of the k nearest stored points that are not bitwise copies of
+    query t, ordered by (squared distance, row); ``dists[t]`` are their
+    squared distances by the direct formula ``sum((v - q)^2)``, bit for bit
+    those of a full direct scan.  ``count[t]`` is the number of non-copies
+    re-ranked; when it is below k, query t has only that many non-copies
+    in all, and its rows and distances from ``count[t]`` on are filler.
+
+    Each row's distance is first estimated by the norm expansion
+    ``|v|^2 - 2 v.q + |q|^2``, which is off by at most ``(2d + 8) * eps *
+    (|v|^2 + |q|^2)`` plus a few subnormal spacings; the bound also covers
+    the rounding of the direct formula.  If ``cut`` is the (k+1)-th
+    smallest upper estimate (one more than k, for the query's own copy when
+    it is a stored row), k + 1 rows certainly lie within ``cut``, so a row
+    whose lower estimate exceeds ``cut`` cannot be among the k nearest.
+    The other rows, the shortlist (typically little more than k), are
+    re-ranked by the direct formula.  A query whose shortlist holds fewer
+    than k non-copies within ``cut`` (it has more copies than that) is
+    re-ranked over every row, as is a query with a non-finite estimate or
+    an index of at most k + 1 rows, so NaN and inf inputs give the full
+    scan's result.
+    """
     vectors, n, t = index.vectors, index.n, q.shape[0]
+    # Overflow here only sends a query to the full scan, which warns as a
+    # direct scan would.
     with np.errstate(over="ignore", invalid="ignore"):
         sq, qq = index.sq_norms, np.vecdot(q, q)[:, None]
         approx = sq - 2.0 * (q @ vectors.T) + qq
         bound = (2 * index.d + 8) * (_EPS * (sq + qq) + _UNDERFLOW)
         lower, upper = approx - bound, approx + bound
-    # As in ``knn``: a query that is a stored row is its own exact copy, so
-    # the cut is the (k+1)-th smallest upper estimate.  A query with more
-    # copies than that finds fewer than k others within it and re-ranks
-    # every row.
     kk = k + 1
     if kk < n:
         cut = np.partition(upper, kk - 1, axis=1)[:, kk - 1]
@@ -289,11 +266,11 @@ def _knn_rows(index: NeighborIndex, q: np.ndarray, k: int):
         cut = np.full(t, np.inf)
         short = np.ones((t, n), dtype=bool)
     while True:
-        who, rows = np.nonzero(short)
-        near = vectors[rows]
-        diffs = near - q[who]
+        who, rows = np.divmod(np.flatnonzero(short), n)
+        near, qw = vectors[rows], q[who]
+        diffs = near - qw
         d2 = (diffs * diffs).sum(axis=1)
-        copy = np.all(near == q[who], axis=1)
+        copy = np.all(near == qw, axis=1)
         within = np.bincount(who[~copy & (d2 <= cut[who])], minlength=t)
         rescan = (within < k) & ~short.all(axis=1)
         if not rescan.any():
@@ -301,9 +278,8 @@ def _knn_rows(index: NeighborIndex, q: np.ndarray, k: int):
         short[rescan] = True
     ranked = np.lexsort((rows, d2, copy, who))
     starts = np.searchsorted(who, np.arange(t))
-    pick = np.minimum(starts[:, None] + np.arange(k), rows.shape[0] - 1)
-    found = np.bincount(who[~copy], minlength=t) >= k
-    return rows[ranked[pick]], found
+    pick = ranked[np.minimum(starts[:, None] + np.arange(k), rows.shape[0] - 1)]
+    return rows[pick], d2[pick], np.bincount(who[~copy], minlength=t)
 
 
 def lle_reconstruction_error(x, neighbors) -> float:
@@ -312,8 +288,8 @@ def lle_reconstruction_error(x, neighbors) -> float:
     Minimizes |x - sum_j w_j x_j|^2 over unconstrained weights and returns
     the minimum (squared norm of the residual).
     """
-    xd = _as_array(x).reshape(-1)
-    nb = np.atleast_2d(_as_array(neighbors))
+    xd = np.asarray(x, dtype=np.float64).reshape(-1)
+    nb = np.atleast_2d(np.asarray(neighbors, dtype=np.float64))
     if nb.size == 0:
         raise ContractError("lle_reconstruction_error: need at least one neighbor")
     if nb.shape[1] != xd.shape[0]:
@@ -327,4 +303,4 @@ def lle_reconstruction_error(x, neighbors) -> float:
 
 def project_coefficients(basis: OrthoBasis, samples) -> np.ndarray:
     """Coordinates of sample rows in the basis (for coefficient-Gaussianity checks)."""
-    return _as_array(samples) @ basis.basis.T
+    return np.asarray(samples, dtype=np.float64) @ basis.basis.T

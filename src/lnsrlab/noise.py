@@ -49,12 +49,6 @@ class NoiseSpec:
             )
 
 
-def _as_array(x) -> np.ndarray:
-    if isinstance(x, Tensor):
-        return x.data
-    return np.asarray(x, dtype=np.float64)
-
-
 def sample_standard_noise(shape, sigma: float, rng: np.random.Generator) -> Tensor:
     """I.i.d. draws from N(0, sigma^2) with the given shape."""
     if not sigma > 0:
@@ -62,15 +56,15 @@ def sample_standard_noise(shape, sigma: float, rng: np.random.Generator) -> Tens
     return Tensor(rng.normal(0.0, sigma, size=shape))
 
 
-def rescale_relative_rows(noise, x, rho: float) -> Tensor:
+def rescale_relative_rows(noise, x, rho: float) -> np.ndarray:
     """Row-wise relative rescaling of [..., d] arrays (per-token convention).
 
     Each row (last axis) of the result has norm ``rho`` times the
     corresponding row of ``x``; zero rows of ``x`` map to zero rows of
     noise, and a zero noise row against a nonzero row of ``x`` raises.
     """
-    nd = _as_array(noise)
-    xd = _as_array(x)
+    nd = np.asarray(noise, dtype=np.float64)
+    xd = np.asarray(x, dtype=np.float64)
     if nd.shape != xd.shape or nd.ndim < 1:
         raise ContractError(
             f"rescale_relative_rows: need matching [..., d] shapes, got {nd.shape} and {xd.shape}"
@@ -84,4 +78,4 @@ def rescale_relative_rows(noise, x, rho: float) -> Tensor:
         raise ContractError("rescale_relative_rows: zero-norm noise row against nonzero x row")
     eta = np.zeros_like(xnorms)
     eta[live] = rho * xnorms[live] / nnorms[live]
-    return Tensor(nd * eta[..., None])
+    return nd * eta[..., None]

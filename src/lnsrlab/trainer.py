@@ -21,7 +21,8 @@ import numpy as np
 
 from . import tensor as T
 from .data import TextDataset
-from .encoder import EncoderConfig, EncoderModel, build_encoder, forward_with_taps
+from .encoder import (EncoderConfig, EncoderModel, build_encoder, check_data_fits,
+                      forward_with_taps)
 from .errors import ContractError, ValidationError
 from .manifold import build_index, neighborhood_bases
 from .noise import NoiseSpec, rescale_relative_rows
@@ -225,7 +226,7 @@ def _noise_batch(model: EncoderModel, ids, clean_input: np.ndarray, mask: np.nda
     eps[~mask] = 0.0
     if spec.rel_magnitude is not None:
         target = np.where(mask[..., None], clean_input, 0.0)
-        eps = rescale_relative_rows(eps, target, spec.rel_magnitude).data
+        eps = rescale_relative_rows(eps, target, spec.rel_magnitude)
     return eps
 
 
@@ -273,7 +274,8 @@ def run_training(model_cfg: EncoderConfig, train_ds: TextDataset,
     naming the epoch and the global step, and the first bad example (an
     activation) or the batch's examples (the loss and gradients, which are
     sums over the batch).  A dataset with more classes (when classifying)
-    or token ids than the encoder has raises ``ValidationError``.
+    or token ids than the encoder has, or a longer sequence, raises
+    ``ValidationError``.
     """
     mode = cfg.reg.mode
     if mode in NOISY_MODES and cfg.noise.mode == "in_manifold" \
@@ -293,12 +295,8 @@ def run_training(model_cfg: EncoderConfig, train_ds: TextDataset,
             f"the data has {classes} classes: EncoderConfig.num_classes must be"
             f" >= {classes}, got {model_cfg.num_classes}"
         )
-    if train_ds.vocab_size > model_cfg.vocab_size:
-        raise ValidationError(
-            f"the data's vocabulary has {train_ds.vocab_size} token ids:"
-            f" EncoderConfig.vocab_size must be >= {train_ds.vocab_size},"
-            f" got {model_cfg.vocab_size}"
-        )
+    check_data_fits(model_cfg, train_ds.examples)
+    check_data_fits(model_cfg, dev_ds.examples)
 
     started = time.perf_counter()
     model = build_encoder(model_cfg, cfg.seed)

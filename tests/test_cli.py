@@ -240,27 +240,47 @@ def test_train_on_tsv_files(tmp_path):
     assert open(a, "rb").read() == open(b, "rb").read()
 
 
-@pytest.mark.parametrize("command, synthetic, encoder, needs", [
-    ("train", True, "", "EncoderConfig.num_classes must be >= 3"),
-    ("gap-report", True, "", "EncoderConfig.num_classes must be >= 3"),
-    ("train", False, "", "EncoderConfig.num_classes must be >= 3"),
+LONG_LINE = "0\tapple pear fig apple pear fig apple pear fig plum\n"
+
+
+@pytest.mark.parametrize("command, synthetic, encoder, needs, long_line_in", [
+    ("train", True, "", "EncoderConfig.num_classes must be >= 3", None),
+    ("gap-report", True, "", "EncoderConfig.num_classes must be >= 3", None),
+    ("train", False, "", "EncoderConfig.num_classes must be >= 3", None),
     ("train", False, "num_classes = 3\nvocab_size = 12\n",
-     "EncoderConfig.vocab_size must be >= 14"),
-], ids=["synthetic-train", "synthetic-gap-report", "tsv-labels", "tsv-vocab"])
+     "EncoderConfig.vocab_size must be >= 14", None),
+    ("train", False, "num_classes = 3\n", "EncoderConfig.max_seq_len must be >= 10", "train"),
+    ("noise-curve", False, "", "EncoderConfig.max_seq_len must be >= 10", "dev"),
+    ("noise-curve", False, "vocab_size = 5\n", "EncoderConfig.vocab_size must be >= 14", None),
+], ids=["synthetic-train", "synthetic-gap-report", "tsv-labels", "tsv-vocab", "tsv-seq-len",
+        "noise-curve-seq-len", "noise-curve-vocab"])
 def test_data_that_does_not_fit_the_encoder_exits_1(tmp_path, capsys, command, synthetic,
-                                                    encoder, needs):
-    """More classes or token ids than the encoder has is a configuration
-    error naming the field and the value it needs, not a runtime failure."""
+                                                    encoder, needs, long_line_in):
+    """More classes, token ids or sequence positions than the encoder has
+    is a configuration error naming the field and the value it needs, not
+    a runtime failure; ``noise-curve`` checks its probe set."""
     if synthetic:
         ini = tmp_path / "exp.ini"
         ini.write_text("[data]\nnum_classes = 3\n")
         ini = str(ini)
     else:
         ini = _tsv_config(tmp_path, encoder=encoder)
+    if long_line_in:
+        with open(tmp_path / f"{long_line_in}.tsv", "a", encoding="utf-8") as fh:
+            fh.write(LONG_LINE)
     out = str(tmp_path / "out")
     assert main([command, "--config", ini, "--out", out]) == 1
     assert needs in capsys.readouterr().err
     assert not glob.glob(os.path.join(out, "*.csv"))
+
+
+def test_noise_curve_reads_no_labels(tmp_path):
+    """Three classes of probes against a two-class head: the curve reads
+    only token ids, so it runs."""
+    out = str(tmp_path / "out")
+    assert main(["noise-curve", "--config", _tsv_config(tmp_path, encoder=""),
+                 "--out", out]) == 0
+    assert len(_read(_only_csv(out, "noise-curve"))) == 3  # header + layers 1, 2
 
 
 # --------------------------------------------------------------- exit codes
@@ -275,6 +295,10 @@ def test_bad_arguments_exit_1(tmp_path, capsys):
     for command in COMMANDS:
         assert main([command, "--seed", "-1"] + out) == 1
         assert "--seed" in capsys.readouterr().err
+    for command in ("verify-claim1", "cross-term", "pca-spectrum", "bench"):
+        # These read no config file, so --config is an unknown argument.
+        assert main([command, "--config", "x.ini"] + out) == 1
+        assert "--config" in capsys.readouterr().err
     for argv in (["sweep", "--param", "rel_magnitude", "--values", ","],
                  ["sweep", "--param", "injection_layer", "--values", "1.5"],
                  ["bench", "--standard-rows", ","],

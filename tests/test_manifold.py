@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from lnsrlab.encoder import EncoderConfig, build_encoder
 from lnsrlab.errors import ContractError, ShapeError
 from lnsrlab.manifold import (
+    _knn_rows,
     build_index,
     gram_schmidt,
     knn,
@@ -341,3 +342,60 @@ def test_property_gram_schmidt_invariants(seed, m):
     assert b.shape[0] <= m
     assert np.max(np.abs(b @ b.T - np.eye(b.shape[0]))) <= 1e-10
     assert np.allclose(np.linalg.norm(b, axis=1), 1.0, atol=1e-10)
+
+
+# ------------------------------------------------- batched search vs rescan
+
+def assert_knn_rows_match_rescan(pts, queries, k):
+    """One ``_knn_rows`` call gives every query the rescan's rows and
+    distances bit for bit; a query with fewer than k non-copies has a count
+    of exactly that many."""
+    queries = np.asarray(queries, dtype=np.float64)
+    rows, dists, count = _knn_rows(build_index(pts), queries, k)
+    assert rows.shape == dists.shape == (len(queries), k) and count.shape == (len(queries),)
+    for q, got_rows, got_d2, n_others in zip(queries, rows, dists, count):
+        want_rows, want_d2 = rescan(pts, q, k)
+        m = len(want_rows)
+        assert n_others >= k if m == k else n_others == m
+        assert np.array_equal(got_rows[:m], want_rows)
+        assert np.array_equal(got_d2[:m], want_d2, equal_nan=True)
+    return rows
+
+
+@pytest.mark.parametrize("offset, spread",
+                         [(1e6, 1e-3), (0.0, 1e-160), (0.0, 2.0 ** -537), (0.0, 1e154)])
+def test_knn_rows_scaled_clouds_match_rescan(offset, spread):
+    rng = np.random.default_rng(3)
+    pts = offset + spread * rng.normal(size=(300, 8))
+    queries = [pts[7], pts[150], offset + spread * rng.normal(size=8)]
+    with np.errstate(over="ignore"):
+        assert_knn_rows_match_rescan(pts, queries, 10)
+
+
+def test_knn_rows_mixed_batch_with_copies_ties_and_nan():
+    """A row with more than k copies, a query with fewer than k non-copies,
+    lattice ties at the cut, a NaN query, and a nearest row whose estimate
+    overflows while the others' do not, each beside ordinary queries in one
+    batch."""
+    rng = np.random.default_rng(4)
+    pts = rng.normal(size=(200, 4))
+    copies = [5, 17, 40, 41, 42, 90, 91, 120, 150, 151, 160, 170, 180, 190, 199]
+    pts[copies] = pts[5]
+    assert_knn_rows_match_rescan(pts, [pts[0], pts[5], rng.normal(size=4), pts[17]], 10)
+    few = np.array([[0.0, 0.0]] * 5 + [[1.0, 0.0], [0.0, 1.0]])
+    assert_knn_rows_match_rescan(few, [[0.0, 0.0], [1.0, 1.0]], 3)
+
+    axis = np.arange(5.0)
+    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    assert_knn_rows_match_rescan(grid, np.concatenate([grid[::11], grid[::13] + 0.5]), 10)
+
+    pts = np.random.default_rng(6).normal(size=(50, 3))
+    finite = [pts[3], np.array([0.5, -0.5, 0.0]), pts[40]]
+    mixed = [finite[0], [np.nan, 0.0, 1.0], finite[1], finite[2]]
+    rows = assert_knn_rows_match_rescan(pts, mixed, 4)
+    alone = assert_knn_rows_match_rescan(pts, finite, 4)
+    assert np.array_equal(rows[[0, 2, 3]], alone)
+
+    pts = np.concatenate([[[1.35e154]], np.random.default_rng(7).normal(size=(20, 1))])
+    with np.errstate(over="ignore"):
+        assert_knn_rows_match_rescan(pts, [[1.33e154], [0.0], pts[5]], 3)

@@ -76,13 +76,13 @@ def test_rescale_norm_is_exact_fraction():
     for n in (1, 5):
         x = np.zeros((n, 8))
         x[:, 0] = 10.0
-        out = rescale_relative_rows(rng.normal(size=(n, 8)), x, 0.05).data
+        out = rescale_relative_rows(rng.normal(size=(n, 8)), x, 0.05)
         assert np.allclose(np.linalg.norm(out, axis=1), 0.5, rtol=0.0, atol=1e-12)
 
 
 def test_rescale_zero_x_and_zero_noise():
     for n in (1, 4):
-        out = rescale_relative_rows(np.ones((n, 3)), np.zeros((n, 3)), 0.05).data
+        out = rescale_relative_rows(np.ones((n, 3)), np.zeros((n, 3)), 0.05)
         assert np.array_equal(out, np.zeros((n, 3)))
         with pytest.raises(ContractError):
             rescale_relative_rows(np.zeros((n, 3)), np.ones((n, 3)), 0.05)
@@ -93,7 +93,7 @@ def test_rescale_preserves_direction():
     for n in (1, 6):
         noise = rng.normal(size=(n, 16))
         x = rng.normal(size=(n, 16))
-        out = rescale_relative_rows(noise, x, 0.3).data
+        out = rescale_relative_rows(noise, x, 0.3)
         cos = (out * noise).sum(axis=1) / (np.linalg.norm(out, axis=1)
                                            * np.linalg.norm(noise, axis=1))
         assert np.allclose(cos, 1.0, rtol=0.0, atol=1e-12)
@@ -104,8 +104,8 @@ def test_rescale_idempotent():
     for n in (1, 7):
         noise = rng.normal(size=(n, 10))
         x = rng.normal(size=(n, 10))
-        once = rescale_relative_rows(noise, x, 0.05).data
-        twice = rescale_relative_rows(once, x, 0.05).data
+        once = rescale_relative_rows(noise, x, 0.05)
+        twice = rescale_relative_rows(once, x, 0.05)
         assert np.allclose(once, twice, rtol=1e-12)
 
 
@@ -114,7 +114,7 @@ def test_rowwise_rescaling_per_token():
     x = rng.normal(size=(5, 8))
     x[3] = 0.0
     noise = rng.normal(size=(5, 8))
-    out = rescale_relative_rows(noise, x, 0.05).data
+    out = rescale_relative_rows(noise, x, 0.05)
     for i in range(5):
         want = 0.05 * np.linalg.norm(x[i])
         assert np.linalg.norm(out[i]) == pytest.approx(want, abs=1e-12)
@@ -128,12 +128,12 @@ def test_rescale_acts_on_the_last_axis_of_any_shape():
     x = rng.normal(size=(3, 4, 6))
     x[1, 2] = 0.0
     noise = rng.normal(size=(3, 4, 6))
-    out = rescale_relative_rows(noise, x, 0.2).data
-    flat = rescale_relative_rows(noise.reshape(-1, 6), x.reshape(-1, 6), 0.2).data
+    out = rescale_relative_rows(noise, x, 0.2)
+    flat = rescale_relative_rows(noise.reshape(-1, 6), x.reshape(-1, 6), 0.2)
     assert np.array_equal(out, flat.reshape(3, 4, 6))
-    row = rescale_relative_rows(noise[0, 0], x[0, 0], 0.2).data
+    row = rescale_relative_rows(noise[0, 0], x[0, 0], 0.2)
     assert np.array_equal(row, out[0, 0])
-    assert np.array_equal(rescale_relative_rows(noise[1, 2], x[1, 2], 0.2).data, np.zeros(6))
+    assert np.array_equal(rescale_relative_rows(noise[1, 2], x[1, 2], 0.2), np.zeros(6))
     with pytest.raises(ContractError):
         rescale_relative_rows(np.zeros(6), x[0, 0], 0.2)
     with pytest.raises(ContractError):
@@ -155,6 +155,6 @@ def test_property_rescaled_norm(seed, rho):
     for n in (1, 3):
         x = rng.normal(size=(n, 12))
         noise = rng.normal(size=(n, 12))
-        out = rescale_relative_rows(noise, x, rho).data
+        out = rescale_relative_rows(noise, x, rho)
         assert np.allclose(np.linalg.norm(out, axis=1), rho * np.linalg.norm(x, axis=1),
                            rtol=1e-10, atol=0.0)

@@ -397,7 +397,7 @@ def test_inmanifold_rescaled_noise_equals_the_per_row_reference(toy_task, monkey
                 basis = neighborhood_basis(index, table[tok], k=cfg.knn_k).basis
                 raw[j, pos] = rng.normal(0.0, 0.3, size=basis.shape[0]) @ basis
         mask = clean.token_mask[..., None]
-        want = rescale_relative_rows(raw, np.where(mask, clean.layers[0].data, 0.0), 0.05).data
+        want = rescale_relative_rows(raw, np.where(mask, clean.layers[0].data, 0.0), 0.05)
         assert np.array_equal(eps, want)
 
 
@@ -424,7 +424,7 @@ def test_inmanifold_degenerate_fallback_is_rescaled_gaussian(toy_task, monkeypat
         n = len(train.examples[ex][0])
         raw = substream_rng(cfg.seed, "noise", epoch, start + j).normal(
             0.0, 0.3, size=(n, mcfg.embed_dim))
-        want = rescale_relative_rows(raw, clean_input[j, :n], 0.05).data
+        want = rescale_relative_rows(raw, clean_input[j, :n], 0.05)
         assert np.array_equal(eps[j, :n], want)
         assert not eps[j, n:].any()
 
