@@ -17,6 +17,7 @@ import csv
 import math
 import os
 import sys
+from dataclasses import replace
 from datetime import datetime
 
 import numpy as np
@@ -28,7 +29,6 @@ from .diagnostics import (
     bench_complexity,
     error_ratio_curve,
     pca_noise_spectrum,
-    sensitivity_sweep,
 )
 from .encoder import (EncoderConfig, build_encoder, check_data_fits, load_checkpoint,
                       save_checkpoint)
@@ -167,17 +167,22 @@ _SECTION_CASTERS = {
 def load_config_file(path):
     """Parse the INI file into {section: {key: typed value}}."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+        # Interpolation errors are raised only when a value is read.
+        sections = [(section, parser.items(section)) for section in parser.sections()]
+    except configparser.Error as exc:
+        raise ValidationError(f"malformed config file {path}: {exc}") from exc
     if not read:
         raise ValidationError(f"config file not found: {path}")
     out = {}
-    for section in parser.sections():
+    for section, items in sections:
         if section not in _CONFIG_SECTIONS:
             raise ValidationError(
                 f"unknown config section [{section}]; expected one of {_CONFIG_SECTIONS}")
         casters = _SECTION_CASTERS[section]
         values = {}
-        for key, raw in parser.items(section):
+        for key, raw in items:
             if key not in casters:
                 raise ValidationError(f"unknown key {key!r} in section [{section}]")
             try:
@@ -261,18 +266,24 @@ def _cmd_sweep(args) -> int:
     caster = int if args.param == "injection_layer" else float
     values = _comma_list(args.values, caster, "--values")
     seeds = _comma_list(args.seeds, int, "--seeds", minimum=2)
-    rows = sensitivity_sweep(settings.encoder, train_ds, dev_ds, settings.train,
-                             args.param, values, seeds)
+    base = settings.train
+    summaries = []
+    for v in values:
+        if args.param == "injection_layer":
+            cfg = replace(base, reg=replace(base.reg, injection_layer=v))
+        else:
+            cfg = replace(base, noise=replace(base.noise, rel_magnitude=v))
+        summaries.append((float(v), multi_seed(settings.encoder, train_ds, dev_ds, cfg, seeds)))
     path = _out_path(args, "sweep")
     write_csv(path,
               ("param", "value", "n_seeds", "dev_mean", "dev_std", "dev_max",
                "gap_mean", "gap_std", "gap_max"),
-              [(r.param, r.value, r.n_seeds, r.dev_mean, r.dev_std, r.dev_max,
-                r.gap_mean, r.gap_std, r.gap_max) for r in rows])
+              [(args.param, v, len(s.per_seed), s.dev_mean, s.dev_std, s.dev_max,
+                s.gap_mean, s.gap_std, s.gap_max) for v, s in summaries])
     print(f"wrote {path}")
-    for r in rows:
-        print(f"{r.param}={r.value:g}: dev {r.dev_mean:.4f} (std {r.dev_std:.4f}), "
-              f"gap {r.gap_mean:.4f} (std {r.gap_std:.4f})")
+    for v, s in summaries:
+        print(f"{args.param}={v:g}: dev {s.dev_mean:.4f} (std {s.dev_std:.4f}), "
+              f"gap {s.gap_mean:.4f} (std {s.gap_std:.4f})")
     return 0
 
 

@@ -38,10 +38,6 @@ class TextDataset:
     def __len__(self):
         return len(self.examples)
 
-    @property
-    def vocab_size(self) -> int:
-        return FIRST_REAL_ID + len(self.vocab)
-
 
 def load_tsv(path, vocab: dict | None = None) -> TextDataset:
     """Parse lines of "label<TAB>text" with whitespace tokenization.

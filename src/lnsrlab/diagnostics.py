@@ -1,13 +1,11 @@
-"""Measurement tools built on top of the encoder and trainer.
+"""Measurement tools built on top of the encoder.
 
-Four instruments live here:
+Three instruments live here:
 
 * error-ratio curves: how far a perturbed forward pass drifts from the
   clean one, layer by layer, as a fraction of the clean activation norm;
 * PCA spectra of noise batches, for contrasting isotropic draws with
   draws confined to a low-dimensional neighborhood;
-* sensitivity sweeps: repeat the multi-seed harness while varying one
-  knob (injection layer or relative noise magnitude);
 * micro-benchmarks of the noise pipeline with fitted scaling exponents.
 
 Everything returns plain data; CSV serialization lives with the CLI.
@@ -16,17 +14,16 @@ Everything returns plain data; CSV serialization lives with the CLI.
 import math
 import statistics
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from .encoder import EncoderConfig, EncoderModel, forward_with_taps
+from .encoder import EncoderModel, forward_with_taps
 from .errors import ContractError
 from .linalg import jacobi_eigh
 from .manifold import build_index, gram_schmidt, knn
 from .noise import rescale_relative_rows, sample_standard_noise
-from .trainer import TrainConfig, multi_seed
 
 import logging
 
@@ -36,7 +33,6 @@ SPECTRUM_SOURCES = ("standard", "in_manifold")
 BENCH_MIN_REPS = 5
 # Dimension of the bench's in-manifold samples: the largest basis size it takes.
 BENCH_SAMPLE_DIM = 64
-SWEEP_PARAMS = ("injection_layer", "rel_magnitude")
 
 
 # ------------------------------------------------------------------ curves
@@ -179,50 +175,6 @@ def pca_noise_spectrum(noise_batch, source: str = "standard") -> SpectrumReport:
         log.warning("pca_noise_spectrum: zero-variance batch, spectrum is all zeros")
         return SpectrumReport(sorted_eigenvalues=np.zeros_like(evals), source=source)
     return SpectrumReport(sorted_eigenvalues=evals / total, source=source)
-
-
-# ------------------------------------------------------------------ sweeps
-
-@dataclass
-class SweepRow:
-    """Multi-seed summary for one setting of the swept parameter."""
-
-    param: str
-    value: float
-    n_seeds: int
-    dev_mean: float
-    dev_std: float
-    dev_max: float
-    gap_mean: float
-    gap_std: float
-    gap_max: float
-
-
-def _apply_setting(base_cfg: TrainConfig, param: str, value) -> TrainConfig:
-    if param == "injection_layer":
-        return replace(base_cfg, reg=replace(base_cfg.reg, injection_layer=int(value)))
-    if param == "rel_magnitude":
-        return replace(base_cfg, noise=replace(base_cfg.noise, rel_magnitude=float(value)))
-    raise ContractError(f"sensitivity_sweep: unknown parameter {param!r}, "
-                        f"expected one of {SWEEP_PARAMS}")
-
-
-def sensitivity_sweep(model_cfg: EncoderConfig, train_ds, dev_ds,
-                      base_cfg: TrainConfig, param: str, values, seeds):
-    """One multi-seed summary row per value of the swept parameter."""
-    values = list(values)
-    if not values:
-        raise ContractError("sensitivity_sweep: empty sweep")
-    rows = []
-    for v in values:
-        cfg = _apply_setting(base_cfg, param, v)
-        summary = multi_seed(model_cfg, train_ds, dev_ds, cfg, seeds)
-        rows.append(SweepRow(
-            param=param, value=float(v), n_seeds=len(summary.per_seed),
-            dev_mean=summary.dev_mean, dev_std=summary.dev_std,
-            dev_max=summary.dev_max, gap_mean=summary.gap_mean,
-            gap_std=summary.gap_std, gap_max=summary.gap_max))
-    return rows
 
 
 # -------------------------------------------------------------- benchmarks

@@ -21,9 +21,6 @@ one-query ``neighborhood_basis`` does.  ``gram_schmidt`` and
 ``neighborhood_basis`` stay for single lookups, diagnostics and the CLI,
 where the batched sweeps cost more for one query, and they are the
 batched path's test oracle.
-
-A locally-linear-embedding residual (how well x is reconstructed as a
-linear combination of its neighbors) serves as the flatness diagnostic.
 """
 
 import logging
@@ -280,25 +277,6 @@ def _knn_rows(index: NeighborIndex, q: np.ndarray, k: int):
     starts = np.searchsorted(who, np.arange(t))
     pick = ranked[np.minimum(starts[:, None] + np.arange(k), rows.shape[0] - 1)]
     return rows[pick], d2[pick], np.bincount(who[~copy], minlength=t)
-
-
-def lle_reconstruction_error(x, neighbors) -> float:
-    """Least-squares residual of reconstructing x from its neighbors.
-
-    Minimizes |x - sum_j w_j x_j|^2 over unconstrained weights and returns
-    the minimum (squared norm of the residual).
-    """
-    xd = np.asarray(x, dtype=np.float64).reshape(-1)
-    nb = np.atleast_2d(np.asarray(neighbors, dtype=np.float64))
-    if nb.size == 0:
-        raise ContractError("lle_reconstruction_error: need at least one neighbor")
-    if nb.shape[1] != xd.shape[0]:
-        raise ShapeError(
-            f"lle_reconstruction_error: neighbor dimension {nb.shape[1]} vs x {xd.shape[0]}"
-        )
-    w, _, _, _ = np.linalg.lstsq(nb.T, xd, rcond=None)
-    resid = xd - nb.T @ w
-    return float(resid @ resid)
 
 
 def project_coefficients(basis: OrthoBasis, samples) -> np.ndarray:

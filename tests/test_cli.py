@@ -82,13 +82,32 @@ def test_train_is_deterministic_per_seed(tmp_path):
     assert a == b
 
 
-def test_sweep_command(tmp_path):
+@pytest.mark.parametrize("param, values, written", [
+    ("rel_magnitude", "0.05,0.1", ["0.05", "0.1"]),
+    ("injection_layer", "1,2", ["1.0", "2.0"]),
+], ids=["rel_magnitude", "injection_layer"])
+def test_sweep_command(tmp_path, param, values, written):
     out = str(tmp_path)
-    assert main(["sweep", "--out", out, "--param", "rel_magnitude",
-                 "--values", "0.05,0.1", "--seeds", "0,1"]) == 0
+    assert main(["sweep", "--out", out, "--param", param,
+                 "--values", values, "--seeds", "0,1"]) == 0
     rows = _read(_only_csv(out, "sweep"))
     assert rows[0][0] == "param"
-    assert [r[1] for r in rows[1:]] == ["0.05", "0.1"]
+    assert [r[:3] for r in rows[1:]] == [[param, v, "2"] for v in written]
+    assert all(np.isfinite(float(cell)) for r in rows[1:] for cell in r[3:])
+    assert rows[1][3:] != rows[2][3:]  # each value reaches the training runs
+
+
+def test_sweep_row_equals_gap_report_summary(tmp_path):
+    """Sweeping the default magnitude trains what gap-report's default
+    lnsr_standard mode trains, so all six statistics agree."""
+    sweep_out, gap_out = str(tmp_path / "sweep"), str(tmp_path / "gap")
+    assert main(["sweep", "--out", sweep_out, "--param", "rel_magnitude",
+                 "--values", "0.05", "--seeds", "0,1"]) == 0
+    assert main(["gap-report", "--out", gap_out, "--modes", "lnsr_standard",
+                 "--seeds", "0,1"]) == 0
+    (row,) = _read(_only_csv(sweep_out, "sweep"))[1:]
+    (summary,) = [r for r in _read(_only_csv(gap_out, "gap-report")) if r[0] == "summary"]
+    assert row[3:] == summary[6:]
 
 
 def test_verify_claim1_command(tmp_path):
@@ -300,6 +319,7 @@ def test_bad_arguments_exit_1(tmp_path, capsys):
         assert main([command, "--config", "x.ini"] + out) == 1
         assert "--config" in capsys.readouterr().err
     for argv in (["sweep", "--param", "rel_magnitude", "--values", ","],
+                 ["sweep", "--values", "0.1", "--param", "sigma"],
                  ["sweep", "--param", "injection_layer", "--values", "1.5"],
                  ["bench", "--standard-rows", ","],
                  ["verify-claim1", "--sigmas", ","],
@@ -395,6 +415,18 @@ def test_invalid_training_config_exit_1(tmp_path, capsys):
         ini.write_text(f"[{section}]\n{key} = {value}\n")
         assert main(["train", "--config", str(ini), "--out", str(tmp_path)]) == 1
         assert key in capsys.readouterr().err
+    # A file the INI parser rejects is a configuration error naming the file.
+    for text in ("lr = 0.1\n",                                 # no section header
+                 "[train]\nlr = 0.1\n[train]\nepochs = 1\n",  # duplicate section
+                 "[train]\nlr = 0.1\nlr = 0.2\n",               # duplicate key
+                 "[data]\ntrain_path = 50%.tsv\n"):            # bad interpolation
+        ini.write_text(text)
+        for command in ("train", "sweep", "noise-curve", "gap-report"):
+            extra = ["--param", "rel_magnitude", "--values", "0.05"] if command == "sweep" else []
+            argv = [command, "--config", str(ini), "--out", str(tmp_path)] + extra
+            assert main(argv) == 1, (command, text)
+            assert str(ini) in capsys.readouterr().err
+    assert not glob.glob(os.path.join(str(tmp_path), "*.csv"))
 
 
 def test_help_exits_zero():

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from lnsrlab.data import (
+    FIRST_REAL_ID,
     load_tsv,
     synth_classification,
     synth_manifold,
 )
 from lnsrlab.errors import ContractError, ValidationError
-from lnsrlab.manifold import build_index, knn, lle_reconstruction_error
 
 
 def write(tmp_path, content, name="data.tsv"):
@@ -25,7 +25,7 @@ def test_load_tsv_basic(tmp_path):
     assert ds.examples[0] == ([2, 3, 2], 1)
     assert ds.examples[1] == ([3, 4], 0)
     assert ds.num_classes == 2
-    assert ds.vocab_size == 5
+    assert FIRST_REAL_ID + len(ds.vocab) == 5
 
 
 def test_load_tsv_frozen_vocab_maps_unknowns(tmp_path):
@@ -82,7 +82,7 @@ def test_margin_one_is_linearly_separable():
     """Class pools are disjoint at margin=1, so bag-of-token counts admit a
     perfect linear rule; verify with a least-squares one-vs-rest fit."""
     train, _ = synth_classification(50, 2, 10, 40, 1.0, seed=3)
-    v = train.vocab_size
+    v = FIRST_REAL_ID + len(train.vocab)
     x = np.zeros((len(train), v))
     y = np.zeros(len(train))
     for i, (ids, label) in enumerate(train.examples):
@@ -117,14 +117,11 @@ def test_synth_manifold_curvature_raises_rank():
 
 
 def test_synth_manifold_flat_patch_lle():
-    ms = synth_manifold(200, 8, 2, 0.0, seed=7)
-    idx = build_index(ms.points)
-    rng = np.random.default_rng(0)
-    for i in rng.choice(200, size=10, replace=False):
-        x = ms.points[i]
-        nbrs = [v for v, _ in knn(idx, x, 10)]
-        err = lle_reconstruction_error(x, nbrs)
-        assert err <= 1e-6 * max(float(x @ x), 1e-30)
+    """At curvature 0 the centred cloud has numerical rank exactly k_true."""
+    for d, k_true, seed in ((8, 2, 7), (6, 1, 3), (12, 5, 11)):
+        ms = synth_manifold(200, d, k_true, 0.0, seed=seed)
+        sv = np.linalg.svd(ms.points - ms.points.mean(axis=0), compute_uv=False)
+        assert np.count_nonzero(sv > 1e-10 * sv[0]) == k_true
 
 
 def test_synth_manifold_determinism_and_contracts():

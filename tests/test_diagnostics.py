@@ -1,4 +1,4 @@
-"""Tests for error-ratio curves, PCA spectra, sweeps, and benchmarks.
+"""Tests for error-ratio curves, PCA spectra, and benchmarks.
 
 Spectrum results are cross-checked against numpy's eigensolver so the
 Jacobi path in the implementation is exercised against an independent
@@ -18,13 +18,9 @@ from lnsrlab.diagnostics import (
     error_ratio_curve,
     pca_noise_spectrum,
     ratio_entries,
-    sensitivity_sweep,
 )
 from lnsrlab.encoder import ActivationTrace, EncoderConfig, build_encoder
 from lnsrlab.errors import ContractError
-from lnsrlab.noise import NoiseSpec
-from lnsrlab.objective import RegularizerConfig
-from lnsrlab.trainer import TrainConfig, multi_seed
 
 
 @pytest.fixture(scope="module")
@@ -192,56 +188,6 @@ def test_spectrum_contracts():
         pca_noise_spectrum(np.ones((4, 4)), source="other")
     with pytest.raises(ContractError):
         pca_noise_spectrum(np.ones((4, 4))).top_mass(0)
-
-
-# -------------------------------------------------------- sensitivity_sweep
-
-@pytest.fixture(scope="module")
-def sweep_setup():
-    train, dev = synth_classification(8, 2, 8, 30, 0.6, seed=0)
-    mcfg = EncoderConfig(vocab_size=30, embed_dim=8, num_layers=2, num_heads=2,
-                         ffn_dim=16, max_seq_len=8)
-    base = TrainConfig(lr=2e-3, batch_size=8, epochs=1, seed=0,
-                       noise=NoiseSpec(mode="standard", sigma=0.05,
-                                       rel_magnitude=0.05),
-                       reg=RegularizerConfig(mode="lnsr_standard",
-                                             lambda_weights=0.5))
-    return mcfg, train, dev, base
-
-
-def test_injection_sweep_yields_one_row_per_layer(sweep_setup):
-    mcfg, train, dev, base = sweep_setup
-    rows = sensitivity_sweep(mcfg, train, dev, base, "injection_layer",
-                             [1, 2], seeds=[0, 1])
-    assert [r.value for r in rows] == [1.0, 2.0]
-    assert all(r.param == "injection_layer" and r.n_seeds == 2 for r in rows)
-
-
-def test_mix_ratio_sweep_table(sweep_setup):
-    mcfg, train, dev, base = sweep_setup
-    ratios = [0.10, 0.12, 0.15, 0.20]
-    rows = sensitivity_sweep(mcfg, train, dev, base, "rel_magnitude",
-                             ratios, seeds=[0, 1])
-    assert [r.value for r in rows] == ratios
-    assert all(np.isfinite(r.dev_mean) for r in rows)
-
-
-def test_singleton_sweep_reduces_to_multi_seed(sweep_setup):
-    mcfg, train, dev, base = sweep_setup
-    rows = sensitivity_sweep(mcfg, train, dev, base, "rel_magnitude",
-                             [0.05], seeds=[0, 1])
-    direct = multi_seed(mcfg, train, dev, base, seeds=[0, 1])
-    assert rows[0].dev_mean == direct.dev_mean
-    assert rows[0].gap_mean == direct.gap_mean
-    assert rows[0].dev_std == direct.dev_std
-
-
-def test_sweep_contracts(sweep_setup):
-    mcfg, train, dev, base = sweep_setup
-    with pytest.raises(ContractError):
-        sensitivity_sweep(mcfg, train, dev, base, "rel_magnitude", [], [0, 1])
-    with pytest.raises(ContractError):
-        sensitivity_sweep(mcfg, train, dev, base, "sigma", [0.1], [0, 1])
 
 
 # --------------------------------------------------------- bench_complexity

@@ -1,5 +1,4 @@
-"""Tests for kNN search, Gram-Schmidt bases, in-manifold noise, and the
-locally-linear reconstruction diagnostic."""
+"""Tests for kNN search, Gram-Schmidt bases, and in-manifold noise."""
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from lnsrlab.manifold import (
     build_index,
     gram_schmidt,
     knn,
-    lle_reconstruction_error,
     neighborhood_bases,
     neighborhood_basis,
     project_coefficients,
@@ -122,7 +120,7 @@ def test_sample_rescaled_norm():
     x = rng.normal(size=16)
     for ratio in (0.10, 0.12, 0.15, 0.20):
         raw = sample_inmanifold_noise(x, basis, 1.0, rng).data
-        eps = rescale_relative_rows(raw, x, ratio).data
+        eps = rescale_relative_rows(raw, x, ratio)
         assert np.linalg.norm(eps) == pytest.approx(ratio * np.linalg.norm(x), rel=1e-10)
         proj = project_coefficients(basis, eps) @ basis.basis
         assert np.linalg.norm(eps - proj) <= 1e-10 * np.linalg.norm(eps)
@@ -232,29 +230,6 @@ def test_bases_contracts():
         neighborhood_bases(index, index.vectors, k=0)
     with pytest.raises(ShapeError):
         neighborhood_bases(index, np.zeros((2, 4)), k=2)
-
-
-def test_lle_exact_affine_combination():
-    a = np.array([1.0, 0.0, 0.0])
-    b = np.array([0.0, 1.0, 0.0])
-    mid = 0.5 * (a + b)
-    assert lle_reconstruction_error(mid, [a, b]) <= 1e-12
-
-
-def test_lle_orthogonal_residual():
-    x = np.array([0.0, 0.0, 3.0])
-    nb = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])]
-    assert lle_reconstruction_error(x, nb) == pytest.approx(9.0, abs=1e-10)
-
-
-def test_lle_planar_patch():
-    rng = stream_rng(17, "theory")
-    # Points on a 2-dim plane in R^8.
-    plane = np.linalg.qr(rng.normal(size=(8, 2)))[0].T
-    z = rng.normal(size=(6, 2))
-    pts = z @ plane
-    x = np.array([0.3, -0.2]) @ plane
-    assert lle_reconstruction_error(x, pts) <= 1e-10
 
 
 def rescan(pts, q, k):
