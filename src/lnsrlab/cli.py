@@ -7,7 +7,8 @@ noise-curve, gap-report) also read an optional INI-style config file
 config dataclasses).  Floats are serialized with repr() so parsing the
 file recovers them bit for bit.
 
-Exit codes: 0 success, 1 configuration or argument problem, 2 runtime
+Exit codes: 0 success, 1 configuration, argument or input-file problem
+(a config file, data file or checkpoint that does not parse), 2 runtime
 failure.
 """
 
@@ -168,10 +169,10 @@ def load_config_file(path):
     """Parse the INI file into {section: {key: typed value}}."""
     parser = configparser.ConfigParser()
     try:
-        read = parser.read(path)
+        read = parser.read(path, encoding="utf-8")
         # Interpolation errors are raised only when a value is read.
         sections = [(section, parser.items(section)) for section in parser.sections()]
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ValidationError(f"malformed config file {path}: {exc}") from exc
     if not read:
         raise ValidationError(f"config file not found: {path}")

@@ -301,30 +301,57 @@ def save_checkpoint(model: EncoderModel, path):
 
 
 def load_checkpoint(path) -> EncoderModel:
+    """Read a ``save_checkpoint`` file; any fault in it is a
+    ``ValidationError`` naming the file (and the field or parameter)."""
     with open(path, "rb") as fh:
         blob = fh.read()
     sep = blob.find(b"\n\n")
     if sep < 0:
-        raise ContractError(f"checkpoint {path}: missing header terminator")
-    head_lines = blob[:sep].decode("ascii").split("\n")
+        raise ValidationError(f"checkpoint {path}: missing header terminator")
+    # A byte that is not ASCII becomes U+FFFD, which no check below accepts.
+    head_lines = blob[:sep].decode("ascii", errors="replace").split("\n")
     if head_lines[0] != CHECKPOINT_MAGIC:
-        raise ContractError(
+        raise ValidationError(
             f"checkpoint {path}: bad magic {head_lines[0]!r}, expected {CHECKPOINT_MAGIC!r}"
         )
     # Header keys that are not EncoderConfig fields are ignored, so files
     # that older versions wrote with extra keys still load.
     header = dict(line.partition("=")[::2] for line in head_lines[1:])
+    values = {}
+    for f in fields(EncoderConfig):
+        if f.name not in header:
+            raise ValidationError(f"checkpoint {path}: missing header field {f.name!r}")
+        try:
+            values[f.name] = f.type(int(header[f.name]))
+        except ValueError:
+            raise ValidationError(f"checkpoint {path}: header field {f.name!r} is not"
+                                  f" an integer: {header[f.name]!r}") from None
     try:
-        cfg = EncoderConfig(**{f.name: f.type(int(header[f.name]))
-                               for f in fields(EncoderConfig)})
-    except KeyError as exc:
-        raise ContractError(f"checkpoint {path}: missing header field {exc}") from exc
+        cfg = EncoderConfig(**values)
+    except ValidationError as exc:
+        raise ValidationError(f"checkpoint {path}: {exc}") from None
     model = build_encoder(cfg, init_seed=0)
     payload = blob[sep + 2:]
     if len(payload) != model.store.nbytes:
-        raise ContractError(
+        raise ValidationError(
             f"checkpoint {path}: expected {model.store.nbytes} payload bytes,"
             f" found {len(payload)}"
         )
     model.store[:] = np.frombuffer(payload, dtype="<f8")
+    bad = nonfinite_parameter(model, model.store)
+    if bad:
+        raise ValidationError(f"checkpoint {path}: non-finite value in {bad}")
     return model
+
+
+def nonfinite_parameter(model: EncoderModel, flat: np.ndarray) -> str | None:
+    """Name the first parameter (``parameter <i> <shape>``) whose slice of
+    ``flat``, laid out as ``model.store``, holds a non-finite value; None
+    when every value is finite."""
+    finite = np.isfinite(flat)
+    if finite.all():
+        return None
+    params = model.parameters()
+    ends = np.cumsum([p.data.size for p in params])
+    pos = int(np.searchsorted(ends, np.argmin(finite), side="right"))
+    return f"parameter {pos} {params[pos].shape}"

@@ -1,11 +1,12 @@
 """Neighborhood geometry: exact kNN, orthonormal bases, in-manifold noise.
 
 Exact kNN is one search, ``_knn_rows``, for one query (``knn``) or a
-batch of T queries.  A matrix product estimates every squared distance by
-the norm expansion |v|^2 - 2 v.q + |q|^2 with a per-row error bound; only
-the rows the bound cannot rule out of the k nearest are re-ranked by the
-direct formula sum((v - q)^2), so the distances and their tie-break equal
-those of a full direct scan bit for bit.
+batch of T queries.  A float32 matrix product, over a float32 copy of the
+index made on the first query, estimates every squared distance by the norm
+expansion |v|^2 - 2 v.q + |q|^2 with a per-row error bound; only the rows
+the bound cannot rule out of the k nearest are re-ranked by the direct
+formula sum((v - q)^2) in float64, so the distances and their tie-break
+equal those of a full direct scan bit for bit.
 
 The in-manifold perturbation of a vector x is built from its k nearest
 neighbors in a reference point set (the token-embedding vocabulary in
@@ -42,6 +43,10 @@ GS_DROP_RATIO = 1e-8
 # error gradual underflow can add.
 _EPS = float(np.finfo(np.float64).eps)
 _UNDERFLOW = 4 * float(np.finfo(np.float64).smallest_subnormal)
+# The same for the float32 distance estimate: unit roundoff, and the
+# smallest subnormal (twice the absolute error of one underflowing rounding).
+_U32 = float(np.finfo(np.float32).eps) / 2
+_TINY32 = float(np.finfo(np.float32).smallest_subnormal)
 
 
 @dataclass(frozen=True)
@@ -60,6 +65,15 @@ class NeighborIndex:
     def sq_norms(self) -> np.ndarray:
         """Squared row norms, computed on the first query and kept with the index."""
         return (self.vectors * self.vectors).sum(axis=1)
+
+    @cached_property
+    def vectors32(self) -> np.ndarray:
+        """Read-only float32 copy of ``vectors`` for the distance estimate,
+        made on the first query; a component beyond float32's range is inf."""
+        with np.errstate(over="ignore"):
+            copy = self.vectors.astype(np.float32)
+        copy.setflags(write=False)
+        return copy
 
 
 @dataclass(frozen=True)
@@ -233,26 +247,39 @@ def _knn_rows(index: NeighborIndex, q: np.ndarray, k: int):
     in all, and its rows and distances from ``count[t]`` on are filler.
 
     Each row's distance is first estimated by the norm expansion
-    ``|v|^2 - 2 v.q + |q|^2``, which is off by at most ``(2d + 8) * eps *
-    (|v|^2 + |q|^2)`` plus a few subnormal spacings; the bound also covers
-    the rounding of the direct formula.  If ``cut`` is the (k+1)-th
-    smallest upper estimate (one more than k, for the query's own copy when
-    it is a stored row), k + 1 rows certainly lie within ``cut``, so a row
-    whose lower estimate exceeds ``cut`` cannot be among the k nearest.
-    The other rows, the shortlist (typically little more than k), are
-    re-ranked by the direct formula.  A query whose shortlist holds fewer
-    than k non-copies within ``cut`` (it has more copies than that) is
-    re-ranked over every row, as is a query with a non-finite estimate or
-    an index of at most k + 1 rows, so NaN and inf inputs give the full
-    scan's result.
+    ``|v|^2 - 2 v.q + |q|^2``: the squared norms in float64, v.q in float32
+    on ``index.vectors32``, which reads half the bytes of the float64 rows.
+    With Q = |v|^2 + |q|^2 >= 2 |v||q| and u float32's unit roundoff, the
+    estimate is off from the direct formula by at most the sum of
+      * ``(2d + 8) * (eps * Q + 4 float64 subnormals)``: the float64 steps,
+        and the rounding of the direct formula itself;
+      * ``gamma_{d+2} * Q``, gamma_m = m u / (1 - m u) (Higham 2002, sec.
+        3.1): rounding v and q into float32 is 2 roundings per product, and
+        the float32 dot product d more, in any summation order;
+      * ``4d`` float32 subnormals: what gradual underflow adds, to the
+        rounded inputs and to the products (a relative part of one float32
+        subnormal times Q lies far inside the float64 term's slack).
+    A component beyond float32's range makes the estimate non-finite.  If
+    ``cut`` is the (k+1)-th smallest upper estimate (one more than k, for
+    the query's own copy when it is a stored row), k + 1 rows certainly lie
+    within ``cut``, so a row whose lower estimate exceeds ``cut`` cannot be
+    among the k nearest.  The other rows, the shortlist (typically little
+    more than k), are re-ranked by the direct formula.  A query whose
+    shortlist holds fewer than k non-copies within ``cut`` (it has more
+    copies than that) is re-ranked over every row, as is a query with a
+    non-finite estimate or an index of at most k + 1 rows, so NaN, inf and
+    float32-overflowing inputs give the full scan's result.
     """
-    vectors, n, t = index.vectors, index.n, q.shape[0]
+    vectors, n, d, t = index.vectors, index.n, index.d, q.shape[0]
     # Overflow here only sends a query to the full scan, which warns as a
     # direct scan would.
     with np.errstate(over="ignore", invalid="ignore"):
         sq, qq = index.sq_norms, np.vecdot(q, q)[:, None]
-        approx = sq - 2.0 * (q @ vectors.T) + qq
-        bound = (2 * index.d + 8) * (_EPS * (sq + qq) + _UNDERFLOW)
+        # Doubling in float32 is exact, or overflows to inf.
+        approx = sq - 2.0 * (q.astype(np.float32) @ index.vectors32.T) + qq
+        gamma = (d + 2) * _U32 / (1 - (d + 2) * _U32)
+        bound = (((2 * d + 8) * _EPS + gamma) * (sq + qq)
+                 + ((2 * d + 8) * _UNDERFLOW + 4 * d * _TINY32))
         lower, upper = approx - bound, approx + bound
     kk = k + 1
     if kk < n:

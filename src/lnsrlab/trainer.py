@@ -22,7 +22,7 @@ import numpy as np
 from . import tensor as T
 from .data import TextDataset
 from .encoder import (EncoderConfig, EncoderModel, build_encoder, check_data_fits,
-                      forward_with_taps)
+                      forward_with_taps, nonfinite_parameter)
 from .errors import ContractError, ValidationError
 from .manifold import build_index, neighborhood_bases
 from .noise import NoiseSpec, rescale_relative_rows
@@ -318,11 +318,10 @@ def run_training(model_cfg: EncoderConfig, train_ds: TextDataset,
             loss, grad = _batch_backward(model, train_ds, batch, cfg, epoch, start, where)
             running.append(loss)
             global_step += 1
-            if not np.isfinite(grad).all():
-                ends = np.cumsum([p.data.size for p in params])
-                pos = int(np.searchsorted(ends, np.argmin(np.isfinite(grad)), side="right"))
-                raise ContractError(f"non-finite gradient of parameter {pos} {params[pos].shape}"
-                                    f" at {where}, examples {batch.tolist()}")
+            bad = nonfinite_parameter(model, grad)
+            if bad:
+                raise ContractError(f"non-finite gradient of {bad} at {where},"
+                                    f" examples {batch.tolist()}")
             step_lr = lr_at(global_step, total_steps, cfg.warmup_ratio, cfg.lr)
             adam_step(model.store, grad, m, v, global_step, cfg, lr=step_lr)
         try:

@@ -23,7 +23,7 @@ from lnsrlab.cli import (
 )
 from lnsrlab.data import synth_manifold
 from lnsrlab.diagnostics import pca_noise_spectrum
-from lnsrlab.encoder import load_checkpoint
+from lnsrlab.encoder import build_encoder, load_checkpoint, save_checkpoint
 from lnsrlab.errors import ValidationError
 from lnsrlab.manifold import build_index, neighborhood_basis, sample_inmanifold_noise
 from lnsrlab.noise import sample_standard_noise
@@ -426,6 +426,45 @@ def test_invalid_training_config_exit_1(tmp_path, capsys):
             argv = [command, "--config", str(ini), "--out", str(tmp_path)] + extra
             assert main(argv) == 1, (command, text)
             assert str(ini) in capsys.readouterr().err
+    assert not glob.glob(os.path.join(str(tmp_path), "*.csv"))
+
+
+def _corrupt_checkpoint(blob):
+    return {"nan_weight": blob[:-8] + np.array([np.nan], dtype="<f8").tobytes(),
+            "bad_integer": blob.replace(b"num_layers=2\n", b"num_layers=2.5\n", 1),
+            "truncated": blob[:-16],
+            "bad_magic": b"LNSR9" + blob[5:]}
+
+
+@pytest.mark.parametrize("fault, names", [("nan_weight", "non-finite value in parameter"),
+                                          ("bad_integer", "'num_layers' is not an integer"),
+                                          ("truncated", "payload bytes"),
+                                          ("bad_magic", "bad magic")])
+def test_corrupt_checkpoint_exits_1_naming_the_file(tmp_path, capsys, fault, names):
+    """``noise-curve`` reads a good checkpoint, and each corrupt copy of it
+    is an invalid input: exit 1, naming the file and what is wrong."""
+    class Args:
+        config = None
+        seed = 0
+    good = tmp_path / "good.ckpt"
+    save_checkpoint(build_encoder(Settings(Args()).encoder, 0), good)
+    out = ["--out", str(tmp_path)]
+    assert main(["noise-curve", "--checkpoint", str(good)] + out) == 0
+    capsys.readouterr()
+    bad = tmp_path / f"{fault}.ckpt"
+    bad.write_bytes(_corrupt_checkpoint(good.read_bytes())[fault])
+    assert main(["noise-curve", "--checkpoint", str(bad)] + out) == 1
+    err = capsys.readouterr().err
+    assert f"checkpoint {bad}: " in err and names in err
+
+
+def test_config_file_that_is_not_utf8_exits_1_naming_the_file(tmp_path, capsys):
+    ini = tmp_path / "latin1.ini"
+    ini.write_bytes("[train]\nlr = 0.1\n# caf\u00e9\n".encode("latin-1"))
+    for command in ("train", "noise-curve"):
+        assert main([command, "--config", str(ini), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"malformed config file {ini}" in err
     assert not glob.glob(os.path.join(str(tmp_path), "*.csv"))
 
 

@@ -213,14 +213,47 @@ def test_checkpoint_rejects_corruption(tmp_path):
     save_checkpoint(model, path)
     blob = path.read_bytes()
     (tmp_path / "trunc.ckpt").write_bytes(blob[:-16])
-    with pytest.raises(ContractError, match="payload"):
+    with pytest.raises(ValidationError, match="payload"):
         load_checkpoint(tmp_path / "trunc.ckpt")
     (tmp_path / "magic.ckpt").write_bytes(b"XXXX" + blob[5:])
-    with pytest.raises(ContractError, match="magic"):
+    with pytest.raises(ValidationError, match="magic"):
         load_checkpoint(tmp_path / "magic.ckpt")
     (tmp_path / "field.ckpt").write_bytes(blob.replace(b"num_heads=2\n", b"", 1))
-    with pytest.raises(ContractError, match="missing header field 'num_heads'"):
+    with pytest.raises(ValidationError, match="missing header field 'num_heads'"):
         load_checkpoint(tmp_path / "field.ckpt")
+    (tmp_path / "noend.ckpt").write_bytes(blob.replace(b"\n\n", b"\n", 1))
+    with pytest.raises(ValidationError, match="missing header terminator"):
+        load_checkpoint(tmp_path / "noend.ckpt")
+
+
+@pytest.mark.parametrize("old, new, message", [
+    (b"num_heads=2\n", b"num_heads=two\n", "header field 'num_heads' is not an integer: 'two'"),
+    (b"embed_dim=8\n", b"embed_dim=\xd9\xa8\n", "header field 'embed_dim' is not an integer"),
+    (b"num_heads=2\n", b"num_heads=3\n", "num_heads must divide embed_dim"),
+], ids=["word", "non_ascii_digit", "invalid_config"])
+def test_checkpoint_rejects_a_bad_header_value(tmp_path, old, new, message):
+    """A value that is not an ASCII integer (U+0668 is an Arabic-Indic
+    eight, which ``int`` would read) or that no encoder takes names the
+    file and the field."""
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(build_encoder(small_config(), init_seed=12), path)
+    path.write_bytes(path.read_bytes().replace(old, new, 1))
+    with pytest.raises(ValidationError, match=message) as exc:
+        load_checkpoint(path)
+    assert str(exc.value).startswith(f"checkpoint {path}: ")
+
+
+def test_checkpoint_rejects_a_non_finite_weight(tmp_path):
+    model = build_encoder(small_config(), init_seed=12)
+    params = model.parameters()
+    params[5].data[1] = np.inf
+    params[9].data[0] = np.nan
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    with pytest.raises(ValidationError) as exc:
+        load_checkpoint(path)
+    assert str(exc.value) == (f"checkpoint {path}: non-finite value in parameter 5"
+                              f" {params[5].shape}")
 
 
 def test_checkpoint_forward_agreement(tmp_path):

@@ -374,3 +374,53 @@ def test_knn_rows_mixed_batch_with_copies_ties_and_nan():
     pts = np.concatenate([[[1.35e154]], np.random.default_rng(7).normal(size=(20, 1))])
     with np.errstate(over="ignore"):
         assert_knn_rows_match_rescan(pts, [[1.33e154], [0.0], pts[5]], 3)
+
+
+# ------------------------------------------- the float32 distance estimate
+
+@pytest.mark.parametrize("offset, spread", [
+    (0.0, 1e38), (1e38, 1e37), (-1e38, 1e38), (1.5e19, 1e18),  # near float32's maximum
+    (4e-40, 1e-40), (0.0, 1e-40),  # float32 subnormals
+    (4e-46, 1e-46), (0.0, 1e-46)])  # below float32's smallest subnormal
+def test_knn_float32_range_edges_match_rescan(offset, spread):
+    """Clouds whose float32 products overflow, and clouds that float32 holds
+    only as subnormals or zeros, while their float64 squares stay finite.
+    A cloud off the origin ranks the copies' estimates by |v|^2 alone when
+    the underflow allowance is missing."""
+    rng = np.random.default_rng(8)
+    pts = offset + spread * rng.normal(size=(300, 8))
+    queries = [pts[7], pts[150], offset + spread * rng.normal(size=8)]
+    for q in queries:
+        assert_knn_matches_rescan(pts, q, 10)
+    assert_knn_rows_match_rescan(pts, queries, 10)
+
+
+def test_knn_rows_beyond_float32_range_match_rescan():
+    """A component past float32's maximum is inf in the estimate.  A query
+    holding one takes the full scan alone, beside finite queries in the
+    same batch; a stored row holding one sends every query there."""
+    rng = np.random.default_rng(9)
+    pts = rng.normal(size=(200, 4))
+    finite = [pts[3], rng.normal(size=4), pts[40]]
+    mixed = [finite[0], [1e39, 0.0, 0.0, 1.0], finite[1], [0.5, -1e39, 3e38, 0.0], finite[2]]
+    rows = assert_knn_rows_match_rescan(pts, mixed, 10)
+    alone = assert_knn_rows_match_rescan(pts, finite, 10)
+    assert np.array_equal(rows[[0, 2, 4]], alone)
+    for q in mixed:
+        assert_knn_matches_rescan(pts, q, 10)
+
+    pts[[5, 60]] = [[1e39, -1e38, 0.0, 0.0], [0.0, 3e38, -1e39, 2.0]]
+    assert_knn_rows_match_rescan(pts, [pts[5], pts[6], [1e38, -1e38, 0.0, 0.0], finite[1]], 10)
+
+
+@pytest.mark.parametrize("d, offset, spread", [(1, 1.3, 1e-5), (16, 0.9, 1e-4)])
+def test_knn_rows_float32_rounding_clouds_match_rescan(d, offset, spread):
+    """Clouds whose spread lies near float32's resolution at their offset, so
+    the estimate's rounding error is as large as the distances between
+    points: at d = 1 it comes mostly from rounding v and q into float32, at
+    d = 16 mostly from the float32 dot product."""
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        pts = offset + spread * rng.normal(size=(300, d))
+        queries = np.concatenate([pts[:10], offset + spread * rng.normal(size=(10, d))])
+        assert_knn_rows_match_rescan(pts, queries, 10)
