@@ -385,8 +385,8 @@ def test_knn_rows_mixed_batch_with_copies_ties_and_nan():
 def test_knn_float32_range_edges_match_rescan(offset, spread):
     """Clouds whose float32 products overflow, and clouds that float32 holds
     only as subnormals or zeros, while their float64 squares stay finite.
-    A cloud off the origin ranks the copies' estimates by |v|^2 alone when
-    the underflow allowance is missing."""
+    Off the origin, the tiny clouds' float32 products underflow to zero, so
+    an estimate without the underflow allowance ranks rows by |v|^2 alone."""
     rng = np.random.default_rng(8)
     pts = offset + spread * rng.normal(size=(300, 8))
     queries = [pts[7], pts[150], offset + spread * rng.normal(size=8)]
