@@ -492,9 +492,15 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("noise-curve", parents=[configured],
                        help="per-layer deviation ratios after noise injection")
-    p.add_argument("--injection-layer", type=_int_at_least(1), default=1)
-    p.add_argument("--rel-magnitude", type=float, default=0.05)
-    p.add_argument("--probes", type=_int_at_least(1), default=64)
+    p.add_argument("--injection-layer", type=_int_at_least(1), default=1,
+                   help="add the noise to this block's input (block 1's input is the"
+                        " embedding output); at most the number of blocks")
+    p.add_argument("--rel-magnitude", type=float, default=0.05,
+                   help="noise norm per token as a fraction of that token's clean"
+                        " input norm; finite and >= 0")
+    p.add_argument("--probes", type=_int_at_least(1), default=64, metavar="N",
+                   help="measure the first N dev examples, or all of them if the dev set"
+                        " is smaller; the CSV's n_probes column gives the number used")
     p.add_argument("--checkpoint", default=None,
                    help="measure a saved model instead of a fresh one")
     p.set_defaults(func=_cmd_noise_curve)

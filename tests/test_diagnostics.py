@@ -5,12 +5,16 @@ Jacobi path in the implementation is exercised against an independent
 oracle.
 """
 
+import copy
+import math
+
 import numpy as np
 import pytest
 
 from lnsrlab import tensor as T
 from lnsrlab.data import synth_classification
 from lnsrlab.diagnostics import (
+    _PROBE_BLOCK,
     BenchReport,
     ErrorRatioCurve,
     SpectrumReport,
@@ -107,6 +111,49 @@ def test_curve_deterministic_per_seed(probe_setup):
     c = error_ratio_curve(model, dev.examples[:4], b=1, rho=0.05, rng=4)
     assert a.ratios == b.ratios
     assert a.ratios != c.ratios
+
+
+@pytest.mark.parametrize("n", sorted({1, _PROBE_BLOCK - 1, _PROBE_BLOCK, _PROBE_BLOCK + 1,
+                                      2 * _PROBE_BLOCK + 1} - {0}))
+@pytest.mark.parametrize("rho", [0.05, 0.0])
+def test_blocked_curve_equals_fsum_of_one_probe_curves(probe_setup, n, rho):
+    # Probes run in batched blocks; around every block boundary the curve
+    # must equal the mean of one-probe curves bit for bit, so a dropped
+    # tail block or rows leaking between probes of a block both show.
+    model, train, _ = probe_setup
+    # Lengths vary so the probes of one block have different pad masks.
+    probes = [(ids[:1 + i % len(ids)], label)
+              for i, (ids, label) in enumerate(train.examples[:n])]
+    shuffled = [probes[i] for i in np.random.default_rng(n).permutation(n)]
+    for b in (1, 2, 3):
+        singles = [error_ratio_curve(model, [p], b=b, rho=rho, rng=5).ratios for p in probes]
+        expected = [math.fsum(col) / n for col in zip(*singles)]
+        for probe_list in (probes, shuffled):
+            curve = error_ratio_curve(model, probe_list, b=b, rho=rho, rng=5)
+            assert curve.ratios == expected
+            assert curve.n_probes == n
+
+
+def test_zero_norm_error_names_the_probe(probe_setup):
+    model, _, dev = probe_setup
+    # Block 1's output is all zeros when its last layernorm has zero gain
+    # and bias, so the first probe meets a zero-norm input at block 2.
+    dead = copy.deepcopy(model)
+    dead.blocks[0].ln2_gain.data[:] = 0.0
+    dead.blocks[0].ln2_bias.data[:] = 0.0
+    with pytest.raises(ContractError,
+                       match=r"probe 0 .*ratio_entries: clean input of block 2 has zero norm"):
+        error_ratio_curve(dead, dev.examples[:3], b=1, rho=0.05, rng=0)
+    # With zero positional embeddings and zero rows for tokens 0 (pad) and
+    # 2, a probe made of token 2 alone has a zero block-1 input; placed in
+    # the second block of probes, it is the one the error names.
+    blank = copy.deepcopy(model)
+    blank.pos_emb.data[:] = 0.0
+    blank.tok_emb.data[[0, 2]] = 0.0
+    probes = [([3, 4, 5], 0)] * (_PROBE_BLOCK + 1) + [([2, 2], 1), ([3], 0)]
+    with pytest.raises(ContractError, match=rf"probe {_PROBE_BLOCK + 1} .*"
+                                            r"clean input of block 1 has zero norm"):
+        error_ratio_curve(blank, probes, b=1, rho=0.05, rng=0)
 
 
 def test_curve_contracts(probe_setup):
