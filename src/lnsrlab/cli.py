@@ -112,9 +112,10 @@ def _float_or_none(text: str):
     return float(text)
 
 
-def _comma_list(text: str, cast, name: str, minimum: int = 1) -> list:
+def _comma_list(text: str, cast, name: str, minimum: int = 1, distinct: bool = False) -> list:
     """The comma-separated items of ``text`` (blank items skipped), each
-    cast; fewer than ``minimum`` items or a bad item is a ValidationError."""
+    cast; fewer than ``minimum`` items, a bad item or, with ``distinct``,
+    an item that equals an earlier one once cast is a ValidationError."""
     try:
         items = [cast(p) for p in text.split(",") if p.strip()]
     except (ValueError, argparse.ArgumentTypeError) as exc:
@@ -122,6 +123,10 @@ def _comma_list(text: str, cast, name: str, minimum: int = 1) -> list:
     if len(items) < minimum:
         raise ValidationError(f"{name}: need at least {minimum} comma-separated"
                               f" item(s), got {text!r}")
+    if distinct:
+        for i, item in enumerate(items):
+            if item in items[:i]:
+                raise ValidationError(f"{name}: {item!r} is repeated in {text!r}")
     return items
 
 
@@ -265,8 +270,8 @@ def _cmd_sweep(args) -> int:
     settings = Settings(args)
     train_ds, dev_ds = settings.datasets()
     caster = int if args.param == "injection_layer" else float
-    values = _comma_list(args.values, caster, "--values")
-    seeds = _comma_list(args.seeds, int, "--seeds", minimum=2)
+    values = _comma_list(args.values, caster, "--values", distinct=True)
+    seeds = _comma_list(args.seeds, int, "--seeds", minimum=2, distinct=True)
     base = settings.train
     summaries = []
     for v in values:
@@ -361,6 +366,11 @@ def _cmd_noise_curve(args) -> int:
 def _cmd_pca_spectrum(args) -> int:
     if args.intrinsic >= args.dim:
         raise ValidationError(f"--intrinsic {args.intrinsic} must be below --dim {args.dim}")
+    if args.k >= args.points:
+        # The query is one of the points and is never its own neighbour.
+        raise ValidationError(f"--k {args.k} must be below --points {args.points}")
+    if not math.isfinite(args.curvature):
+        raise ValidationError(f"--curvature must be finite, got {args.curvature}")
     rng = stream_rng(args.seed, "noise")
     standard = sample_standard_noise((args.samples, args.dim), args.sigma, rng).data
     std_rep = pca_noise_spectrum(standard, source="standard")
@@ -368,6 +378,12 @@ def _cmd_pca_spectrum(args) -> int:
     mset = synth_manifold(args.points, args.dim, args.intrinsic,
                           args.curvature, args.seed)
     index = build_index(mset.points)
+    with np.errstate(over="ignore"):
+        overflow = not np.isfinite(index.sq_norms).all()
+    if overflow:
+        # The kNN search and Gram-Schmidt square these coordinates.
+        raise ValidationError(f"--curvature {args.curvature} is too large: the manifold's"
+                              " squared norms overflow float64")
     basis = neighborhood_basis(index, mset.points[0], k=args.k)
     if basis is None:
         raise ContractError("pca-spectrum: degenerate neighborhood, no basis")
@@ -414,8 +430,8 @@ def _cmd_bench(args) -> int:
 def _cmd_gap_report(args) -> int:
     settings = Settings(args)
     train_ds, dev_ds = settings.datasets()
-    modes = _comma_list(args.modes, str.strip, "--modes")
-    seeds = _comma_list(args.seeds, int, "--seeds", minimum=2)
+    modes = _comma_list(args.modes, str.strip, "--modes", distinct=True)
+    seeds = _comma_list(args.seeds, int, "--seeds", minimum=2, distinct=True)
     rows = []
     summaries = []
     for mode in modes:

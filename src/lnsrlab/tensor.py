@@ -292,16 +292,17 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYERNORM_EPS)
             f"layernorm: gain/bias shapes {gain.data.shape}/{bias.data.shape} "
             f"incompatible with input {x.data.shape}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    # The ufuncs np.mean and np.var run, without their Python wrappers: the
+    # mean is the row sum over d, the variance the mean square of c.
+    c = x.data - x.data.sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt((c * c).sum(axis=-1, keepdims=True) / d + eps)
+    xhat = c * inv
     gd = gain.data
 
     def bwd(g):
         dxhat = g * gd
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        m1 = dxhat.sum(axis=-1, keepdims=True) / d
+        m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / d
         dx = inv * (dxhat - m1 - xhat * m2)
         return dx, (g * xhat).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0)
 

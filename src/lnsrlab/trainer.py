@@ -5,6 +5,8 @@ warmup then linear decay to zero, and per batch one batched clean forward
 pass plus (in noisy modes) one batched perturbed pass that reuses the clean
 entries below the injection layer and whose trace deviation feeds the
 penalty; one backward pass per batch gives the mean per-example gradient.
+After each epoch one frozen forward pass over the train and dev sets
+together scores both, each set from its own rows of the logits.
 
 Randomness discipline: weight init, data order, and noise each draw from
 their own named stream of the run seed, and the noise stream is further
@@ -32,7 +34,6 @@ from .objective import (
     RegularizerConfig,
     assemble_objective,
     lnsr_term,
-    task_loss,
 )
 from .rng import substream_rng
 
@@ -159,18 +160,35 @@ def _require_finite(named_arrays, where: str, examples):
             f"non-finite {found[1]} at {where}, example {int(examples[found[0]])}")
 
 
-def evaluate(model: EncoderModel, dataset: TextDataset):
-    """Mean task loss and metric (accuracy, or correlation for regression),
-    from one batched forward pass over the whole dataset."""
-    ids = [ex[0] for ex in dataset.examples]
-    labels = np.array([ex[1] for ex in dataset.examples])
+def evaluate(model: EncoderModel, **datasets) -> list:
+    """The metric (accuracy, or correlation for regression) of each named
+    dataset, in argument order, from one batched forward pass over all of
+    them; each set's metric comes from its own rows of the logits.
+
+    The joint pass equals separate passes bit for bit when every matmul
+    splits its rows into the same BLAS blocks both ways, as OpenBLAS does
+    at ``max_seq_len`` 8 with a multiple of 8 sequences before the last set.
+    Elsewhere a row can round by its place in the matrix, so logits, and a
+    regression metric, may differ from separate passes in the last bits.
+
+    A non-finite logit raises ``ContractError`` naming the set and the
+    example's index within it.
+    """
+    ids = [ex[0] for ds in datasets.values() for ex in ds.examples]
     logits, _ = forward_with_taps(model.frozen(), ids)
-    _require_finite([("logits", logits.data)], "evaluation", np.arange(len(ids)))
-    regression = model.config.regression
-    loss = task_loss(logits, labels, regression).item() / len(ids)
-    if regression:
-        return loss, pearson(logits.data[:, 0], labels)
-    return loss, int((np.argmax(logits.data, axis=-1) == labels).sum()) / len(ids)
+    metrics, start = [], 0
+    for name, ds in datasets.items():
+        n = len(ds.examples)
+        if n == 0:
+            raise ContractError(f"evaluation of {name}: no examples")
+        rows, start = logits.data[start:start + n], start + n
+        _require_finite([("logits", rows)], f"evaluation of {name}", np.arange(n))
+        labels = np.array([ex[1] for ex in ds.examples])
+        if model.config.regression:
+            metrics.append(pearson(rows[:, 0], labels))
+        else:
+            metrics.append(int((np.argmax(rows, axis=-1) == labels).sum()) / n)
+    return metrics
 
 
 def _noise_batch(model: EncoderModel, ids, clean_input: np.ndarray, mask: np.ndarray,
@@ -325,8 +343,7 @@ def run_training(model_cfg: EncoderConfig, train_ds: TextDataset,
             step_lr = lr_at(global_step, total_steps, cfg.warmup_ratio, cfg.lr)
             adam_step(model.store, grad, m, v, global_step, cfg, lr=step_lr)
         try:
-            _, train_metric = evaluate(model, train_ds)
-            _, dev_metric = evaluate(model, dev_ds)
+            train_metric, dev_metric = evaluate(model, train=train_ds, dev=dev_ds)
         except ContractError as exc:
             raise ContractError(f"{exc} (after epoch {epoch}, step {global_step})") from exc
         epoch_train_loss.append(math.fsum(running) / n)

@@ -358,12 +358,36 @@ def test_bad_arguments_exit_1(tmp_path, capsys):
     (["verify-claim1", "--sigmas", "-0.1"], "--sigmas"),
     (["pca-spectrum", "--sigma", "0"], "--sigma"),
     (["bench", "--k-values", "100"], "--k-values"),
+    (["pca-spectrum", "--points", "5", "--k", "10"], "--k"),
+    (["pca-spectrum", "--points", "5", "--k", "5"], "--k"),
+    (["pca-spectrum", "--curvature", "nan"], "--curvature"),
+    (["pca-spectrum", "--curvature=-inf"], "--curvature"),
+    (["pca-spectrum", "--curvature", "1e308"], "--curvature"),
+    (["pca-spectrum", "--curvature=-1e200"], "--curvature"),
 ])
 def test_float_and_basis_size_arguments_exit_1(tmp_path, capsys, argv, option):
-    """A sigma that is not positive, or a bench basis size above its sample
-    dimension, is an argument error naming its option, not a runtime one."""
+    """A sigma that is not positive, a basis size above its sample
+    dimension, a neighbourhood as large as the point set, or a curvature
+    that is not finite or overflows the manifold is an argument error
+    naming its option, not a runtime one."""
     assert main(argv + ["--out", str(tmp_path)]) == 1
     assert option in capsys.readouterr().err
+    assert not glob.glob(os.path.join(str(tmp_path), "*.csv"))
+
+
+@pytest.mark.parametrize("argv, option, item", [
+    (["sweep", "--param", "rel_magnitude", "--values", "0.05", "--seeds", "3,3"], "--seeds", "3"),
+    (["gap-report", "--seeds", "0,1,0"], "--seeds", "0"),
+    (["sweep", "--param", "rel_magnitude", "--values", "0.05,5e-2"], "--values", "0.05"),
+    (["sweep", "--param", "injection_layer", "--values", "2,1,2"], "--values", "2"),
+    (["gap-report", "--modes", "ft, ft"], "--modes", "'ft'"),
+])
+def test_repeated_list_items_exit_1(tmp_path, capsys, argv, option, item):
+    """A repeated seed would pass one run off as a spread of two, and a
+    repeated mode or value would report a row twice."""
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert option in err and f"{item} is repeated" in err
     assert not glob.glob(os.path.join(str(tmp_path), "*.csv"))
 
 

@@ -168,6 +168,39 @@ def test_grad_gelu_softmax_layernorm():
     check_grad(lambda b: T.sumsq(T.layernorm(xc, gc, b)), bias0)
 
 
+def _layernorm_oracle(x, gain, bias, g):
+    """Layer norm and its gradients for the upstream gradient ``g``, written
+    with np.mean and np.var: the rounding ``T.layernorm`` must repeat."""
+    d = x.shape[-1]
+    inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + T.LAYERNORM_EPS)
+    xhat = (x - x.mean(axis=-1, keepdims=True)) * inv
+    dxhat = g * gain
+    dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    return (xhat * gain + bias, dx, (g * xhat).reshape(-1, d).sum(axis=0),
+            g.reshape(-1, d).sum(axis=0))
+
+
+@pytest.mark.parametrize("lead", [(5,), (3, 4)])
+@pytest.mark.parametrize("d", [1, 2, 16, 64, 257])
+def test_layernorm_equals_mean_var_oracle_bit_for_bit(lead, d):
+    rng = np.random.default_rng(d)
+    for scale in (1e-150, 1e-8, 1.0, 1e8, 1e150):
+        # An offset per row makes the centring cancel digits, as it does
+        # on residual-stream rows.
+        x0 = scale * (rng.normal(size=lead + (d,)) + rng.normal(size=lead + (1,)) * 10.0)
+        gain0, bias0, g = rng.normal(size=d), rng.normal(size=d), rng.normal(size=lead + (d,))
+        x, gain, bias = (T.Tensor(a, requires_grad=True) for a in (x0, gain0, bias0))
+        out = T.layernorm(x, gain, bias)
+        # Summing out * g hands layernorm exactly g as its upstream gradient.
+        T.backward(T.tsum(T.mul(out, T.Tensor(g))))
+        got = (out.data, x.grad.data, gain.grad.data, bias.grad.data)
+        for name, a, b in zip(("value", "dx", "dgain", "dbias"), got,
+                              _layernorm_oracle(x0, gain0, bias0, g)):
+            assert a.shape == b.shape and np.isfinite(a).all(), (name, scale)
+            assert np.array_equal(a.view(np.int64), b.view(np.int64)), (name, scale)
+
+
 def test_grad_reductions_and_losses():
     x0 = RNG.normal(size=(3, 4))
     check_grad(T.tsum, x0)

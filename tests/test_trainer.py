@@ -512,19 +512,64 @@ def test_evaluate_names_first_example_with_non_finite_logits(toy_task):
     model = build_encoder(mcfg, init_seed=0)
     token = dev.examples[-1][0][-1]
     first = next(i for i, (ids, _) in enumerate(dev.examples) if token in ids)
+    clean = dataclasses.replace(train, examples=[ex for ex in train.examples
+                                                 if token not in ex[0]])
     model.tok_emb.data[token] = np.inf
-    with pytest.raises(ContractError, match=f"non-finite logits at evaluation, example {first}$"):
-        with np.errstate(invalid="ignore"):
-            evaluate(model, dev)
+    # The index counts within the named set, wherever the set sits in the pass.
+    for sets, name in (({"train": clean, "dev": dev}, "dev"),
+                       ({"train": dev, "dev": clean}, "train")):
+        with pytest.raises(ContractError,
+                           match=f"non-finite logits at evaluation of {name}, example {first}$"):
+            with np.errstate(invalid="ignore"):
+                evaluate(model, **sets)
 
 
 def test_evaluate_on_untrained_model_is_finite(toy_task):
     from lnsrlab.encoder import build_encoder
     mcfg, train, dev = toy_task
     model = build_encoder(mcfg, init_seed=0)
-    loss, acc = evaluate(model, dev)
-    assert np.isfinite(loss)
-    assert 0.0 <= acc <= 1.0
+    metrics = evaluate(model, train=train, dev=dev)
+    assert len(metrics) == 2
+    assert all(0.0 <= m <= 1.0 for m in metrics)
+
+
+def _row_metrics(model, sets):
+    """Each set's metric from its own rows of one frozen pass over all sets."""
+    from lnsrlab.encoder import forward_with_taps
+    logits, _ = forward_with_taps(model.frozen(), [ids for ds in sets for ids, _ in ds.examples])
+    out, start = [], 0
+    for ds in sets:
+        rows = logits.data[start:start + len(ds.examples)]
+        start += len(ds.examples)
+        labels = np.array([label for _, label in ds.examples])
+        out.append(pearson(rows[:, 0], labels) if model.config.regression
+                   else float(np.mean(np.argmax(rows, axis=-1) == labels)))
+    return out
+
+
+@pytest.mark.parametrize("regression", [False, True])
+@pytest.mark.parametrize("n_per_class, max_seq_len", [(16, 8), (24, 8), (13, 7), (17, 9)])
+def test_one_evaluation_pass_scores_each_set_on_its_own_rows(regression, n_per_class,
+                                                             max_seq_len):
+    train, dev = synth_classification(n_per_class, 2, 7, 30, 0.6, seed=n_per_class)
+    mcfg = EncoderConfig(vocab_size=30, embed_dim=8, num_layers=2, num_heads=2, ffn_dim=16,
+                         max_seq_len=max_seq_len, regression=regression)
+    model = build_encoder(mcfg, init_seed=1)
+    model.store += np.random.default_rng(2).normal(0.0, 0.3, model.store.shape)
+    one = evaluate(model, train=train, dev=dev)
+    assert one == _row_metrics(model, [train, dev])
+    assert evaluate(model, dev=dev, train=train) == _row_metrics(model, [dev, train])
+    separate = evaluate(model, train=train) + evaluate(model, dev=dev)
+    if max_seq_len == 8 and len(train.examples) % 8 == 0:
+        # The lab's shapes: every matmul of the joint pass is split into the
+        # same row blocks as in the separate passes, so the bits agree.
+        assert one == separate
+    else:
+        # Elsewhere BLAS may round a row by its place in the matrix (the
+        # rows of a final partial block take another kernel): the logits
+        # then agree to rounding, and accuracy unless a top-2 margin is a
+        # few ulps.
+        assert one == pytest.approx(separate, rel=1e-12, abs=1e-12)
 
 
 # ------------------------------------------------------------- multi-seed
