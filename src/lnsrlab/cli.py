@@ -373,7 +373,6 @@ def _cmd_pca_spectrum(args) -> int:
         raise ValidationError(f"--curvature must be finite, got {args.curvature}")
     rng = stream_rng(args.seed, "noise")
     standard = sample_standard_noise((args.samples, args.dim), args.sigma, rng).data
-    std_rep = pca_noise_spectrum(standard, source="standard")
 
     mset = synth_manifold(args.points, args.dim, args.intrinsic,
                           args.curvature, args.seed)
@@ -391,6 +390,18 @@ def _cmd_pca_spectrum(args) -> int:
     # stacked matmul rounds as each row's ``c @ basis`` does.
     coef = rng.normal(0.0, args.sigma, size=(args.samples, basis.size))
     batch = np.matmul(coef[:, None, :], basis.basis)[:, 0]
+    for noise in (standard, batch):
+        # The eigensolver squares the covariance entries: d^2 of them, each
+        # at most the largest variance in size, must square within float64.
+        with np.errstate(over="ignore", under="ignore"):
+            top = noise.var(axis=0, ddof=1).max()
+            if not (args.dim * top) ** 2 < np.inf:
+                raise ValidationError(f"--sigma {args.sigma} is too large: the squared noise"
+                                      " covariance overflows float64")
+            if top * top < np.finfo(np.float64).tiny:
+                raise ValidationError(f"--sigma {args.sigma} is too small: the squared noise"
+                                      " covariance underflows float64")
+    std_rep = pca_noise_spectrum(standard, source="standard")
     man_rep = pca_noise_spectrum(batch, source="in_manifold")
 
     path = _out_path(args, "pca-spectrum")

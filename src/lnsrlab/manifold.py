@@ -15,13 +15,10 @@ differences are orthonormalized by modified Gram-Schmidt and a random
 linear combination with i.i.d. N(0, sigma^2) coefficients is returned.
 The result lies in the local tangent-ish subspace by construction.
 
-``neighborhood_bases`` serves training: it answers all of a batch's T
-distinct tokens with one search and runs both Gram-Schmidt sweeps as a
-loop over the k directions across all T queries, bit for bit as the
-one-query ``neighborhood_basis`` does.  ``gram_schmidt`` and
-``neighborhood_basis`` stay for single lookups, diagnostics and the CLI,
-where the batched sweeps cost more for one query, and they are the
-batched path's test oracle.
+One modified Gram-Schmidt, ``_mgs``, builds every basis: for the k
+differences of one point set (``gram_schmidt``) or of each of T queries
+at once (``neighborhood_bases``, which serves training); the one-query
+``neighborhood_basis`` is its T = 1 case.
 """
 
 import logging
@@ -127,30 +124,65 @@ def gram_schmidt(diffs) -> OrthoBasis:
     """Orthonormalize difference vectors by modified Gram-Schmidt.
 
     Directions that become (numerically) dependent on the basis built so
-    far are dropped.  All-zero input is a degenerate neighborhood and a
-    contract error; callers that need a fallback catch it.
+    far are dropped, as are directions whose norm overflows.  A set with
+    no direction left is a degenerate neighborhood and a contract error;
+    callers that need a fallback catch it.
     """
     mat = np.atleast_2d(np.array(diffs, dtype=np.float64))
     if mat.size == 0:
         raise ContractError("gram_schmidt: no difference vectors given")
-    kept = []
-    for row in mat:
-        original = float(np.linalg.norm(row))
-        if original == 0.0:
-            continue
-        v = row.copy()
-        for b in kept:
-            v -= (v @ b) * b
-        # Second sweep tightens orthogonality lost to cancellation.
-        for b in kept:
-            v -= (v @ b) * b
-        residual = float(np.linalg.norm(v))
-        if residual < GS_DROP_RATIO * original:
-            continue
-        kept.append(v / residual)
-    if not kept:
+    basis, size = _mgs(mat, True)
+    if not size:
         raise ContractError("gram_schmidt: degenerate neighborhood, all differences zero")
-    return OrthoBasis(basis=np.array(kept))
+    return OrthoBasis(basis=basis[:size])
+
+
+def _mgs(diffs: np.ndarray, found):
+    """Two-sweep modified Gram-Schmidt over direction-major differences.
+
+    ``diffs`` is [k, ..., d]: k difference vectors for each query on the
+    middle axes (none for a single set).  Each direction is projected off
+    the unit directions before it, in order, twice (the second sweep
+    restores orthogonality lost to cancellation), and kept when its
+    residual norm is finite and at least ``GS_DROP_RATIO`` times its
+    original norm.  Every direction of a query where ``found`` (broadcast
+    against [..., 1, 1]) is False is dropped.  Returns ``(basis, sizes)``:
+    each query's kept unit directions in input order, then zero rows
+    ([..., k, d]), and their number.
+
+    A new unit direction is projected off all later directions at once
+    (the first sweep), so each direction meets the same projections in
+    the same order as in a loop over one direction at a time.  A dropped
+    direction is a zero row, which subtracts an exact 0, so a query's
+    basis does not depend on the rest of the batch.  Dots are
+    [1, d] @ [d, 1] matmuls, which numpy computes as the 1-D ``v @ b``.
+    """
+    k, d = diffs.shape[0], diffs.shape[-1]
+    work = diffs[:, ..., None, :].copy()
+    norms = np.sqrt(work @ work.mT)
+    # A direction is kept where its residual norm reaches its threshold.  No
+    # residual reaches NaN, the threshold of a zero, NaN or overflowing
+    # direction and of every direction of a query not ``found``.
+    thresh = np.where(found & (norms > 0) & (norms < np.inf), GS_DROP_RATIO * norms, np.nan)
+    units = np.zeros(diffs.shape[1:-1] + (k, d))
+    swept = []  # (row [..., 1, d], column [..., d, 1]) views of the unit directions
+    for j, (v, floor) in enumerate(zip(work, thresh)):
+        for b, col in swept:
+            v -= (v @ col) * b
+        residual = np.sqrt(v @ v.mT)
+        b = units[..., j:j + 1, :]
+        # An inf residual (only at the edge of float64's range) gives a
+        # zero row here, which ``keep`` below drops.
+        np.divide(v, residual, out=b, where=floor <= residual)
+        col = b.mT
+        swept.append((b, col))
+        rest = work[j + 1:]
+        rest -= (rest @ col) * b
+    keep = units.any(axis=-1)
+    sizes = keep.sum(axis=-1)
+    basis = np.zeros_like(units)
+    basis[np.arange(k) < sizes[..., None]] = units[keep]
+    return basis, sizes
 
 
 def sample_inmanifold_noise(x, basis: OrthoBasis, sigma: float,
@@ -176,33 +208,25 @@ def neighborhood_basis(index: NeighborIndex, query, k: int = DEFAULT_K) -> Ortho
     """kNN differences around ``query`` orthonormalized; None when degenerate.
 
     Degenerate means fewer than k distinct neighbors remain after excluding
-    exact matches, or every difference vanishes.  Callers substitute
-    standard Gaussian noise in that case (the documented fallback).
+    exact matches, or no difference survives Gram-Schmidt.  Callers
+    substitute standard Gaussian noise in that case (the documented
+    fallback).  This is ``neighborhood_bases`` for one query.
     """
     if k < 1:
         raise ContractError(f"neighborhood_basis: k must be >= 1, got {k}")
-    q = np.asarray(query, dtype=np.float64).reshape(-1)
-    try:
-        pairs = knn(index, q, k)
-        diffs = np.array([vec - q for vec, _ in pairs])
-        return gram_schmidt(diffs)
-    except ContractError as exc:
-        log.warning("degenerate neighborhood (%s); falling back to standard noise", exc)
-        return None
+    bases, sizes = neighborhood_bases(index, np.reshape(query, (1, -1)), k)
+    return OrthoBasis(basis=bases[0, :sizes[0]]) if sizes[0] else None
 
 
 def neighborhood_bases(index: NeighborIndex, queries, k: int = DEFAULT_K):
-    """``neighborhood_basis`` for each of T query rows at once.
+    """The orthonormalized kNN differences of each of T query rows.
 
-    Returns ``(bases, sizes)``: ``bases[t, :sizes[t]]`` equals
-    ``neighborhood_basis(index, queries[t], k).basis`` bit for bit and the
-    rows after it are zero; ``sizes[t] == 0`` marks a degenerate
+    Returns ``(bases, sizes)``: ``bases[t, :sizes[t]]`` is query t's basis
+    and the rows after it are zero; ``sizes[t] == 0`` marks a degenerate
     neighborhood (where ``neighborhood_basis`` returns None).
 
-    The kNN step is one ``_knn_rows`` call for all T queries.  Memory is
-    O(T N + T k d).  The Gram-Schmidt step stores a dropped direction as a
-    zero row, which later sweeps subtract as an exact 0, and dots by
-    ``np.vecdot``, which rounds as the one-query ``v @ b`` does.
+    The kNN step is one ``_knn_rows`` call and the Gram-Schmidt step one
+    ``_mgs`` call for all T queries.  Memory is O(T N + T k d).
     """
     if k < 1:
         raise ContractError(f"neighborhood_bases: k must be >= 1, got {k}")
@@ -210,25 +234,7 @@ def neighborhood_bases(index: NeighborIndex, queries, k: int = DEFAULT_K):
     if q.ndim != 2 or q.shape[1] != index.d:
         raise ShapeError(f"neighborhood_bases: queries shape {q.shape} vs index dimension {index.d}")
     rows, _, count = _knn_rows(index, q, k)
-    found = count >= k
-    # Direction-major [k, T, d], so each direction is one contiguous block.
-    diffs = (index.vectors[rows] - q[:, None, :]).transpose(1, 0, 2)
-    basis = np.zeros_like(diffs)
-    live = np.zeros((q.shape[0], k), dtype=bool)
-    for j in range(k):
-        v = diffs[j].copy()
-        original = np.sqrt(np.vecdot(v, v))
-        # Two sweeps over the directions so far, as in ``gram_schmidt``.
-        for _ in range(2):
-            for b in basis[:j]:
-                v -= np.vecdot(v, b)[:, None] * b
-        residual = np.sqrt(np.vecdot(v, v))
-        live[:, j] = found & (original != 0.0) & ~(residual < GS_DROP_RATIO * original)
-        np.divide(v, residual[:, None], out=basis[j], where=live[:, j, None])
-    sizes = live.sum(axis=1)
-    # Kept directions first, in their order; dropped (zero) rows after them.
-    order = np.argsort(~live, axis=1, kind="stable")
-    bases = np.take_along_axis(basis.transpose(1, 0, 2), order[:, :, None], axis=1)
+    bases, sizes = _mgs(index.vectors[rows.T] - q, (count >= k)[:, None, None])
     if not sizes.all():
         log.warning("%d degenerate neighborhood(s); falling back to standard noise",
                     int((sizes == 0).sum()))

@@ -364,12 +364,17 @@ def test_bad_arguments_exit_1(tmp_path, capsys):
     (["pca-spectrum", "--curvature=-inf"], "--curvature"),
     (["pca-spectrum", "--curvature", "1e308"], "--curvature"),
     (["pca-spectrum", "--curvature=-1e200"], "--curvature"),
+    (["pca-spectrum", "--sigma", "1e-200"], "--sigma"),
+    (["pca-spectrum", "--sigma", "1e200"], "--sigma"),
+    (["pca-spectrum", "--sigma", "1e150"], "--sigma"),
+    (["pca-spectrum", "--sigma", "1e-150"], "--sigma"),
 ])
 def test_float_and_basis_size_arguments_exit_1(tmp_path, capsys, argv, option):
-    """A sigma that is not positive, a basis size above its sample
-    dimension, a neighbourhood as large as the point set, or a curvature
-    that is not finite or overflows the manifold is an argument error
-    naming its option, not a runtime one."""
+    """A sigma that is not positive or whose noise covariance underflows
+    or overflows once squared, a basis size above its sample dimension, a
+    neighbourhood as large as the point set, or a curvature that is not
+    finite or overflows the manifold is an argument error naming its
+    option, not a runtime one."""
     assert main(argv + ["--out", str(tmp_path)]) == 1
     assert option in capsys.readouterr().err
     assert not glob.glob(os.path.join(str(tmp_path), "*.csv"))

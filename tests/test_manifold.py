@@ -1,13 +1,17 @@
 """Tests for kNN search, Gram-Schmidt bases, and in-manifold noise."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lnsrlab.data import synth_manifold
 from lnsrlab.encoder import EncoderConfig, build_encoder
 from lnsrlab.errors import ContractError, ShapeError
 from lnsrlab.manifold import (
+    GS_DROP_RATIO,
     _knn_rows,
     build_index,
     gram_schmidt,
@@ -163,21 +167,58 @@ def test_neighborhood_basis_rejects_bad_k():
         neighborhood_basis(build_index(pts), [0.0, 0.0], k=0)
 
 
-# ---------------------------------------------- batched neighbourhood bases
+# ------------------------------------------ bases against a reference loop
 
-def assert_bases_match_one_query(table, k, queries=None):
-    """Each query's batched basis is its ``neighborhood_basis``, bit for bit,
-    followed by zero rows; size 0 where the one-query path returns None."""
+def reference_mgs(diffs):
+    """Two-sweep modified Gram-Schmidt as a loop over one direction at a
+    time, with a list of kept unit rows; a direction whose residual norm
+    is not finite is dropped as a dependent one is.  None if none is kept."""
+    kept = []
+    for row in np.atleast_2d(np.array(diffs, dtype=np.float64)):
+        original = float(np.linalg.norm(row))
+        if original == 0.0:
+            continue
+        v = row.copy()
+        for b in kept:
+            v -= (v @ b) * b
+        for b in kept:
+            v -= (v @ b) * b
+        residual = float(np.linalg.norm(v))
+        if residual < GS_DROP_RATIO * original or not math.isfinite(residual):
+            continue
+        kept.append(v / residual)
+    return np.array(kept) if kept else None
+
+
+def same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def assert_bases_match_reference(table, k, queries=None):
+    """``gram_schmidt`` on each query's kNN differences, ``neighborhood_basis``
+    and each row of one ``neighborhood_bases`` call equal ``reference_mgs``
+    bit for bit, and the batched rows after the basis are zero; a query
+    with fewer than k non-copies, or with no direction kept, is degenerate
+    on every path.  Returns the batch's sizes."""
     index = build_index(table)
-    queries = index.vectors if queries is None else queries
+    queries = index.vectors if queries is None else np.asarray(queries, dtype=np.float64)
     bases, sizes = neighborhood_bases(index, queries, k)
     assert bases.shape == (len(queries), k, index.d) and sizes.shape == (len(queries),)
     for q, basis, size in zip(queries, bases, sizes):
-        want = neighborhood_basis(index, q, k)
+        one = neighborhood_basis(index, q, k)
+        try:
+            diffs = np.array([vec - q for vec, _ in knn(index, q, k)])
+        except ContractError:
+            assert size == 0 and one is None
+            continue
+        want = reference_mgs(diffs)
         if want is None:
-            assert size == 0
+            assert size == 0 and one is None
+            with pytest.raises(ContractError, match="degenerate neighborhood"):
+                gram_schmidt(diffs)
         else:
-            assert size == want.size and np.array_equal(basis[:size], want.basis)
+            assert same_bits(basis[:size], want) and same_bits(one.basis, want)
+            assert same_bits(gram_schmidt(diffs).basis, want)
         assert not basis[size:].any()
     return sizes
 
@@ -188,7 +229,7 @@ def test_bases_match_on_the_gap_vocabulary(seed):
     cfg = EncoderConfig(vocab_size=30, embed_dim=16, num_layers=2, num_heads=2,
                         ffn_dim=32, max_seq_len=8)
     table = build_encoder(cfg, seed).tok_emb.data
-    assert (assert_bases_match_one_query(table, 10) == 10).all()
+    assert (assert_bases_match_reference(table, 10) == 10).all()
 
 
 def test_bases_match_with_duplicated_rows():
@@ -199,7 +240,7 @@ def test_bases_match_with_duplicated_rows():
     table = rng.normal(size=(40, 6))
     table[[3, 9, 21]] = table[0]
     table[[11, 12, 13, 14, 15, 16, 30]] = table[5]
-    sizes = assert_bases_match_one_query(table, 4)
+    sizes = assert_bases_match_reference(table, 4)
     assert sizes[0] == sizes[5] == 4 and sizes.min() < 4
 
 
@@ -207,11 +248,11 @@ def test_bases_match_when_directions_are_dependent():
     """Points in a plane through the origin: every third direction drops."""
     rng = np.random.default_rng(8)
     table = rng.normal(size=(25, 2)) @ rng.normal(size=(2, 6))
-    assert (assert_bases_match_one_query(table, 5) == 2).all()
+    assert (assert_bases_match_reference(table, 5) == 2).all()
 
 
 def test_bases_all_equal_table_is_degenerate():
-    sizes = assert_bases_match_one_query(np.full((12, 5), 0.25), 4)
+    sizes = assert_bases_match_reference(np.full((12, 5), 0.25), 4)
     assert not sizes.any()
 
 
@@ -220,8 +261,54 @@ def test_bases_match_on_a_tie_lattice():
     queries between them."""
     axis = np.arange(5.0)
     grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
-    assert_bases_match_one_query(grid, 10)
-    assert_bases_match_one_query(grid, 10, queries=grid[::7] + 0.5)
+    assert_bases_match_reference(grid, 10)
+    assert_bases_match_reference(grid, 10, queries=grid[::7] + 0.5)
+
+
+def test_bases_match_on_a_mixed_batch():
+    """One table holding each case above in its own block, far from the
+    others, and one batch of queries from every block, between the lattice
+    points, and a NaN query, whose differences are all NaN."""
+    rng = np.random.default_rng(10)
+    d = 16
+    vocab = build_encoder(EncoderConfig(vocab_size=30, embed_dim=d, num_layers=2, num_heads=2,
+                                        ffn_dim=32, max_seq_len=8), 1).tok_emb.data
+    dup = rng.normal(size=(40, d))
+    dup[[3, 9, 21]] = dup[0]
+    dup[[11, 12, 13, 14, 15, 16, 30]] = dup[5]
+    plane = rng.normal(size=(25, 2)) @ rng.normal(size=(2, d))
+    equal = np.full((12, d), 0.25)
+    axis = np.arange(5.0)
+    grid = np.zeros((125, d))
+    grid[:, :3] = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    blocks = [vocab, dup, plane, equal, grid]
+    for i, block in enumerate(blocks[1:], start=1):
+        block[:, d - i] += 1e3
+    table = np.concatenate(blocks)
+    nan = np.full(d, np.nan)
+    queries = np.concatenate([table, grid[::7] + 0.5, nan[None]])
+    with np.errstate(invalid="ignore"):
+        sizes = assert_bases_match_reference(table, 5, queries)
+    # Degenerate, plane, full, and the duplicates' lost directions.
+    assert {0, 2, 5} < set(sizes.tolist()) and sizes[-1] == 0
+
+
+def test_overflowing_directions_are_dropped():
+    """A direction whose norm overflows float64 is dropped as a dependent
+    one is, so no basis holds a zero row in place of a unit direction; a
+    neighbourhood of such directions only is degenerate."""
+    points = synth_manifold(400, 16, 3, 1e157, 0).points
+    index = build_index(points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert neighborhood_basis(index, points[0], k=10) is None
+        bases, sizes = neighborhood_bases(index, points[:3], k=10)
+        with pytest.raises(ContractError, match="degenerate neighborhood"):
+            gram_schmidt([[1e200, 0.0], [0.0, 1e200]])
+        mixed = [[1e200, 0.0, 0.0], [0.0, 2.0, 0.0], [1.0, 1.0, 1.0]]
+        basis = gram_schmidt(mixed).basis
+        assert same_bits(basis, reference_mgs(mixed))
+    assert not sizes.any() and not bases.any()
+    assert basis.shape == (2, 3) and np.allclose(np.linalg.norm(basis, axis=1), 1.0)
 
 
 def test_bases_contracts():
