@@ -8,8 +8,8 @@ config dataclasses).  Floats are serialized with repr() so parsing the
 file recovers them bit for bit.
 
 Exit codes: 0 success, 1 configuration, argument or input-file problem
-(a config file, data file or checkpoint that does not parse), 2 runtime
-failure.
+(a config file, data file or checkpoint that is missing, not readable or
+does not parse), 2 runtime failure.
 """
 
 import argparse

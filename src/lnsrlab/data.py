@@ -44,41 +44,46 @@ def load_tsv(path, vocab: dict | None = None) -> TextDataset:
 
     With ``vocab=None`` the vocabulary is built from this file (the train
     convention); passing an existing vocabulary freezes it and maps unseen
-    tokens to the unknown id (the dev convention).
+    tokens to the unknown id (the dev convention).  A file that cannot be
+    read or is not UTF-8 raises ``ValidationError`` naming it.
     """
     freeze = vocab is not None
     vocab = dict(vocab) if freeze else {}
     examples = []
     max_label = -1
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            label_text, sep, text = line.partition("\t")
-            if not sep:
-                raise ValidationError(f"{path}:{lineno}: expected 'label<TAB>text'")
-            try:
-                label = int(label_text)
-            except ValueError:
-                raise ValidationError(
-                    f"{path}:{lineno}: label {label_text!r} is not an integer"
-                ) from None
-            if label < 0:
-                raise ValidationError(f"{path}:{lineno}: negative label {label}")
-            tokens = text.split()
-            if not tokens:
-                raise ValidationError(f"{path}:{lineno}: empty text")
-            ids = []
-            for tok in tokens:
-                if tok not in vocab:
-                    if freeze:
-                        ids.append(UNK_ID)
-                        continue
-                    vocab[tok] = FIRST_REAL_ID + len(vocab)
-                ids.append(vocab[tok])
-            examples.append((ids, label))
-            max_label = max(max_label, label)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{path}: cannot read: {exc}") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\n")
+        if not line:
+            continue
+        label_text, sep, text = line.partition("\t")
+        if not sep:
+            raise ValidationError(f"{path}:{lineno}: expected 'label<TAB>text'")
+        try:
+            label = int(label_text)
+        except ValueError:
+            raise ValidationError(
+                f"{path}:{lineno}: label {label_text!r} is not an integer"
+            ) from None
+        if label < 0:
+            raise ValidationError(f"{path}:{lineno}: negative label {label}")
+        tokens = text.split()
+        if not tokens:
+            raise ValidationError(f"{path}:{lineno}: empty text")
+        ids = []
+        for tok in tokens:
+            if tok not in vocab:
+                if freeze:
+                    ids.append(UNK_ID)
+                    continue
+                vocab[tok] = FIRST_REAL_ID + len(vocab)
+            ids.append(vocab[tok])
+        examples.append((ids, label))
+        max_label = max(max_label, label)
     if not examples:
         raise ValidationError(f"{path}: no examples found")
     return TextDataset(examples=examples, vocab=vocab, num_classes=max_label + 1)

@@ -19,12 +19,11 @@ from functools import partial
 
 import numpy as np
 
-from .encoder import ActivationTrace, EncoderModel, forward_with_taps
+from .encoder import EncoderModel, forward_with_taps
 from .errors import ContractError
 from .linalg import jacobi_eigh
 from .manifold import build_index, gram_schmidt, knn
 from .noise import rescale_relative_rows, sample_standard_noise
-from .tensor import Tensor
 
 import logging
 
@@ -62,31 +61,6 @@ class ErrorRatioCurve:
     n_probes: int
 
 
-def ratio_entries(clean, pert, b: int, noise: np.ndarray):
-    """Layer indices and deviation ratios for one clean/perturbed trace pair.
-
-    ``b`` and ``noise`` are the injection layer and the noise the caller
-    added to block b's input on the perturbed pass.  Entries run from b
-    through the last block, measuring each block's *input*: the injected
-    one as the clean input plus ``noise``, the others from ``pert``.
-    """
-    num_layers = len(pert.layers) - 1
-    if len(clean.layers) != len(pert.layers):
-        raise ContractError("ratio_entries: trace lengths differ")
-    if not 1 <= b <= num_layers:
-        raise ContractError(f"ratio_entries: injection layer {b} outside 1..{num_layers}")
-    layers = list(range(b, num_layers + 1))
-    ratios = []
-    for r in layers:
-        x = clean.layers[r - 1].data
-        xhat = x + noise if r == b else pert.layers[r - 1].data
-        denom = float(np.linalg.norm(x))
-        if denom == 0.0:
-            raise ContractError(f"ratio_entries: clean input of block {r} has zero norm")
-        ratios.append(float(np.linalg.norm(xhat - x)) / denom)
-    return layers, ratios
-
-
 def _probe_generator(entropy: int, ids) -> np.random.Generator:
     # Noise is keyed on the token content, not the probe position, so
     # reordering the probe set cannot change which noise any example gets.
@@ -94,30 +68,25 @@ def _probe_generator(entropy: int, ids) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
 
 
-def _sequence(trace, i: int):
-    """Sequence i of a batched trace, its entries views rather than copies."""
-    def view(t):
-        v = Tensor(0.0)
-        v.data = t.data[i]
-        return v
-
-    return ActivationTrace(layers=[view(t) for t in trace.layers],
-                           token_mask=trace.token_mask[i])
-
-
 def error_ratio_curve(model: EncoderModel, probes: list, b: int, rho: float,
                       rng: int) -> ErrorRatioCurve:
     """Average deviation ratios over a probe set, noise rescaled per token.
 
     ``probes`` is a list of (ids, label) pairs; ``rng`` is an integer
-    seed.  The injected noise is a standard Gaussian draw rescaled row-wise
-    so every position moves by ``rho`` times its own norm; all positions of
-    the padded [M, d] input are treated alike, which pins the first curve
-    entry to exactly ``rho``.  The passes run on frozen weights and keep no
-    tape, ``_PROBE_BLOCK`` probes at a time: one batched clean pass, then
-    one batched perturbed pass that starts from the clean trace at block b.
-    Each probe still draws its own [M, d] noise and gets its own ratios, so
-    the curve does not depend on the block size or the probe order.
+    seed.  Each probe draws its own [M, d] standard Gaussian noise, keyed on
+    its token content, rescaled row-wise so every position moves by ``rho``
+    times its own norm; all positions of the padded input are treated
+    alike, which pins the first curve entry to exactly ``rho``.  The passes
+    run on frozen weights and keep no tape, ``_PROBE_BLOCK`` probes at a
+    time: one batched clean pass, then one batched perturbed pass that
+    starts from the clean trace at block b.  Each layer of a block gives
+    one array of per-probe ratios, the norm of the flattened deviation over
+    the norm of the flattened clean input, and each layer's mean is an
+    fsum, so the curve does not depend on the block size or the probe
+    order.  A clean input of zero norm, or a ratio or clean norm that is
+    not finite (the squares overflow float64 at a huge ``rho``), raises
+    ``ContractError`` naming the lowest such probe, by its position in the
+    list, and then its lowest block.
     """
     if len(probes) == 0:
         raise ContractError("error_ratio_curve: empty probe set")
@@ -139,14 +108,34 @@ def error_ratio_curve(model: EncoderModel, probes: list, b: int, rho: float,
                         for ids in seqs])
         eps = rescale_relative_rows(raw, clean_input, rho)
         _, pert = forward_with_taps(model, seqs, injection=(b, eps), clean=clean)
-        for i in range(len(seqs)):
-            try:
-                _, ratios = ratio_entries(_sequence(clean, i), _sequence(pert, i), b, eps[i])
-            except ContractError as exc:
-                raise ContractError(f"error_ratio_curve: probe {start + i}"
-                                    f" (position in the probe list, from 0): {exc}") from None
-            for col, r in zip(columns, ratios):
-                col.append(r)
+        # Per layer, squared norms of each probe's flattened [M, d] rows.
+        # vecdot takes one BLAS dot per row, as np.linalg.norm of one
+        # probe's matrix does, so the bits match a per-probe norm.
+        sq_dev, sq_clean = [], []
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for r in layers:
+                x = clean.layers[r - 1].data
+                # The injected block's deviation is (x + eps) - x, as the
+                # perturbed pass saw its input, not eps itself.
+                xhat = x + eps if r == b else pert.layers[r - 1].data
+                dev = (xhat - x).reshape(len(seqs), -1)
+                x = x.reshape(len(seqs), -1)
+                sq_dev.append(np.vecdot(dev, dev))
+                sq_clean.append(np.vecdot(x, x))
+            denom = np.sqrt(sq_clean)
+            ratios = np.sqrt(sq_dev) / denom
+        # [layer, probe] masks; the zero-norm test runs first, so a 0/0
+        # ratio is reported as a zero norm.
+        for bad, problem in ((denom == 0.0, "clean input of block {} has zero norm"),
+                             (~(np.isfinite(ratios) & np.isfinite(denom)),
+                              "ratio or clean input norm of block {} is not finite")):
+            if bad.any():
+                i = int(np.argmax(bad.any(axis=0)))
+                block = layers[int(np.argmax(bad[:, i]))]
+                raise ContractError(f"error_ratio_curve: probe {start + i} (position in the"
+                                    f" probe list, from 0): {problem.format(block)}")
+        for col, row in zip(columns, ratios.tolist()):
+            col.extend(row)
     # fsum gives one correctly rounded total per layer, so the mean is
     # bit-identical under any permutation of the probe set.
     mean_ratios = [math.fsum(col) / len(col) for col in columns]

@@ -301,10 +301,14 @@ def save_checkpoint(model: EncoderModel, path):
 
 
 def load_checkpoint(path) -> EncoderModel:
-    """Read a ``save_checkpoint`` file; any fault in it is a
-    ``ValidationError`` naming the file (and the field or parameter)."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    """Read a ``save_checkpoint`` file; a file that cannot be read, or any
+    fault in it, is a ``ValidationError`` naming the file (and the field
+    or parameter)."""
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise ValidationError(f"checkpoint {path}: cannot read: {exc}") from None
     sep = blob.find(b"\n\n")
     if sep < 0:
         raise ValidationError(f"checkpoint {path}: missing header terminator")

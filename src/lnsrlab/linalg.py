@@ -60,7 +60,9 @@ def jacobi_eigh(a, tol: float = 1e-12, max_sweeps: int = 100) -> np.ndarray:
     """Eigenvalues of a symmetric matrix by Jacobi rotations in Brent-Luk
     parallel order, sorted descending.
 
-    Symmetry and finite entries are preconditions.  Raises
+    Symmetry and finite entries are preconditions; any finite scale is
+    accepted, and scaling the matrix by 2**k scales the result by 2**k
+    bit for bit while both stay normal numbers.  Raises
     ``ContractError`` when the off-diagonal norm is still above ``tol``
     times the Frobenius norm after ``max_sweeps``.
     """
@@ -70,12 +72,18 @@ def jacobi_eigh(a, tol: float = 1e-12, max_sweeps: int = 100) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ContractError("jacobi_eigh: matrix has non-finite entries")
     n = a.shape[0]
+    # An exact power-of-two scaling puts the largest |entry| in [0.5, 1),
+    # so the squares below neither overflow nor underflow; the rotations
+    # and the eigenvalues scale with it bit for bit.
+    exp = int(np.frexp(np.abs(a).max(initial=0.0))[1])
+    a = np.ldexp(a, -exp)
     scale = float(np.sqrt((a * a).sum()))
-    if not np.allclose(a, a.T, atol=max(1e-10, 1e-10 * scale)):
+    # The unscaled matrix's tolerance, max(1e-10, 1e-10 * its norm), scaled.
+    if not np.allclose(a, a.T, atol=max(np.ldexp(1e-10, -exp), 1e-10 * scale)):
         raise ContractError("jacobi_eigh: matrix is not symmetric")
     a = 0.5 * (a + a.T)
     if n == 1:
-        return a.diagonal().copy()
+        return np.ldexp(a.diagonal(), exp)
 
     # Odd n gets a bye: a zero row and column, whose rotations are identities.
     m = n + n % 2
@@ -110,4 +118,4 @@ def jacobi_eigh(a, tol: float = 1e-12, max_sweeps: int = 100) -> np.ndarray:
             layout = layout[step]
 
     eigvals = a.diagonal()[np.argsort(layout)[:n]]
-    return eigvals[np.argsort(eigvals)[::-1]]
+    return np.ldexp(eigvals[np.argsort(eigvals)[::-1]], exp)

@@ -415,10 +415,36 @@ def test_pca_spectrum_in_manifold_rows_are_per_sample_draws(tmp_path):
 
 
 def test_runtime_failure_exit_2(tmp_path, capsys):
-    assert main(["noise-curve", "--out", str(tmp_path),
-                 "--checkpoint", str(tmp_path / "missing.bin")]) == 2
+    # A relative magnitude whose squared deviation overflows float64 gives
+    # no finite ratio; the curve refuses it and no CSV is written.
+    assert main(["noise-curve", "--out", str(tmp_path), "--probes", "4",
+                 "--rel-magnitude", "1e200"]) == 2
     err = capsys.readouterr().err
     assert "runtime failure" in err
+    assert "probe 0 " in err and "block 1 is not finite" in err
+    assert not glob.glob(os.path.join(str(tmp_path), "*.csv"))
+
+
+@pytest.mark.parametrize("fault", ["missing_checkpoint", "missing_tsv", "latin1_tsv"])
+def test_unreadable_input_file_exits_1_naming_the_file(tmp_path, capsys, fault):
+    """A checkpoint or TSV file that is missing, or a TSV that is not
+    UTF-8, is an invalid input: exit 1, naming the file."""
+    ini = _tsv_config(tmp_path)
+    train = tmp_path / "train.tsv"
+    argv = ["train", "--config", ini, "--out", str(tmp_path)]
+    if fault == "missing_checkpoint":
+        bad = tmp_path / "missing.ckpt"
+        argv = ["noise-curve", "--checkpoint", str(bad), "--out", str(tmp_path)]
+    elif fault == "missing_tsv":
+        bad = train
+        train.unlink()
+    else:
+        bad = train
+        train.write_bytes(TSV_TRAIN.replace("fig", "fig caf\u00e9").encode("latin-1"))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{bad}: cannot read: " in err
+    assert not glob.glob(os.path.join(str(tmp_path), "*.csv"))
 
 
 def test_invalid_training_config_exit_1(tmp_path, capsys):

@@ -1,8 +1,8 @@
 """Tests for error-ratio curves, PCA spectra, and benchmarks.
 
-Spectrum results are cross-checked against numpy's eigensolver so the
-Jacobi path in the implementation is exercised against an independent
-oracle.
+Curves are cross-checked against a per-probe reference loop and spectra
+against numpy's eigensolver, so the batched curve and the Jacobi path in
+the implementation are each exercised against an independent oracle.
 """
 
 import copy
@@ -11,7 +11,6 @@ import math
 import numpy as np
 import pytest
 
-from lnsrlab import tensor as T
 from lnsrlab.data import synth_classification
 from lnsrlab.diagnostics import (
     _PROBE_BLOCK,
@@ -21,10 +20,10 @@ from lnsrlab.diagnostics import (
     bench_complexity,
     error_ratio_curve,
     pca_noise_spectrum,
-    ratio_entries,
 )
-from lnsrlab.encoder import ActivationTrace, EncoderConfig, build_encoder
+from lnsrlab.encoder import EncoderConfig, build_encoder, forward_with_taps
 from lnsrlab.errors import ContractError
+from lnsrlab.noise import rescale_relative_rows
 
 
 @pytest.fixture(scope="module")
@@ -36,40 +35,37 @@ def probe_setup():
     return model, train, dev
 
 
-def _trace(layers, mask):
-    return ActivationTrace(layers=[T.Tensor(a) for a in layers], token_mask=mask)
+def reference_curve(model, probes, b, rho, seed):
+    """Per-probe reference for ``error_ratio_curve``: each probe through the
+    encoder alone, then one np.linalg.norm of its [M, d] deviation and one
+    of its clean input per layer, and an fsum mean per layer."""
+    model = model.frozen()
+    layers = list(range(b, model.config.num_layers + 1))
+    columns = [[] for _ in layers]
+    for ids, _label in probes:
+        _, clean = forward_with_taps(model, [ids])
+        x_b = clean.layers[b - 1].data
+        # The noise contract: one Gaussian draw keyed on the seed and the tokens.
+        gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed] + list(ids))))
+        noise = rescale_relative_rows(gen.normal(size=x_b.shape[1:])[None], x_b, rho)
+        _, pert = forward_with_taps(model, [ids], injection=(b, noise))
+        for col, r in zip(columns, layers):
+            x = clean.layers[r - 1].data[0]
+            xhat = x + noise[0] if r == b else pert.layers[r - 1].data[0]
+            col.append(float(np.linalg.norm(xhat - x)) / float(np.linalg.norm(x)))
+    return layers, [math.fsum(col) / len(col) for col in columns]
 
 
-# ------------------------------------------------------------ ratio_entries
-
-def test_identity_propagation_keeps_ratio_constant():
-    # Blocks that pass their input through unchanged carry the injected
-    # deviation forward verbatim, so every entry equals ||eps|| / ||x||.
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=(4, 3))
-    x /= np.linalg.norm(x)
-    eps = rng.normal(size=(4, 3))
-    eps *= 0.05 / np.linalg.norm(eps)
-    mask = np.ones(4, dtype=bool)
-    clean = _trace([x, x, x], mask)
-    pert = _trace([x, x + eps, x + eps], mask)
-    layers, ratios = ratio_entries(clean, pert, 1, eps)
-    assert layers == [1, 2]
-    assert ratios == pytest.approx([0.05, 0.05], rel=1e-12)
+def _varied_probes(train, n):
+    """n probes whose lengths vary, so the probes of one block have
+    different pad masks, and a shuffled copy of them."""
+    probes = [(ids[:1 + i % len(ids)], label)
+              for i, (ids, label) in enumerate(train.examples[:n])]
+    return probes, [probes[i] for i in np.random.default_rng(n).permutation(n)]
 
 
-def test_ratio_entries_contracts():
-    x = np.ones((2, 2))
-    mask = np.ones(2, dtype=bool)
-    clean = _trace([x, x], mask)
-    for b in (0, 2):
-        with pytest.raises(ContractError, match=f"injection layer {b} outside 1..1"):
-            ratio_entries(clean, _trace([x, x], mask), b, x)
-    with pytest.raises(ContractError, match="trace lengths differ"):
-        ratio_entries(clean, _trace([x, x, x], mask), 1, x)
-    zero = _trace([np.zeros((2, 2)), x], mask)
-    with pytest.raises(ContractError, match="zero norm"):
-        ratio_entries(zero, _trace([np.zeros((2, 2)), x], mask), 1, np.ones((2, 2)))
+_BLOCK_EDGES = sorted({1, _PROBE_BLOCK - 1, _PROBE_BLOCK, _PROBE_BLOCK + 1,
+                       2 * _PROBE_BLOCK + 1} - {0})
 
 
 # -------------------------------------------------------- error_ratio_curve
@@ -113,18 +109,14 @@ def test_curve_deterministic_per_seed(probe_setup):
     assert a.ratios != c.ratios
 
 
-@pytest.mark.parametrize("n", sorted({1, _PROBE_BLOCK - 1, _PROBE_BLOCK, _PROBE_BLOCK + 1,
-                                      2 * _PROBE_BLOCK + 1} - {0}))
+@pytest.mark.parametrize("n", _BLOCK_EDGES)
 @pytest.mark.parametrize("rho", [0.05, 0.0])
 def test_blocked_curve_equals_fsum_of_one_probe_curves(probe_setup, n, rho):
     # Probes run in batched blocks; around every block boundary the curve
     # must equal the mean of one-probe curves bit for bit, so a dropped
     # tail block or rows leaking between probes of a block both show.
     model, train, _ = probe_setup
-    # Lengths vary so the probes of one block have different pad masks.
-    probes = [(ids[:1 + i % len(ids)], label)
-              for i, (ids, label) in enumerate(train.examples[:n])]
-    shuffled = [probes[i] for i in np.random.default_rng(n).permutation(n)]
+    probes, shuffled = _varied_probes(train, n)
     for b in (1, 2, 3):
         singles = [error_ratio_curve(model, [p], b=b, rho=rho, rng=5).ratios for p in probes]
         expected = [math.fsum(col) / n for col in zip(*singles)]
@@ -132,6 +124,21 @@ def test_blocked_curve_equals_fsum_of_one_probe_curves(probe_setup, n, rho):
             curve = error_ratio_curve(model, probe_list, b=b, rho=rho, rng=5)
             assert curve.ratios == expected
             assert curve.n_probes == n
+
+
+@pytest.mark.parametrize("n", _BLOCK_EDGES)
+@pytest.mark.parametrize("rho", [0.05, 0.0])
+def test_curve_equals_per_probe_reference(probe_setup, n, rho):
+    # The whole-block arrays must give the per-probe norms bit for bit: the
+    # injected layer's (x + eps) - x, each probe's own rows, every layer.
+    model, train, _ = probe_setup
+    probes, shuffled = _varied_probes(train, n)
+    for b in (1, 2, 3):
+        layers, expected = reference_curve(model, probes, b, rho, 5)
+        for probe_list in (probes, shuffled):
+            curve = error_ratio_curve(model, probe_list, b=b, rho=rho, rng=5)
+            assert curve.layers == layers
+            assert curve.ratios == expected
 
 
 def test_zero_norm_error_names_the_probe(probe_setup):
@@ -142,7 +149,7 @@ def test_zero_norm_error_names_the_probe(probe_setup):
     dead.blocks[0].ln2_gain.data[:] = 0.0
     dead.blocks[0].ln2_bias.data[:] = 0.0
     with pytest.raises(ContractError,
-                       match=r"probe 0 .*ratio_entries: clean input of block 2 has zero norm"):
+                       match=r"probe 0 .*clean input of block 2 has zero norm"):
         error_ratio_curve(dead, dev.examples[:3], b=1, rho=0.05, rng=0)
     # With zero positional embeddings and zero rows for tokens 0 (pad) and
     # 2, a probe made of token 2 alone has a zero block-1 input; placed in
@@ -154,6 +161,23 @@ def test_zero_norm_error_names_the_probe(probe_setup):
     with pytest.raises(ContractError, match=rf"probe {_PROBE_BLOCK + 1} .*"
                                             r"clean input of block 1 has zero norm"):
         error_ratio_curve(blank, probes, b=1, rho=0.05, rng=0)
+
+
+def test_non_finite_ratio_error_names_the_probe(probe_setup):
+    model, _, dev = probe_setup
+    # The squared deviation overflows float64, so no ratio is finite.
+    for rho in (1e200, math.inf):
+        with pytest.raises(ContractError, match=r"probe 0 .*block 1 is not finite"):
+            error_ratio_curve(model, dev.examples[:3], b=1, rho=rho, rng=0)
+    # Eight rows of token 7, each of squared norm 7.2e307, overflow the
+    # clean norm but not the deviation's; the probe sits in the second
+    # block of probes, and its block-1 ratio would read a finite 0.
+    huge = copy.deepcopy(model)
+    huge.tok_emb.data[7] = 3e153
+    probes = [([3, 4, 5], 0)] * (_PROBE_BLOCK + 1) + [([7] * 8, 1), ([3], 0)]
+    with pytest.raises(ContractError, match=rf"probe {_PROBE_BLOCK + 1} .*"
+                                            r"block 1 is not finite"):
+        error_ratio_curve(huge, probes, b=1, rho=1e-3, rng=0)
 
 
 def test_curve_contracts(probe_setup):
@@ -180,6 +204,17 @@ def test_spectrum_matches_numpy_oracle():
     ref = np.clip(ref, 0.0, None)
     ref /= ref.sum()
     assert np.abs(rep.sorted_eigenvalues - ref).max() <= 1e-8
+
+
+def test_spectrum_does_not_depend_on_the_batch_scale():
+    # The covariance of a batch scaled by 1e150 (1e-150) has entries near
+    # 1e300 (1e-300), whose squares overflow (underflow) float64.
+    rng = np.random.default_rng(4)
+    batch = rng.normal(size=(300, 16)) * np.linspace(0.3, 2.0, 16)
+    ref = pca_noise_spectrum(batch).sorted_eigenvalues
+    for scale in (1e150, 1e-150):
+        ev = pca_noise_spectrum(batch * scale).sorted_eigenvalues
+        assert np.abs(ev - ref).max() <= 1e-14
 
 
 def test_spectrum_is_normalized_and_sorted():

@@ -65,6 +65,16 @@ def test_raises_when_sweeps_run_out():
     assert np.allclose(vals, np.linalg.eigvalsh(a)[::-1], atol=1e-9)
 
 
+@pytest.mark.parametrize("k", [-600, 0, 600])
+@pytest.mark.parametrize("n", [1, 2, 7, 16])
+def test_power_of_two_scaling_is_exact(k, n):
+    # At 2**600 the entries' squares overflow float64, at 2**-600 they
+    # underflow; the spectrum must still scale with the matrix bit for bit.
+    x = np.random.default_rng(n).normal(size=(3 * n, n))
+    a = x.T @ x / (3 * n - 1)
+    assert np.array_equal(jacobi_eigh(np.ldexp(a, k)), np.ldexp(jacobi_eigh(a), k))
+
+
 @pytest.mark.parametrize("a", [np.diag([1.0, 5.0, 3.0, -2.0, 0.0]), np.zeros((4, 4))])
 def test_diagonal_input_needs_no_sweep(a):
     vals = jacobi_eigh(a, max_sweeps=0)
