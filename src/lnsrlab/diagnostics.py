@@ -83,7 +83,8 @@ def error_ratio_curve(model: EncoderModel, probes: list, b: int, rho: float,
     one array of per-probe ratios, the norm of the flattened deviation over
     the norm of the flattened clean input, and each layer's mean is an
     fsum, so the curve does not depend on the block size or the probe
-    order.  A clean input of zero norm, or a ratio or clean norm that is
+    order.  A negative or non-finite ``rho`` raises before any pass runs.
+    A clean input of zero norm, or a ratio or clean norm that is
     not finite (the squares overflow float64 at a huge ``rho``), raises
     ``ContractError`` naming the lowest such probe, by its position in the
     list, and then its lowest block.
@@ -93,8 +94,8 @@ def error_ratio_curve(model: EncoderModel, probes: list, b: int, rho: float,
     cfg = model.config
     if not 1 <= b <= cfg.num_layers:
         raise ContractError(f"error_ratio_curve: injection layer {b} outside 1..{cfg.num_layers}")
-    if not rho >= 0:
-        raise ContractError(f"error_ratio_curve: rho must be nonnegative, got {rho}")
+    if not 0 <= rho < math.inf:
+        raise ContractError(f"error_ratio_curve: rho must be nonnegative and finite, got {rho}")
     entropy = int(rng)
     model = model.frozen()
 

@@ -1,12 +1,19 @@
 """Neighborhood geometry: exact kNN, orthonormal bases, in-manifold noise.
 
 Exact kNN is one search, ``_knn_rows``, for one query (``knn``) or a
-batch of T queries.  A float32 matrix product, over a float32 copy of the
-index made on the first query, estimates every squared distance by the norm
-expansion |v|^2 - 2 v.q + |q|^2 with a per-row error bound; only the rows
-the bound cannot rule out of the k nearest are re-ranked by the direct
-formula sum((v - q)^2) in float64, so the distances and their tie-break
-equal those of a full direct scan bit for bit.
+batch of T queries.  On the first query the index builds its range frame
+(``RangeFrame``): an orthonormal basis P of the p-dimensional numerical
+range of its rows (p = 20 of d = 128 for the benchmark's manifold; P = I
+when the rows span all d dimensions), each row's float32 coordinates in
+P, and the largest distance r_max of a row from span(P).  One float32
+product over the p coordinates then gives every row a proven lower bound
+on its squared distance, from the norm expansion |Pv|^2 - 2 Pv.Pq + |Pq|^2
+plus the part of q's distance from the span that r_max cannot cancel
+(``_knn_rows`` lists each term).  A row whose lower bound exceeds
+the exact distance of k + 1 rows cannot be among the k nearest; the rest
+are re-ranked by the direct formula sum((v - q)^2) in float64, so the
+distances and their tie-break equal those of a full direct scan bit for
+bit, whatever p is.
 
 The in-manifold perturbation of a vector x is built from its k nearest
 neighbors in a reference point set (the token-embedding vocabulary in
@@ -44,6 +51,29 @@ _UNDERFLOW = 4 * float(np.finfo(np.float64).smallest_subnormal)
 # smallest subnormal (twice the absolute error of one underflowing rounding).
 _U32 = float(np.finfo(np.float32).eps) / 2
 _TINY32 = float(np.finfo(np.float32).smallest_subnormal)
+# A norm whose squares underflow is off by at most sqrt(d * _UNDERFLOW).
+_ROOT_UNDERFLOW = float(np.sqrt(_UNDERFLOW))
+# Rows per block when the range frame measures residuals.
+_FRAME_BLOCK = 1024
+
+
+@dataclass(frozen=True)
+class RangeFrame:
+    """An orthonormal basis P of an index's numerical range, each row's
+    float32 coordinates in it, and the row parts of ``_lower_estimates``.
+
+    ``basis`` None stands for P = I: the coordinates are the rows
+    themselves and no query is rotated.
+    """
+
+    basis: np.ndarray | None  # [p, d] rows, or None for P = I
+    coords: np.ndarray  # [p, N] float32, read-only: the product reads it by rows
+    base: np.ndarray  # [N]: (1 - rate_c) |c_v|^2 - rate_x |v|^2
+    rate_c: float  # per unit of |c_v|^2 + |c_q|^2
+    rate_x: float  # per unit of |v|^2 + |q|^2
+    floor: float  # absolute, for gradual underflow
+    r_max: float  # no row lies farther than this from span(P)
+    drift: float  # r_q's error per unit of |q|
 
 
 @dataclass(frozen=True)
@@ -64,13 +94,9 @@ class NeighborIndex:
         return (self.vectors * self.vectors).sum(axis=1)
 
     @cached_property
-    def vectors32(self) -> np.ndarray:
-        """Read-only float32 copy of ``vectors`` for the distance estimate,
-        made on the first query; a component beyond float32's range is inf."""
-        with np.errstate(over="ignore"):
-            copy = self.vectors.astype(np.float32)
-        copy.setflags(write=False)
-        return copy
+    def frame(self) -> RangeFrame:
+        """The range frame of the distance estimate, built on the first query."""
+        return _range_frame(self.vectors, self.sq_norms)
 
 
 @dataclass(frozen=True)
@@ -252,46 +278,78 @@ def _knn_rows(index: NeighborIndex, q: np.ndarray, k: int):
     re-ranked; when it is below k, query t has only that many non-copies
     in all, and its rows and distances from ``count[t]`` on are filler.
 
-    Each row's distance is first estimated by the norm expansion
-    ``|v|^2 - 2 v.q + |q|^2``: the squared norms in float64, v.q in float32
-    on ``index.vectors32``, which reads half the bytes of the float64 rows.
-    With Q = |v|^2 + |q|^2 >= 2 |v||q| and u float32's unit roundoff, the
-    estimate is off from the direct formula by at most the sum of
-      * ``(2d + 8) * (eps * Q + 4 float64 subnormals)``: the float64 steps,
-        and the rounding of the direct formula itself;
-      * ``gamma_{d+2} * Q``, gamma_m = m u / (1 - m u) (Higham 2002, sec.
-        3.1): rounding v and q into float32 is 2 roundings per product, and
-        the float32 dot product d more, in any summation order;
-      * ``4d`` float32 subnormals: what gradual underflow adds, to the
-        rounded inputs and to the products (a relative part of one float32
-        subnormal times Q lies far inside the float64 term's slack).
-    A component beyond float32's range makes the estimate non-finite.  If
-    ``cut`` is the (k+1)-th smallest upper estimate (one more than k, for
-    the query's own copy when it is a stored row), k + 1 rows certainly lie
-    within ``cut``, so a row whose lower estimate exceeds ``cut`` cannot be
-    among the k nearest.  The other rows, the shortlist (typically little
-    more than k), are re-ranked by the direct formula.  A query whose
-    shortlist holds fewer than k non-copies within ``cut`` (it has more
-    copies than that) is re-ranked over every row, as is a query with a
-    non-finite estimate or an index of at most k + 1 rows, so NaN, inf and
-    float32-overflowing inputs give the full scan's result.
+    ``_lower_estimates`` gives every row a lower bound on its direct-formula
+    distance D = fl(sum((v - q)^2)), from the p float32 coordinates of
+    ``index.frame``.  The k + 1 rows with the smallest lower estimates are
+    measured by the direct formula, and ``cut``, the largest of those
+    distances, has k + 1 rows within it (one more than k, for the query's
+    own copy when it is a stored row).  A row whose lower estimate exceeds
+    ``cut`` is farther than all of them, so it cannot be among the k
+    nearest (the lemma behind GEMINI filtering, Faloutsos, Ranganathan and
+    Manolopoulos, SIGMOD 1994).  The other rows, the shortlist (typically
+    little more than k), are re-ranked by the direct formula.  A query
+    whose shortlist holds fewer than k non-copies within ``cut`` (it has
+    more copies than that) is re-ranked over every row, as is a query with
+    a NaN or +inf lower estimate and an index of at most k + 1 rows, so
+    NaN, inf and overflowing inputs give the full scan's result.
+
+    The lower estimate.  With c_v = fl(P v) and c_q = fl(P q) in float64,
+    |P(v - q)|^2 is estimated by the norm expansion |c_v|^2 - 2 c_v.c_q +
+    |c_q|^2, the dot product in float32 on the frame's coordinates (-2 c_q
+    is rounded to float32; doubling in float64 is exact, and a c_q beyond
+    float32's range gives inf).  Added is rho^2, rho = max(0, r_q - r_max):
+    no row lies farther than r_max from span(P), and q lies at least r_q
+    from it, so |(I - Pi)(v - q)| >= |(I - Pi) q| - |(I - Pi) v| >= rho,
+    with Pi the orthogonal projection onto span(P), and Pythagoras adds
+    rho^2 to the part inside the span.  Let Q_c = |c_v|^2 + |c_q|^2 and
+    Q_x = |v|^2 + |q|^2, gamma_m = m eps / (1 - m eps) (Higham 2002, sec.
+    3.1), u float32's unit roundoff, eta a bound on |P P^T - I| (2-norm,
+    measured when the frame is built, at most 1/2) and kappa =
+    2 sqrt(p) gamma_d.  Subtracted are:
+      * ``rate_c * Q_c``, rate_c = (2p + 8) eps + gamma_{p+2}(u), plus
+        (2p + 8) float64 and 4p float32 subnormals: the float32 estimate on
+        p coordinates.  Q_c >= 2 |c_v||c_q|; (2p + 8) eps and the float64
+        subnormals cover the norm expansion's float64 steps; rounding c_v
+        and c_q into float32 is 2 roundings per product, and the float32
+        dot product p more, in any summation order (gamma_{p+2}(u)); the
+        float32 subnormals are what gradual underflow adds, to the rounded
+        inputs and to the products;
+      * ``10 kappa * Q_x``, plus one subnormal: c_v and c_q are off P v and
+        P q by at most kappa |v| and kappa |q| (and underflow), so
+        |P(v - q)| >= a - delta with a = |c_v - c_q| <= 1.3 (|v| + |q|) and
+        delta = kappa (|v| + |q|); a^2 - 2 a delta, bounded by 2ab <=
+        a^2 + b^2, loses at most this;
+      * ``3 eta * Q_x``: P's departure from orthonormality, as
+        |Pi x|^2 >= |P x|^2 / (1 + eta) >= |P x|^2 - 1.5 eta |x|^2 and
+        |x|^2 <= 2 Q_x;
+      * ``2 gamma_{d+2} * Q_x``, plus d subnormals: D itself rounds d + 2
+        times, so D >= (1 - gamma_{d+2}) |v - q|^2;
+      * ``32 eps * Q_x``: the float64 steps that compute Q_x and rho^2 and
+        assemble the bound, each off by at most eps times a partial result
+        below 2 (Q_c + Q_x).
+    r_max and r_q come from computed residual norms, which round by at
+    most gamma_{d+3} relative plus d sqrt(4 subnormals) where squares
+    underflow; both take gamma_{d+6}, for the 3 roundings of their own
+    arithmetic.  r_max adds, per row, kappa |v| for the rounding of
+    c_v^T P; r_q subtracts ``drift`` = 3 kappa + 3 eta times |q|: kappa |q|
+    for c_q^T P, 1.3 kappa |q| for c_q itself, and 3 eta |q|, by which
+    |q - Pi q| can fall short of |q - P^T P q|.  The float32 term is at
+    least 10^5 times each of the others at p = 20, d = 128; they carry the
+    bound only for a query far off the span, where Q_x outgrows Q_c.  For
+    P = I the frame is exact: c_v = v, r_max = r_q = 0, kappa = eta = 0.
     """
-    vectors, n, d, t = index.vectors, index.n, index.d, q.shape[0]
-    # Overflow here only sends a query to the full scan, which warns as a
-    # direct scan would.
-    with np.errstate(over="ignore", invalid="ignore"):
-        sq, qq = index.sq_norms, np.vecdot(q, q)[:, None]
-        # Doubling in float32 is exact, or overflows to inf.
-        approx = sq - 2.0 * (q.astype(np.float32) @ index.vectors32.T) + qq
-        gamma = (d + 2) * _U32 / (1 - (d + 2) * _U32)
-        bound = (((2 * d + 8) * _EPS + gamma) * (sq + qq)
-                 + ((2 * d + 8) * _UNDERFLOW + 4 * d * _TINY32))
-        lower, upper = approx - bound, approx + bound
+    vectors, n, t = index.vectors, index.n, q.shape[0]
     kk = k + 1
     if kk < n:
-        cut = np.partition(upper, kk - 1, axis=1)[:, kk - 1]
+        # Overflow here only sends a query to the full scan, which warns as
+        # a direct scan would.
+        with np.errstate(over="ignore", invalid="ignore"):
+            lower = _lower_estimates(index.frame, q)
+        first = np.argpartition(lower, k, axis=1)[:, :kk]
+        diffs = vectors[first] - q[:, None]
+        cut = (diffs * diffs).sum(axis=2).max(axis=1)
         short = lower <= cut[:, None]
-        short[~np.isfinite(approx).all(axis=1)] = True
+        short[~np.isfinite(lower.max(axis=1))] = True
     else:
         cut = np.full(t, np.inf)
         short = np.ones((t, n), dtype=bool)
@@ -310,6 +368,86 @@ def _knn_rows(index: NeighborIndex, q: np.ndarray, k: int):
     starts = np.searchsorted(who, np.arange(t))
     pick = ranked[np.minimum(starts[:, None] + np.arange(k), rows.shape[0] - 1)]
     return rows[pick], d2[pick], np.bincount(who[~copy], minlength=t)
+
+
+def _gamma(m: int, unit: float = _EPS) -> float:
+    """Higham's gamma_m = m u / (1 - m u): the relative error of m roundings."""
+    return m * unit / (1 - m * unit)
+
+
+def _lower_estimates(frame: RangeFrame, q: np.ndarray) -> np.ndarray:
+    """[T, N] lower bounds on each row's direct-formula squared distance
+    from each query row of ``q`` ([T, d]); ``_knn_rows`` lists the terms."""
+    qq = np.vecdot(q, q)
+    if frame.basis is None:
+        cq, cqq, rho2 = q, qq, 0.0
+    else:
+        basis, d = frame.basis, q.shape[1]
+        cq = q @ basis.T
+        res = q - cq @ basis
+        cqq = np.vecdot(cq, cq)
+        r_q = (np.sqrt(np.vecdot(res, res)) * (1 - _gamma(d + 6))
+               - frame.drift * np.sqrt(qq) - d * _ROOT_UNDERFLOW)
+        rho2 = np.square(np.maximum(r_q - frame.r_max, 0.0))
+    const = (1 - frame.rate_c) * cqq - frame.rate_x * qq - frame.floor + rho2
+    lower = (-2.0 * cq).astype(np.float32) @ frame.coords + const[:, None]
+    lower += frame.base
+    return lower
+
+
+def _range_frame(vectors: np.ndarray, sq: np.ndarray) -> RangeFrame:
+    """The frame of ``_lower_estimates`` for an index's rows and squared norms.
+
+    P holds the eigenvectors of the uncentred V^T V whose eigenvalues
+    exceed numpy's ``matrix_rank`` tolerance, largest * max(N, d) * eps;
+    V^T V's rounding puts the eigenvalues of its null space near eps times
+    the largest, so this finds the numerical rank p of V.  P = I when p = d,
+    when V^T V is not finite, or when ``eigh`` fails; its measured departure
+    from orthonormality, eta, must stay below 1/2, which the bound assumes.
+    r_max is measured over every row, in blocks of ``_FRAME_BLOCK`` rows to
+    keep the transient memory small.  Whatever P leaves out, r_max covers,
+    so p decides the speed of a query and never its result.
+    """
+    n, d = vectors.shape
+    basis = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = vectors.T @ vectors
+    if np.isfinite(gram).all():
+        try:
+            lam, vecs = np.linalg.eigh(gram)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            keep = lam > lam[-1] * max(n, d) * _EPS
+            if keep.sum() < d:
+                basis = np.ascontiguousarray(vecs[:, keep].T)
+    eta = kappa = r_max = 0.0
+    if basis is not None:
+        p = basis.shape[0]
+        eta = 2 * float(np.linalg.norm(basis @ basis.T - np.eye(p))) + 2 * p * _gamma(d)
+        if not eta <= 0.5:
+            basis, eta = None, 0.0
+    if basis is None:
+        p, coords, cn = d, vectors, sq
+    else:
+        coords = vectors @ basis.T
+        cn = np.vecdot(coords, coords)
+        kappa = 2 * np.sqrt(p) * _gamma(d)
+        largest = 0.0
+        for lo in range(0, n, _FRAME_BLOCK):
+            res = vectors[lo:lo + _FRAME_BLOCK] - coords[lo:lo + _FRAME_BLOCK] @ basis
+            largest = max(largest, float(np.vecdot(res, res).max()))
+        r_max = ((1 + _gamma(d + 6)) * np.sqrt(largest) + kappa * np.sqrt(sq.max())
+                 + d * _ROOT_UNDERFLOW)
+    rate_c = (2 * p + 8) * _EPS + _gamma(p + 2, _U32)
+    rate_x = 10 * kappa + 3 * eta + 2 * _gamma(d + 2) + 32 * _EPS
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = (1 - rate_c) * cn - rate_x * sq
+        coords32 = coords.T.astype(np.float32, order="C")
+    coords32.setflags(write=False)
+    return RangeFrame(basis=basis, coords=coords32, base=base, rate_c=rate_c, rate_x=rate_x,
+                      floor=(2 * p + d + 9) * _UNDERFLOW + 4 * p * _TINY32,
+                      r_max=float(r_max), drift=3 * kappa + 3 * eta)
 
 
 def project_coefficients(basis: OrthoBasis, samples) -> np.ndarray:

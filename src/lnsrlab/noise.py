@@ -62,6 +62,13 @@ def rescale_relative_rows(noise, x, rho: float) -> np.ndarray:
     Each row (last axis) of the result has norm ``rho`` times the
     corresponding row of ``x``; zero rows of ``x`` map to zero rows of
     noise, and a zero noise row against a nonzero row of ``x`` raises.
+
+    Norms are taken of each row scaled by the power of two that puts its
+    largest |entry| in [0.5, 1), so no square overflows or underflows
+    unless the row's entries span most of float64's range; the scale
+    comes back as an exponent.  Scaling by a power of two is exact, so
+    where the unscaled squares would stay normal the bits are those of
+    ``rho * |x| / |noise|`` taken directly.
     """
     nd = np.asarray(noise, dtype=np.float64)
     xd = np.asarray(x, dtype=np.float64)
@@ -71,11 +78,19 @@ def rescale_relative_rows(noise, x, rho: float) -> np.ndarray:
         )
     if not rho >= 0:
         raise ContractError(f"rescale_relative_rows: rho must be nonnegative, got {rho}")
-    xnorms = np.linalg.norm(xd, axis=-1)
-    nnorms = np.linalg.norm(nd, axis=-1)
+    xnorms, xexp = _scaled_row_norms(xd)
+    nnorms, nexp = _scaled_row_norms(nd)
     live = xnorms > 0.0
     if np.any(live & (nnorms == 0.0)):
         raise ContractError("rescale_relative_rows: zero-norm noise row against nonzero x row")
     eta = np.zeros_like(xnorms)
-    eta[live] = rho * xnorms[live] / nnorms[live]
+    eta[live] = np.ldexp(rho * xnorms[live] / nnorms[live], (xexp - nexp)[live])
     return nd * eta[..., None]
+
+
+def _scaled_row_norms(a: np.ndarray):
+    """``(norms, exps)``: each row's norm is ``ldexp(norms, exps)``, where
+    ``norms`` is taken of the row times 2^-exps, its largest |entry| in
+    [0.5, 1).  A zero row has norm 0 and exponent 0."""
+    exps = np.frexp(np.abs(a).max(axis=-1, initial=0.0))[1]
+    return np.linalg.norm(np.ldexp(a, -exps[..., None]), axis=-1), exps

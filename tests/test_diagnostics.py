@@ -7,6 +7,7 @@ the implementation are each exercised against an independent oracle.
 
 import copy
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -166,9 +167,8 @@ def test_zero_norm_error_names_the_probe(probe_setup):
 def test_non_finite_ratio_error_names_the_probe(probe_setup):
     model, _, dev = probe_setup
     # The squared deviation overflows float64, so no ratio is finite.
-    for rho in (1e200, math.inf):
-        with pytest.raises(ContractError, match=r"probe 0 .*block 1 is not finite"):
-            error_ratio_curve(model, dev.examples[:3], b=1, rho=rho, rng=0)
+    with pytest.raises(ContractError, match=r"probe 0 .*block 1 is not finite"):
+        error_ratio_curve(model, dev.examples[:3], b=1, rho=1e200, rng=0)
     # Eight rows of token 7, each of squared norm 7.2e307, overflow the
     # clean norm but not the deviation's; the probe sits in the second
     # block of probes, and its block-1 ratio would read a finite 0.
@@ -190,6 +190,21 @@ def test_curve_contracts(probe_setup):
         error_ratio_curve(model, dev.examples[:2], b=4, rho=0.05, rng=0)
     with pytest.raises(ContractError):
         error_ratio_curve(model, dev.examples[:2], b=1, rho=-0.1, rng=0)
+
+
+@pytest.mark.parametrize("rho", [math.inf, -math.inf, math.nan])
+def test_non_finite_rho_is_rejected_before_any_pass(probe_setup, monkeypatch, rho):
+    """A non-finite rho raises with the other argument checks: no forward
+    pass runs and no floating-point warning is printed."""
+    model, _, dev = probe_setup
+    calls = []
+    monkeypatch.setattr("lnsrlab.diagnostics.forward_with_taps",
+                        lambda *args, **kwargs: calls.append(args))
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractError, match=r"rho must be nonnegative and finite"):
+            error_ratio_curve(model, dev.examples[:3], b=1, rho=rho, rng=0)
+    assert calls == []
 
 
 # ------------------------------------------------------- pca_noise_spectrum

@@ -13,6 +13,7 @@ from lnsrlab.errors import ContractError, ShapeError
 from lnsrlab.manifold import (
     GS_DROP_RATIO,
     _knn_rows,
+    _lower_estimates,
     build_index,
     gram_schmidt,
     knn,
@@ -511,3 +512,140 @@ def test_knn_rows_float32_rounding_clouds_match_rescan(d, offset, spread):
         pts = offset + spread * rng.normal(size=(300, d))
         queries = np.concatenate([pts[:10], offset + spread * rng.normal(size=(10, d))])
         assert_knn_rows_match_rescan(pts, queries, 10)
+
+
+# ------------------------------------------------- the range frame's filter
+
+def rotated_cloud(rank, d, offset, spread, seed, n=300):
+    """n points of a rank-``rank`` Gaussian cloud, scaled by ``spread``,
+    rotated into R^d and moved ``offset`` along one more direction; also a
+    unit direction orthogonal to all of them, and fresh points of the cloud."""
+    rng = np.random.default_rng(seed)
+    axes = np.linalg.qr(rng.normal(size=(d, rank + 2)))[0].T
+
+    def draw(m):
+        return offset * axes[rank] + spread * (rng.normal(size=(m, rank)) @ axes[:rank])
+    return draw(n), axes[rank + 1], draw(3)
+
+
+def assert_lower_estimates_hold(index, queries):
+    """No lower estimate exceeds the row's direct-formula distance."""
+    queries = np.asarray(queries, dtype=np.float64)
+    lower = _lower_estimates(index.frame, queries)
+    for q, low in zip(queries, lower):
+        diffs = index.vectors - q
+        assert (low <= (diffs * diffs).sum(axis=1)).all()
+
+
+def assert_filter_matches_rescan(pts, queries, k=10):
+    """Through ``knn`` and one ``_knn_rows`` call, every query gets the
+    rescan's rows and distances bit for bit; the lower estimates hold."""
+    for q in queries:
+        assert_knn_matches_rescan(pts, q, k)
+    assert_knn_rows_match_rescan(pts, queries, k)
+    assert_lower_estimates_hold(build_index(pts), queries)
+
+
+@pytest.mark.parametrize("curvature, rank", [(0.0, 4), (0.05, 8)])
+def test_filter_on_synthetic_manifolds(curvature, rank):
+    """A flat patch spans k_true directions, a bent one 2 k_true: the frame
+    finds that rank and the search stays exact, for stored rows and for
+    queries off the manifold."""
+    pts = synth_manifold(2000, 32, 4, curvature, 3).points
+    index = build_index(pts)
+    assert index.frame.basis.shape == (rank, 32)
+    off = np.random.default_rng(1).normal(size=(3, 32))
+    assert_filter_matches_rescan(pts, np.concatenate([pts[:5], pts[5:8] + 0.1 * off]))
+
+
+@pytest.mark.parametrize("offset, spread", [(0.0, 1.0), (1e6, 1e-3), (1e6, 1.0),
+                                            (0.0, 1e-40), (0.0, 1e-150)])
+@pytest.mark.parametrize("d", [8, 24, 64])
+@pytest.mark.parametrize("rank", [1, 3, 5])
+def test_filter_on_rotated_low_rank_clouds(rank, d, offset, spread):
+    """Clouds far from the origin, where the norm expansion cancels worst;
+    clouds that float32 holds only as subnormals; clouds whose squares are
+    near float64's underflow.  Queries are stored rows, fresh points of the
+    cloud, and fresh points moved off its span by 1, 1e3 and 1e8 spreads;
+    far off the span, |q|^2 outweighs the float32 term, and the bound rests
+    on its float64 terms and on r_q's rounding."""
+    pts, away, fresh = rotated_cloud(rank, d, offset, spread, seed=rank * 100 + d)
+    index = build_index(pts)
+    assert index.frame.basis is not None and index.frame.basis.shape[0] <= rank + 1
+    queries = np.concatenate([pts[[0, 7, 150]], fresh, fresh + spread * away,
+                              fresh + 1e3 * spread * away, fresh + 1e8 * spread * away])
+    assert_filter_matches_rescan(pts, queries)
+
+
+def test_filter_on_a_tie_lattice_in_16_dimensions():
+    """Exactly equal distances at the cut, in a 3-dimensional range."""
+    axis = np.arange(5.0)
+    grid = np.zeros((125, 16))
+    grid[:, [2, 9, 13]] = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"),
+                                   axis=-1).reshape(-1, 3)
+    assert build_index(grid).frame.basis.shape == (3, 16)
+    away = np.zeros(16)
+    away[0] = 0.5
+    assert_filter_matches_rescan(grid, np.concatenate([grid[::11], grid[::13] + 0.5,
+                                                       grid[::17] + away]))
+
+
+def test_filter_with_off_span_residuals_below_the_rank_tolerance():
+    """Lattice rows moved by +-tau along a direction the frame leaves out
+    (tau lies below the rank tolerance), and queries h = 100 along it.  A
+    row on the query's side is nearer by 2 h tau than its tie inside the
+    span; only r_max keeps its lower estimate below its distance."""
+    axis = np.arange(5.0)
+    grid = np.zeros((125, 16))
+    grid[:, :3] = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"),
+                           axis=-1).reshape(-1, 3)
+    tau = 5e-7
+    grid[:, 15] = tau * np.where(np.arange(125) % 2, 1.0, -1.0)
+    index = build_index(grid)
+    assert index.frame.basis.shape == (3, 16) and index.frame.r_max >= tau
+    queries = grid[::9].copy()
+    queries[:, 15] = 100.0
+    assert_filter_matches_rescan(grid, queries)
+
+
+def test_filter_with_more_than_k_copies_in_a_low_rank_index():
+    pts, _, _ = rotated_cloud(3, 16, 1.0, 1.0, seed=5, n=200)
+    copies = [5, 17, 40, 41, 42, 90, 91, 120, 150, 151, 160, 170, 180, 190, 199]
+    pts[copies] = pts[5]
+    assert build_index(pts).frame.basis.shape[0] == 4
+    assert_filter_matches_rescan(pts, pts[[5, 6, 17]])
+
+
+@pytest.mark.parametrize("kind", ["nan", "inf", "overflow"])
+def test_non_finite_and_overflowing_indexes_take_the_identity_frame(kind):
+    """An index whose V^T V is not finite gets P = I, and the search falls
+    back to the full scan wherever its estimate is not finite."""
+    pts, _, fresh = rotated_cloud(3, 16, 1.0, 1.0, seed=6)
+    if kind == "overflow":
+        pts, fresh = 1e155 * pts, 1e155 * fresh
+    else:
+        pts[40, 2] = {"nan": np.nan, "inf": np.inf}[kind]
+    index = build_index(pts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert index.frame.basis is None
+        queries = np.concatenate([pts[[0, 7]], fresh])
+        for q in queries:
+            assert_knn_matches_rescan(pts, q, 10)
+        assert_knn_rows_match_rescan(pts, queries, 10)
+
+
+def test_full_rank_index_takes_the_identity_frame():
+    cfg = EncoderConfig(vocab_size=30, embed_dim=16, num_layers=2, num_heads=2,
+                        ffn_dim=32, max_seq_len=8)
+    index = build_index(build_encoder(cfg, 1).tok_emb.data)
+    assert index.frame.basis is None and index.frame.coords.shape == (16, 30)
+    assert_lower_estimates_hold(index, index.vectors)
+
+
+def test_frame_is_built_on_the_first_query():
+    pts = synth_manifold(500, 16, 3, 0.0, 2).points
+    index = build_index(pts)
+    assert "frame" not in vars(index)
+    knn(index, pts[0], 5)
+    assert vars(index)["frame"].basis.shape == (3, 16)
+    assert not vars(index)["frame"].coords.flags.writeable

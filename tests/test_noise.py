@@ -148,6 +148,35 @@ def test_rowwise_zero_noise_row_contract():
         rescale_relative_rows(noise, x, 0.1)
 
 
+def scaled_norm(row):
+    """A row's norm with its squares kept inside float64's normal range."""
+    scale = np.abs(row).max()
+    return scale * np.linalg.norm(row / scale)
+
+
+@pytest.mark.parametrize("size", [1e155, 1e-160])
+def test_rescale_rows_whose_squares_leave_float64(size):
+    """Rows whose squares overflow or underflow still get finite noise of
+    norm rho times the row's."""
+    rng = stream_rng(9, "noise")
+    x = size * rng.normal(size=(4, 12))
+    with np.errstate(all="raise"):
+        out = rescale_relative_rows(rng.normal(size=(4, 12)), x, 0.05)
+    assert np.isfinite(out).all()
+    for got, row in zip(out, x):
+        assert scaled_norm(got) == pytest.approx(0.05 * scaled_norm(row), rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [500, -500])
+def test_rescale_commutes_with_powers_of_two(k):
+    """Scaling x by 2^k scales the noise by 2^k, bit for bit."""
+    rng = stream_rng(10, "noise")
+    x = rng.normal(size=(6, 16))
+    noise = rng.normal(size=(6, 16))
+    want = np.ldexp(rescale_relative_rows(noise, x, 0.05), k)
+    assert np.array_equal(rescale_relative_rows(noise, np.ldexp(x, k), 0.05), want)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1), st.floats(0.01, 0.9))
 def test_property_rescaled_norm(seed, rho):
