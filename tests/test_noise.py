@@ -169,12 +169,14 @@ def test_rescale_rows_whose_squares_leave_float64(size):
 
 @pytest.mark.parametrize("k", [500, -500])
 def test_rescale_commutes_with_powers_of_two(k):
-    """Scaling x by 2^k scales the noise by 2^k, bit for bit."""
+    """Scaling x by 2^k scales the result by 2^k, and scaling the noise
+    leaves it as it is, bit for bit."""
     rng = stream_rng(10, "noise")
     x = rng.normal(size=(6, 16))
     noise = rng.normal(size=(6, 16))
-    want = np.ldexp(rescale_relative_rows(noise, x, 0.05), k)
-    assert np.array_equal(rescale_relative_rows(noise, np.ldexp(x, k), 0.05), want)
+    out = rescale_relative_rows(noise, x, 0.05)
+    assert np.array_equal(rescale_relative_rows(noise, np.ldexp(x, k), 0.05), np.ldexp(out, k))
+    assert np.array_equal(rescale_relative_rows(np.ldexp(noise, k), x, 0.05), out)
 
 
 @settings(max_examples=40, deadline=None)
