@@ -165,15 +165,15 @@ def pca_noise_spectrum(noise_batch, source: str = "standard") -> SpectrumReport:
     """Normalized covariance spectrum of an [n, d] batch of noise vectors.
 
     Centers the batch, forms the sample covariance (n−1 denominator), and
-    diagonalizes it with Jacobi rotations.  Eigenvalues are clipped at
+    finds its eigenvalues with ``jacobi_eigh``.  Eigenvalues are clipped at
     zero and divided by their sum; a zero-variance batch yields an
     all-zero spectrum and a logged warning.
     """
     if source not in SPECTRUM_SOURCES:
         raise ContractError(f"pca_noise_spectrum: source must be one of {SPECTRUM_SOURCES}")
     x = np.asarray(noise_batch, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 2:
-        raise ContractError(f"pca_noise_spectrum: need an [n>=2, d] batch, got shape {x.shape}")
+    if x.ndim != 2 or x.shape[0] < 2 or x.shape[1] < 1:
+        raise ContractError(f"pca_noise_spectrum: need an [n>=2, d>=1] batch, got shape {x.shape}")
     n = x.shape[0]
     centered = x - x.mean(axis=0)
     cov = centered.T @ centered / (n - 1)

@@ -1,8 +1,9 @@
 """Tests for error-ratio curves, PCA spectra, and benchmarks.
 
 Curves are cross-checked against a per-probe reference loop and spectra
-against numpy's eigensolver, so the batched curve and the Jacobi path in
-the implementation are each exercised against an independent oracle.
+against numpy's eigensolver, so the batched curve and the Householder-QL
+eigensolver in the implementation are each exercised against an
+independent oracle.
 """
 
 import copy
@@ -285,6 +286,11 @@ def test_spectrum_contracts():
         pca_noise_spectrum(np.ones((4, 4)), source="other")
     with pytest.raises(ContractError):
         pca_noise_spectrum(np.ones((4, 4))).top_mass(0)
+
+
+def test_spectrum_rejects_a_batch_without_features():
+    with pytest.raises(ContractError, match=r"d>=1\] batch, got shape \(5, 0\)"):
+        pca_noise_spectrum(np.zeros((5, 0)))
 
 
 # --------------------------------------------------------- bench_complexity

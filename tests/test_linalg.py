@@ -1,13 +1,21 @@
-"""Jacobi eigensolver and the matrix-free power iteration
-(``theory.spectral_norm_estimate``) against np.linalg oracles."""
+"""The symmetric eigensolver (Householder tridiagonalization and implicit
+QL) and the matrix-free power iteration (``theory.spectral_norm_estimate``)
+against np.linalg oracles and closed forms."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lnsrlab
+from lnsrlab import linalg
 from lnsrlab.errors import ContractError, ShapeError
-from lnsrlab.linalg import _rotation, _round_robin, jacobi_eigh
+from lnsrlab.linalg import _tridiagonalize, jacobi_eigh
 from lnsrlab.theory import spectral_norm_estimate
 
 RNG = np.random.default_rng(7)
@@ -30,7 +38,7 @@ def test_matches_numpy_eigh():
         ref = np.linalg.eigvalsh(a)[::-1]
         assert vals.shape == (n,)
         assert np.allclose(vals, ref, atol=1e-9)
-        assert np.abs(vals - ref).max() <= 1e-10 * np.abs(ref).max()
+        assert np.abs(vals - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_descending_order_and_repeated_eigenvalues():
@@ -56,11 +64,13 @@ def test_rejects_non_finite_before_symmetry(bad):
         jacobi_eigh(a)
 
 
-def test_raises_when_sweeps_run_out():
+def test_raises_when_sweeps_run_out(monkeypatch):
     a = random_symmetric(20, np.random.default_rng(20))
-    with pytest.raises(ContractError, match=r"not converged after 1 sweeps \(off-diagonal norm"
-                                            r" \S+ > target \S+\)"):
-        jacobi_eigh(a, max_sweeps=1)
+    monkeypatch.setattr(linalg, "_QL_MAX_ITER", 1)
+    with pytest.raises(ContractError, match=r"eigenvalue \d+ not converged after 1 QL"
+                                            r" iterations \(off-diagonal entry \S+\)"):
+        jacobi_eigh(a)
+    monkeypatch.undo()
     vals = jacobi_eigh(a)
     assert np.allclose(vals, np.linalg.eigvalsh(a)[::-1], atol=1e-9)
 
@@ -75,43 +85,102 @@ def test_power_of_two_scaling_is_exact(k, n):
     assert np.array_equal(jacobi_eigh(np.ldexp(a, k)), np.ldexp(jacobi_eigh(a), k))
 
 
-@pytest.mark.parametrize("a", [np.diag([1.0, 5.0, 3.0, -2.0, 0.0]), np.zeros((4, 4))])
-def test_diagonal_input_needs_no_sweep(a):
-    vals = jacobi_eigh(a, max_sweeps=0)
+@pytest.mark.parametrize("a", [np.diag([1.0, 5.0, 3.0, -2.0, 0.0]), np.zeros((4, 4)),
+                               3.0 * np.eye(50)])
+def test_diagonal_input_needs_no_sweep(a, monkeypatch):
+    """Every Householder column and every QL off-diagonal entry is zero."""
+    monkeypatch.setattr(linalg, "_QL_MAX_ITER", 0)
+    vals = jacobi_eigh(a)
     assert np.array_equal(vals, np.sort(a.diagonal())[::-1])
 
 
-def test_round_robin_pairs_every_two_indices_once():
-    for m in (2, 4, 6, 16, 128):
-        layout, step = _round_robin(m)
-        pairs = []
-        for _ in range(m - 1):
-            pairs += [tuple(sorted(p)) for p in layout.reshape(-1, 2).tolist()]
-            layout = layout[step]
-        assert len(pairs) == len(set(pairs)) == m * (m - 1) // 2
-        assert np.array_equal(layout, _round_robin(m)[0])
+def test_tridiagonal_input_passes_through_the_reduction():
+    """tridiag(-1, 2, -1) of order n has eigenvalues 2 - 2 cos(j pi / (n+1))."""
+    n = 50
+    a = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    d, e = _tridiagonalize(a.copy())
+    assert d == [2.0] * n and e == [-1.0] * (n - 1)
+    exact = 2.0 - 2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
+    assert np.abs(jacobi_eigh(a) - exact[::-1]).max() <= 1e-14 * exact.max()
 
 
-def test_rank_deficient_covariance():
-    """The in-manifold spectrum's shape: a rank-10 covariance in 128 dims."""
-    rng = np.random.default_rng(10)
-    x = rng.normal(size=(1000, 10)) @ rng.normal(size=(10, 128))
+def test_split_tridiagonal_deflates_at_the_zero():
+    """Blocks [[1, -1], [-1, 1]], [0] and [[2, 1], [1, 2]]: the QL sweep
+    must stop at the zero off-diagonal entries, where a rotation through
+    the singular block would divide 0 by 0."""
+    a = np.zeros((5, 5))
+    a[:2, :2] = [[1.0, -1.0], [-1.0, 1.0]]
+    a[3:, 3:] = [[2.0, 1.0], [1.0, 2.0]]
+    assert np.allclose(jacobi_eigh(a), [3.0, 2.0, 1.0, 0.0, 0.0], atol=1e-15)
+
+
+def test_wilkinson_close_pairs():
+    """W21+ (diagonal |10 - i|, unit off-diagonal): its large eigenvalues
+    come in pairs that agree to many digits, the top pair to within 1e-13."""
+    a = np.diag(np.abs(10.0 - np.arange(21.0))) + np.eye(21, k=1) + np.eye(21, k=-1)
+    vals = jacobi_eigh(a)
+    ref = np.linalg.eigvalsh(a)[::-1]
+    assert np.abs(vals - ref).max() <= 1e-12 * ref[0]
+    assert np.all(np.diff(vals) <= 0.0)
+
+
+def test_rank_one_covariance():
+    rng = np.random.default_rng(1)
+    x = np.outer(rng.normal(size=500), rng.normal(size=64))
     centered = x - x.mean(axis=0)
     cov = centered.T @ centered / (x.shape[0] - 1)
     vals = jacobi_eigh(cov)
     ref = np.linalg.eigvalsh(cov)[::-1]
-    assert np.abs(vals - ref).max() <= 1e-10 * ref[0]
-    assert np.abs(vals[10:]).max() <= 1e-10 * ref[0]
+    assert np.abs(vals - ref).max() <= 1e-12 * ref[0]
+    assert vals[0] == pytest.approx(np.trace(cov), rel=1e-12)
+    assert np.abs(vals[1:]).max() <= 1e-12 * ref[0]
+
+
+_SOLVE_SCRIPT = """
+import sys
+import numpy as np
+from lnsrlab.linalg import jacobi_eigh
+for n in (127, 128, 256):
+    m = np.random.default_rng(n).normal(size=(n, n))
+    sys.stdout.write(jacobi_eigh(m + m.T).tobytes().hex() + "\\n")
+"""
+
+
+def test_spectrum_does_not_depend_on_the_blas_thread_count():
+    """The same matrices, built with elementwise operations only, solved in
+    processes with one and with two OpenBLAS threads give the same bytes."""
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(lnsrlab.__file__).parents[1]))
+        run = subprocess.run([sys.executable, "-c", _SOLVE_SCRIPT], env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        outputs.append(run.stdout)
+    assert len(outputs[0].split()) == 3
+    assert outputs[0] == outputs[1]
+
+
+def test_rank_deficient_covariance(monkeypatch):
+    """The in-manifold spectrum's shape: a rank-10 covariance in 128 dims.
+    Its zero cluster deflates once an entry falls to the matrix's rounding
+    level (5 QL iterations at most here), not when it underflows (11)."""
+    rng = np.random.default_rng(10)
+    x = rng.normal(size=(1000, 10)) @ rng.normal(size=(10, 128))
+    centered = x - x.mean(axis=0)
+    cov = centered.T @ centered / (x.shape[0] - 1)
+    monkeypatch.setattr(linalg, "_QL_MAX_ITER", 8)
+    vals = jacobi_eigh(cov)
+    ref = np.linalg.eigvalsh(cov)[::-1]
+    assert np.abs(vals - ref).max() <= 1e-12 * ref[0]
+    assert np.abs(vals[10:]).max() <= 1e-12 * ref[0]
 
 
 @pytest.mark.parametrize("apq", [1e-310, 1e-160])
 def test_tiny_off_diagonal_keeps_its_rotation(apq):
-    """Against a unit diagonal gap, theta = 1 / (2 apq) overflows
-    (apq = 1e-310) or its square does (apq = 1e-160).  Each overflow guard
-    must still give the rotation its limit t = apq / diff, not zero; the
-    (1, 2) block of the matrix keeps it from converging at once."""
-    c, s = _rotation(np.array([0.0]), np.array([1.0]), np.array([apq]))
-    assert abs(s[0] / c[0] - apq) <= 1e-6 * apq
+    """The first Householder column is (0, 0, apq), whose square underflows
+    to zero (apq = 1e-310) or to a subnormal (apq = 1e-160).  The column's
+    power-of-two scale must still give an exact reflection; the (1, 2)
+    block of the matrix keeps it from being diagonal at once."""
     a = np.array([[0.0, 0.0, 0.0, apq],
                   [0.0, 2.0, 1.0, 0.0],
                   [0.0, 1.0, 2.0, 0.0],
