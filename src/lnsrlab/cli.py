@@ -34,7 +34,7 @@ from .diagnostics import (
 from .encoder import (EncoderConfig, build_encoder, check_data_fits, load_checkpoint,
                       save_checkpoint)
 from .errors import ContractError, ValidationError
-from .manifold import build_index, neighborhood_basis
+from .manifold import build_index, neighborhood_basis, sample_inmanifold_noise
 from .noise import NoiseSpec, sample_standard_noise
 from .objective import RegularizerConfig
 from .rng import stream_rng, substream_rng
@@ -386,21 +386,20 @@ def _cmd_pca_spectrum(args) -> int:
     basis = neighborhood_basis(index, mset.points[0], k=args.k)
     if basis is None:
         raise ContractError("pca-spectrum: degenerate neighborhood, no basis")
-    # One [n, m] draw gives the n consecutive m-coefficient draws; the
-    # stacked matmul rounds as each row's ``c @ basis`` does.
-    coef = rng.normal(0.0, args.sigma, size=(args.samples, basis.size))
-    batch = np.matmul(coef[:, None, :], basis.basis)[:, 0]
+    batch = np.stack([sample_inmanifold_noise(mset.points[0], basis, args.sigma, rng).data
+                      for _ in range(args.samples)])
     for noise in (standard, batch):
-        # The eigensolver squares the covariance entries: d^2 of them, each
-        # at most the largest variance in size, must square within float64.
+        # The spectrum is divided by the covariance's trace, at most d times
+        # the largest variance, so that must be finite; a variance below the
+        # smallest normal float64 has lost its precision.
         with np.errstate(over="ignore", under="ignore"):
             top = noise.var(axis=0, ddof=1).max()
-            if not (args.dim * top) ** 2 < np.inf:
-                raise ValidationError(f"--sigma {args.sigma} is too large: the squared noise"
-                                      " covariance overflows float64")
-            if top * top < np.finfo(np.float64).tiny:
-                raise ValidationError(f"--sigma {args.sigma} is too small: the squared noise"
-                                      " covariance underflows float64")
+            if not args.dim * top < np.inf:
+                raise ValidationError(f"--sigma {args.sigma} is too large: the noise's total"
+                                      " variance overflows float64")
+            if top < np.finfo(np.float64).tiny:
+                raise ValidationError(f"--sigma {args.sigma} is too small: the noise variance"
+                                      " underflows float64")
     std_rep = pca_noise_spectrum(standard, source="standard")
     man_rep = pca_noise_spectrum(batch, source="in_manifold")
 

@@ -31,8 +31,10 @@ log = logging.getLogger(__name__)
 
 SPECTRUM_SOURCES = ("standard", "in_manifold")
 BENCH_MIN_REPS = 5
-# Dimension of the bench's in-manifold samples: the largest basis size it takes.
+# Row widths of the bench's stages; the sample width caps the basis size.
+BENCH_STANDARD_DIM = 64
 BENCH_SAMPLE_DIM = 64
+BENCH_INDEX_DIM = 32
 # Probes per batched pass of error_ratio_curve: enough to spread the
 # interpreter's cost per op over a few sequences, few enough that the
 # [n, M, ffn_dim] temporaries stay small.  At d=64, M=32, ffn_dim=128 a block
@@ -225,12 +227,9 @@ def _fit_exponent(sizes, seconds) -> float:
 
 
 def bench_complexity(standard_rows=(256, 512, 1024, 2048, 4096),
-                     standard_dim: int = 64,
                      k_values=(8, 16, 32, 64),
                      sample_count: int = 8192,
-                     sample_dim: int = BENCH_SAMPLE_DIM,
                      index_sizes=(512, 1024, 2048, 4096),
-                     index_dim: int = 32,
                      reps: int = 7,
                      seed: int = 0) -> BenchReport:
     """Median timings of the noise pipeline stages plus log-log exponents.
@@ -250,9 +249,8 @@ def bench_complexity(standard_rows=(256, 512, 1024, 2048, 4096),
             raise ContractError(f"bench_complexity: {name} must be nonempty")
         if any(int(s) < 1 for s in sizes):
             raise ContractError(f"bench_complexity: {name} entries must be >= 1")
-    if any(int(k) > sample_dim for k in k_values):
-        raise ContractError(
-            f"bench_complexity: basis size cannot exceed sample_dim {sample_dim}")
+    if any(int(k) > BENCH_SAMPLE_DIM for k in k_values):
+        raise ContractError(f"bench_complexity: basis size cannot exceed {BENCH_SAMPLE_DIM}")
 
     rng = np.random.default_rng(seed)
     records = []
@@ -272,17 +270,18 @@ def bench_complexity(standard_rows=(256, 512, 1024, 2048, 4096),
             exponents[kind] = _fit_exponent(sizes, medians)
 
     stage("standard", standard_rows, lambda m: (
-        m * standard_dim, lambda: sample_standard_noise((m, standard_dim), 1.0, rng)))
+        m * BENCH_STANDARD_DIM,
+        lambda: sample_standard_noise((m, BENCH_STANDARD_DIM), 1.0, rng)))
 
     def inmanifold_sample(k):
-        basis = np.linalg.qr(rng.normal(size=(sample_dim, k)))[0].T
+        basis = np.linalg.qr(rng.normal(size=(BENCH_SAMPLE_DIM, k)))[0].T
         return k, lambda: rng.normal(size=(sample_count, k)) @ basis
     stage("inmanifold_sample", k_values, inmanifold_sample)
 
-    queries = rng.normal(size=(8, index_dim))
+    queries = rng.normal(size=(8, BENCH_INDEX_DIM))
 
     def knn_query(n):
-        index = build_index(rng.normal(size=(n, index_dim)))
+        index = build_index(rng.normal(size=(n, BENCH_INDEX_DIM)))
 
         def fn():
             for q in queries:
@@ -291,6 +290,6 @@ def bench_complexity(standard_rows=(256, 512, 1024, 2048, 4096),
     stage("knn_query", index_sizes, knn_query)
 
     stage("gram_schmidt", k_values, lambda k: (
-        k, partial(gram_schmidt, rng.normal(size=(k, sample_dim)))))
+        k, partial(gram_schmidt, rng.normal(size=(k, BENCH_SAMPLE_DIM)))))
 
     return BenchReport(records=records, exponents=exponents)

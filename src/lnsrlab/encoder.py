@@ -326,10 +326,14 @@ def load_checkpoint(path) -> EncoderModel:
         if f.name not in header:
             raise ValidationError(f"checkpoint {path}: missing header field {f.name!r}")
         try:
-            values[f.name] = f.type(int(header[f.name]))
+            number = int(header[f.name])
         except ValueError:
             raise ValidationError(f"checkpoint {path}: header field {f.name!r} is not"
                                   f" an integer: {header[f.name]!r}") from None
+        if f.type is bool and number not in (0, 1):
+            raise ValidationError(f"checkpoint {path}: header field {f.name!r} must be"
+                                  f" 0 or 1, got {number}")
+        values[f.name] = f.type(number)
     try:
         cfg = EncoderConfig(**values)
     except ValidationError as exc:

@@ -24,11 +24,7 @@ _STREAM_IDS = {
 
 def stream_rng(seed: int, name: str) -> np.random.Generator:
     """Generator for the named top-level stream of a run seed."""
-    if seed < 0:
-        raise ContractError(f"seed must be nonnegative, got {seed}")
-    if name not in _STREAM_IDS:
-        raise ContractError(f"unknown stream {name!r}; expected one of {sorted(_STREAM_IDS)}")
-    return np.random.default_rng(np.random.SeedSequence([seed, _STREAM_IDS[name]]))
+    return substream_rng(seed, name)
 
 
 def substream_rng(seed: int, name: str, *indices: int) -> np.random.Generator:

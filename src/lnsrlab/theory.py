@@ -171,46 +171,6 @@ def cross_term_mc(j, h, sigma: float, n: int, rng: np.random.Generator):
     return float(prod.mean()), float(prod.std(ddof=1) / np.sqrt(n))
 
 
-def spectral_norm_estimate(jvp, jtvp, dim: int, iters: int = 100,
-                           v0=None, return_history: bool = False):
-    """Operator norm of a linear map given matrix-free J and J^T products.
-
-    Power iteration on J^T J; the Rayleigh iterates are monotone
-    nondecreasing and the square root of the last is returned.  A zero map
-    yields exactly 0.
-    """
-    if iters < 10:
-        raise ContractError(f"spectral_norm_estimate: need iters >= 10, got {iters}")
-    if v0 is None:
-        v = np.ones(dim) / np.sqrt(dim)
-    else:
-        v = np.asarray(v0, dtype=np.float64).reshape(-1)
-        if v.shape[0] != dim:
-            raise ContractError(f"v0 length {v.shape[0]} vs dim {dim}")
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            raise ContractError("spectral_norm_estimate: zero start vector")
-        v = v / nv
-    history = []
-    est2 = 0.0
-    for _ in range(iters):
-        jv = np.asarray(jvp(v), dtype=np.float64).reshape(-1)
-        est2 = float(jv @ jv)  # v is unit: Rayleigh quotient of J^T J
-        history.append(est2)
-        w = np.asarray(jtvp(jv), dtype=np.float64).reshape(-1)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            break
-        v = w / nw
-        if len(history) >= 2 and abs(history[-1] - history[-2]) \
-                <= 1e-14 * max(history[-1], 1.0):
-            break
-    result = float(np.sqrt(max(est2, 0.0)))
-    if return_history:
-        return result, history
-    return result
-
-
 def random_smooth_map(dim: int, rng: np.random.Generator):
     """A random C^inf scalar map f(x) = a . tanh(W x + c), plus batch form.
 

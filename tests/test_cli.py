@@ -366,15 +366,15 @@ def test_bad_arguments_exit_1(tmp_path, capsys):
     (["pca-spectrum", "--curvature=-1e200"], "--curvature"),
     (["pca-spectrum", "--sigma", "1e-200"], "--sigma"),
     (["pca-spectrum", "--sigma", "1e200"], "--sigma"),
-    (["pca-spectrum", "--sigma", "1e150"], "--sigma"),
-    (["pca-spectrum", "--sigma", "1e-150"], "--sigma"),
+    (["pca-spectrum", "--sigma", "1e154"], "--sigma"),
+    (["pca-spectrum", "--sigma", "1e-154"], "--sigma"),
 ])
 def test_float_and_basis_size_arguments_exit_1(tmp_path, capsys, argv, option):
-    """A sigma that is not positive or whose noise covariance underflows
-    or overflows once squared, a basis size above its sample dimension, a
-    neighbourhood as large as the point set, or a curvature that is not
-    finite or overflows the manifold is an argument error naming its
-    option, not a runtime one."""
+    """A sigma that is not positive, whose noise's total variance
+    overflows or whose variance is below the smallest normal float64, a
+    basis size above its sample dimension, a neighbourhood as large as the
+    point set, or a curvature that is not finite or overflows the manifold
+    is an argument error naming its option, not a runtime one."""
     assert main(argv + ["--out", str(tmp_path)]) == 1
     assert option in capsys.readouterr().err
     assert not glob.glob(os.path.join(str(tmp_path), "*.csv"))
@@ -394,6 +394,22 @@ def test_repeated_list_items_exit_1(tmp_path, capsys, argv, option, item):
     err = capsys.readouterr().err
     assert option in err and f"{item} is repeated" in err
     assert not glob.glob(os.path.join(str(tmp_path), "*.csv"))
+
+
+@pytest.mark.parametrize("sigma", ["1e150", "1e-150"])
+def test_pca_spectrum_far_sigma_matches_unit_sigma(tmp_path, sigma):
+    """A sigma far from 1 whose variances stay normal and whose total
+    variance is finite gives the sigma = 1 spectra: the spectrum is
+    normalised, and the eigensolver prescales by a power of two."""
+    spectra = []
+    for value in ("1", sigma):
+        out = str(tmp_path / value)
+        assert main(["pca-spectrum", "--out", out, "--sigma", value]) == 0
+        rows = _read(_only_csv(out, "pca-spectrum"))[1:]
+        spectra.append(([r[:2] for r in rows], np.array([float(r[2]) for r in rows])))
+    (keys, want), (got_keys, got) = spectra
+    assert got_keys == keys
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_pca_spectrum_in_manifold_rows_are_per_sample_draws(tmp_path):

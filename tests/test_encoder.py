@@ -230,11 +230,13 @@ def test_checkpoint_rejects_corruption(tmp_path):
     (b"num_heads=2\n", b"num_heads=two\n", "header field 'num_heads' is not an integer: 'two'"),
     (b"embed_dim=8\n", b"embed_dim=\xd9\xa8\n", "header field 'embed_dim' is not an integer"),
     (b"num_heads=2\n", b"num_heads=3\n", "num_heads must divide embed_dim"),
-], ids=["word", "non_ascii_digit", "invalid_config"])
+    (b"regression=0\n", b"regression=7\n", "header field 'regression' must be 0 or 1, got 7"),
+    (b"regression=0\n", b"regression=-1\n", "header field 'regression' must be 0 or 1, got -1"),
+], ids=["word", "non_ascii_digit", "invalid_config", "bool_7", "bool_minus_1"])
 def test_checkpoint_rejects_a_bad_header_value(tmp_path, old, new, message):
     """A value that is not an ASCII integer (U+0668 is an Arabic-Indic
-    eight, which ``int`` would read) or that no encoder takes names the
-    file and the field."""
+    eight, which ``int`` would read), a bool field that is not 0 or 1, or
+    a value that no encoder takes names the file and the field."""
     path = tmp_path / "model.ckpt"
     save_checkpoint(build_encoder(small_config(), init_seed=12), path)
     path.write_bytes(path.read_bytes().replace(old, new, 1))

@@ -1,6 +1,5 @@
 """The symmetric eigensolver (Householder tridiagonalization and implicit
-QL) and the matrix-free power iteration (``theory.spectral_norm_estimate``)
-against np.linalg oracles and closed forms."""
+QL) against np.linalg oracles and closed forms."""
 
 import os
 import subprocess
@@ -16,7 +15,6 @@ import lnsrlab
 from lnsrlab import linalg
 from lnsrlab.errors import ContractError, ShapeError
 from lnsrlab.linalg import _tridiagonalize, jacobi_eigh
-from lnsrlab.theory import spectral_norm_estimate
 
 RNG = np.random.default_rng(7)
 
@@ -200,38 +198,3 @@ def test_property_reconstruction(seed, n):
     assert vals.sum() == pytest.approx(np.trace(a), abs=1e-8)
     assert (vals * vals).sum() == pytest.approx((a * a).sum(), rel=1e-10)
     assert np.allclose(vals, np.linalg.eigvalsh(a)[::-1], atol=1e-8)
-
-
-def _spectral_norm(j, **kw):
-    return spectral_norm_estimate(lambda v: j @ v, lambda u: j.T @ u, j.shape[1], **kw)
-
-
-def test_power_iteration_matches_svd():
-    for n in (2, 4, 9):
-        j = RNG.normal(size=(n, n + 1))
-        est, hist = _spectral_norm(j, iters=500, v0=RNG.normal(size=n + 1),
-                                   return_history=True)
-        top = np.linalg.svd(j, compute_uv=False)[0]
-        assert est == pytest.approx(top, rel=1e-6)
-        assert np.all(np.diff(hist) >= -1e-9), "Rayleigh quotients must not decrease"
-
-
-def test_power_iteration_zero_matrix():
-    est, hist = _spectral_norm(np.zeros((3, 3)), v0=[1.0, 0.0, 0.0], return_history=True)
-    assert est == 0.0
-    assert len(hist) == 1
-
-
-def test_power_iteration_rejects_zero_start():
-    with pytest.raises(ContractError):
-        _spectral_norm(np.eye(2), v0=[0.0, 0.0])
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2 ** 31 - 1), st.integers(2, 6))
-def test_property_power_iteration_monotone_on_psd(seed, n):
-    rng = np.random.default_rng(seed)
-    j = rng.normal(size=(n, n))
-    est, hist = _spectral_norm(j, iters=300, v0=rng.normal(size=n), return_history=True)
-    assert np.all(np.diff(hist) >= -1e-8 * max(hist[-1], 1.0))
-    assert est <= np.linalg.svd(j, compute_uv=False)[0] * (1 + 1e-9) + 1e-12

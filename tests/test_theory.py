@@ -16,7 +16,6 @@ from lnsrlab.theory import (
     fd_jacobian,
     make_taylor_report,
     mc_noise_stability,
-    spectral_norm_estimate,
     taylor_terms,
 )
 
@@ -189,27 +188,6 @@ def test_small_sigma_jacobian_limit():
         r_j = sigma * sigma * float(jac @ jac)
         gaps.append(abs(est - r_j) / est)
     assert gaps[0] > gaps[1] > gaps[2]
-
-
-def test_spectral_norm_diagonal_identity_and_random():
-    jmat = np.diag([3.0, 1.0])
-    est = spectral_norm_estimate(lambda v: jmat @ v, lambda u: jmat.T @ u, 2)
-    assert est == pytest.approx(3.0, abs=1e-6)
-    est = spectral_norm_estimate(lambda v: v, lambda u: u, 5)
-    assert est == pytest.approx(1.0, abs=1e-12)
-    rng = stream_rng(8, "theory")
-    jmat = rng.normal(size=(8, 8))
-    est, hist = spectral_norm_estimate(lambda v: jmat @ v, lambda u: jmat.T @ u,
-                                       8, iters=500, v0=rng.normal(size=8),
-                                       return_history=True)
-    top = np.linalg.svd(jmat, compute_uv=False)[0]
-    assert est == pytest.approx(top, abs=1e-6)
-    assert np.all(np.diff(hist) >= -1e-9 * max(hist[-1], 1.0))
-
-
-def test_spectral_norm_zero_map():
-    est = spectral_norm_estimate(lambda v: np.zeros(3), lambda u: np.zeros(3), 3)
-    assert est == 0.0
 
 
 def test_report_and_csv_roundtrip(tmp_path):
