@@ -18,7 +18,7 @@ import csv
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from datetime import datetime
 
 import numpy as np
@@ -41,11 +41,6 @@ from .rng import stream_rng, substream_rng
 from .theory import (MC_MIN_SAMPLES, TAYLOR_CSV_COLUMNS, cross_term_mc, make_taylor_report,
                      random_smooth_map)
 from .trainer import TrainConfig, config_for_mode, multi_seed, run_training
-
-COMMANDS = ("train", "sweep", "verify-claim1", "cross-term", "noise-curve",
-            "pca-spectrum", "bench", "gap-report")
-
-_CONFIG_SECTIONS = ("encoder", "noise", "regularizer", "train", "data")
 
 _DATA_DEFAULTS = {"n_per_class": 16, "num_classes": 2,
                   "seq_len": 8, "margin": 0.6, "seed": 0,
@@ -83,15 +78,15 @@ def write_csv(path, header, rows):
             writer.writerow([_fmt(v) for v in row])
 
 
-def _timestamp() -> str:
+def _write_output(args, header, rows):
+    """Write the command's CSV as ``<command>-<timestamp>.csv`` in ``--out``."""
+    os.makedirs(args.out, exist_ok=True)
     # Microsecond resolution keeps names collision-free even when two
     # commands run within the same second.
-    return datetime.now().strftime("%Y%m%d-%H%M%S-%f")
-
-
-def _out_path(args, command: str) -> str:
-    os.makedirs(args.out, exist_ok=True)
-    return os.path.join(args.out, f"{command}-{_timestamp()}.csv")
+    stamp = datetime.now().strftime("%Y%m%d-%H%M%S-%f")
+    path = os.path.join(args.out, f"{args.command}-{stamp}.csv")
+    write_csv(path, header, rows)
+    print(f"wrote {path}")
 
 
 # ------------------------------------------------------------ config loading
@@ -154,24 +149,15 @@ def _lambda_weights(text: str):
     return parts[0] if len(parts) == 1 else tuple(parts)
 
 
-_SECTION_CASTERS = {
-    "encoder": {"vocab_size": int, "embed_dim": int, "num_layers": int,
-                "num_heads": int, "ffn_dim": int, "max_seq_len": int,
-                "num_classes": int, "regression": _bool},
-    "noise": {"mode": str, "sigma": float, "rel_magnitude": _float_or_none},
-    "regularizer": {"lambda_weights": _lambda_weights, "mode": str,
-                    "norm_reduction": str, "injection_layer": int},
-    "train": {"lr": float, "batch_size": int, "beta1": float, "beta2": float,
-              "adam_eps": float, "weight_decay": float, "warmup_ratio": float,
-              "epochs": int, "seed": int, "knn_k": int},
-    "data": {"n_per_class": int, "num_classes": int,
-             "seq_len": int, "margin": float, "seed": int,
-             "train_path": str, "dev_path": str},
-}
+# Casters for the config field types that do not parse text themselves.
+_CASTERS = {bool: _bool, float | None: _float_or_none, float | tuple: _lambda_weights}
 
 
 def load_config_file(path):
-    """Parse the INI file into {section: {key: typed value}}."""
+    """Parse the INI file into {section: {key: typed value}}.
+
+    A section's keys are the fields of its config dataclass, nested configs
+    aside, and [data]'s are those of ``_DATA_DEFAULTS``."""
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path, encoding="utf-8")
@@ -181,12 +167,19 @@ def load_config_file(path):
         raise ValidationError(f"malformed config file {path}: {exc}") from exc
     if not read:
         raise ValidationError(f"config file not found: {path}")
+    schema = {section: {f.name: _CASTERS.get(f.type, f.type) for f in fields(config)
+                        if not is_dataclass(f.type)}
+              for section, config in (("encoder", EncoderConfig), ("noise", NoiseSpec),
+                                      ("regularizer", RegularizerConfig),
+                                      ("train", TrainConfig))}
+    schema["data"] = {key: str if value is None else type(value)
+                      for key, value in _DATA_DEFAULTS.items()}
     out = {}
     for section, items in sections:
-        if section not in _CONFIG_SECTIONS:
+        if section not in schema:
             raise ValidationError(
-                f"unknown config section [{section}]; expected one of {_CONFIG_SECTIONS}")
-        casters = _SECTION_CASTERS[section]
+                f"unknown config section [{section}]; expected one of {tuple(schema)}")
+        casters = schema[section]
         values = {}
         for key, raw in items:
             if key not in casters:
@@ -248,12 +241,10 @@ def _cmd_train(args) -> int:
     settings = Settings(args)
     train_ds, dev_ds = settings.datasets()
     result = run_training(settings.encoder, train_ds, dev_ds, settings.train)
-    path = _out_path(args, "train")
     rows = [(e + 1, tl, tm, dm) for e, (tl, tm, dm) in enumerate(
         zip(result.epoch_train_loss, result.epoch_train_metric,
             result.epoch_dev_metric))]
-    write_csv(path, ("epoch", "train_loss", "train_metric", "dev_metric"), rows)
-    print(f"wrote {path}")
+    _write_output(args, ("epoch", "train_loss", "train_metric", "dev_metric"), rows)
     print(f"mode={result.mode} final_train={result.final_train_metric:.4f} "
           f"final_dev={result.final_dev_metric:.4f} "
           f"gap={result.generalization_gap:.4f} "
@@ -280,13 +271,11 @@ def _cmd_sweep(args) -> int:
         else:
             cfg = replace(base, noise=replace(base.noise, rel_magnitude=v))
         summaries.append((float(v), multi_seed(settings.encoder, train_ds, dev_ds, cfg, seeds)))
-    path = _out_path(args, "sweep")
-    write_csv(path,
-              ("param", "value", "n_seeds", "dev_mean", "dev_std", "dev_max",
-               "gap_mean", "gap_std", "gap_max"),
-              [(args.param, v, len(s.per_seed), s.dev_mean, s.dev_std, s.dev_max,
-                s.gap_mean, s.gap_std, s.gap_max) for v, s in summaries])
-    print(f"wrote {path}")
+    _write_output(args,
+                  ("param", "value", "n_seeds", "dev_mean", "dev_std", "dev_max",
+                   "gap_mean", "gap_std", "gap_max"),
+                  [(args.param, v, len(s.per_seed), s.dev_mean, s.dev_std, s.dev_max,
+                    s.gap_mean, s.gap_std, s.gap_max) for v, s in summaries])
     for v, s in summaries:
         print(f"{args.param}={v:g}: dev {s.dev_mean:.4f} (std {s.dev_std:.4f}), "
               f"gap {s.gap_mean:.4f} (std {s.gap_std:.4f})")
@@ -302,9 +291,7 @@ def _cmd_verify_claim1(args) -> int:
         rng = substream_rng(args.seed, "theory", i)
         reports.append(make_taylor_report(f, x, sigma, args.mc_samples, rng,
                                           f_batch=f_batch))
-    path = _out_path(args, "verify-claim1")
-    write_csv(path, TAYLOR_CSV_COLUMNS, [r.csv_row() for r in reports])
-    print(f"wrote {path}")
+    _write_output(args, TAYLOR_CSV_COLUMNS, [r.csv_row() for r in reports])
     for rep in reports:
         second_order = rep.r_j + rep.r_h_exact
         gap = abs(rep.mc_estimate - second_order)
@@ -328,10 +315,8 @@ def _cmd_cross_term(args) -> int:
         ratio = abs(mean) / se if se > 0 else 0.0
         worst = max(worst, ratio)
         rows.append((i, args.dim, args.sigma, mean, se, ratio))
-    path = _out_path(args, "cross-term")
-    write_csv(path, ("pair", "dim", "sigma", "mc_mean", "mc_se", "abs_mean_over_se"),
-              rows)
-    print(f"wrote {path}")
+    _write_output(args, ("pair", "dim", "sigma", "mc_mean", "mc_se", "abs_mean_over_se"),
+                  rows)
     print(f"{args.pairs} pairs, max |mean|/se = {worst:.3f} "
           f"({'all within 3' if worst <= 3.0 else 'some exceed 3'})")
     return 0
@@ -352,12 +337,10 @@ def _cmd_noise_curve(args) -> int:
     check_data_fits(model.config, probes)
     curve = error_ratio_curve(model, probes, args.injection_layer,
                               args.rel_magnitude, settings.seed)
-    path = _out_path(args, "noise-curve")
-    write_csv(path,
-              ("layer", "ratio", "injection_layer", "rel_magnitude", "n_probes"),
-              [(layer, ratio, curve.injection_layer, curve.rel_magnitude,
-                curve.n_probes) for layer, ratio in zip(curve.layers, curve.ratios)])
-    print(f"wrote {path}")
+    _write_output(args,
+                  ("layer", "ratio", "injection_layer", "rel_magnitude", "n_probes"),
+                  [(layer, ratio, curve.injection_layer, curve.rel_magnitude,
+                    curve.n_probes) for layer, ratio in zip(curve.layers, curve.ratios)])
     print("layer ratios: " +
           ", ".join(f"{l}:{r:.4f}" for l, r in zip(curve.layers, curve.ratios)))
     return 0
@@ -403,12 +386,10 @@ def _cmd_pca_spectrum(args) -> int:
     std_rep = pca_noise_spectrum(standard, source="standard")
     man_rep = pca_noise_spectrum(batch, source="in_manifold")
 
-    path = _out_path(args, "pca-spectrum")
     rows = [(rep.source, rank, val)
             for rep in (std_rep, man_rep)
             for rank, val in enumerate(rep.sorted_eigenvalues, start=1)]
-    write_csv(path, ("source", "rank", "normalized_eigenvalue"), rows)
-    print(f"wrote {path}")
+    _write_output(args, ("source", "rank", "normalized_eigenvalue"), rows)
     m = min(10, args.dim)
     print(f"top-{m} mass: standard {std_rep.top_mass(m):.4f}, "
           f"in_manifold {man_rep.top_mass(m):.4f}")
@@ -424,14 +405,12 @@ def _cmd_bench(args) -> int:
             cast = _int_at_least(1, BENCH_SAMPLE_DIM if name == "k_values" else None)
             kwargs[name] = tuple(_comma_list(text, cast, "--" + name.replace("_", "-")))
     report = bench_complexity(seed=args.seed, **kwargs)
-    path = _out_path(args, "bench")
     rows = [("timing", r.kind, r.size, r.median_seconds, r.reps, None)
             for r in report.records]
     rows += [("exponent", kind, None, None, None, value)
              for kind, value in sorted(report.exponents.items())]
-    write_csv(path, ("record", "kind", "size", "median_seconds", "reps", "exponent"),
-              rows)
-    print(f"wrote {path}")
+    _write_output(args, ("record", "kind", "size", "median_seconds", "reps", "exponent"),
+                  rows)
     for kind, value in sorted(report.exponents.items()):
         print(f"{kind}: fitted exponent {value:.3f}")
     return 0
@@ -455,13 +434,11 @@ def _cmd_gap_report(args) -> int:
         rows.append(("summary", mode, None, None, None, None,
                      summary.dev_mean, summary.dev_std, summary.dev_max,
                      summary.gap_mean, summary.gap_std, summary.gap_max))
-    path = _out_path(args, "gap-report")
-    write_csv(path,
-              ("record", "mode", "seed", "final_train_metric", "final_dev_metric",
-               "generalization_gap", "dev_mean", "dev_std", "dev_max",
-               "gap_mean", "gap_std", "gap_max"),
-              rows)
-    print(f"wrote {path}")
+    _write_output(args,
+                  ("record", "mode", "seed", "final_train_metric", "final_dev_metric",
+                   "generalization_gap", "dev_mean", "dev_std", "dev_max",
+                   "gap_mean", "gap_std", "gap_max"),
+                  rows)
     for mode, summary in summaries:
         print(f"{mode}: dev {summary.dev_mean:.4f} (std {summary.dev_std:.4f}), "
               f"gap {summary.gap_mean:.4f} (std {summary.gap_std:.4f})")

@@ -21,7 +21,6 @@ from .errors import ContractError, ValidationError
 from .tensor import Tensor
 
 MODES = ("ft", "ft_noise_only", "lnsr_standard", "lnsr_inmanifold")
-NORM_REDUCTIONS = ("sum_squares", "mean_squares")
 # Modes that need a perturbed forward pass at all.
 NOISY_MODES = ("ft_noise_only", "lnsr_standard", "lnsr_inmanifold")
 
@@ -36,16 +35,11 @@ class RegularizerConfig:
 
     lambda_weights: float | tuple = 1.0
     mode: str = "lnsr_standard"
-    norm_reduction: str = "sum_squares"
     injection_layer: int = 1
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValidationError(f"RegularizerConfig.mode: {self.mode!r} not in {MODES}")
-        if self.norm_reduction not in NORM_REDUCTIONS:
-            raise ValidationError(
-                f"RegularizerConfig.norm_reduction: {self.norm_reduction!r} not in {NORM_REDUCTIONS}"
-            )
         if self.injection_layer < 1:
             raise ValidationError(
                 f"RegularizerConfig.injection_layer: must be >= 1, got {self.injection_layer}"
@@ -83,8 +77,7 @@ def lnsr_term(clean: ActivationTrace, perturbed: ActivationTrace,
     """Weighted per-layer squared deviation between the two traces.
 
     Works on one sequence or a batch; a batch's terms are the sums of its
-    sequences' terms, each normalized by its own live-token count under
-    ``mean_squares``.  Returns ``(R, per_layer_terms)``: R a differentiable
+    sequences' terms.  Returns ``(R, per_layer_terms)``: R a differentiable
     scalar, the terms the unweighted per-layer squared deviations as floats.
     """
     if len(clean) != len(perturbed):
@@ -98,15 +91,8 @@ def lnsr_term(clean: ActivationTrace, perturbed: ActivationTrace,
     if not 1 <= b <= num_layers:
         raise ContractError(f"injection_layer {b} outside 1..{num_layers}")
     lams = cfg.resolved_lambdas(num_layers - b + 1)
-    mask = clean.token_mask
-    shape = clean.layers[b].data.shape
-    row_weight = mask.astype(np.float64)[..., None]
-    if cfg.norm_reduction == "mean_squares":
-        # Squared weights 1/(live * d): each sequence's deviation is divided
-        # by its own live-token count times width before the batch sum.
-        live = mask.sum(axis=-1)[..., None, None] * shape[-1]
-        row_weight = row_weight / np.sqrt(live)
-    weight = Tensor(np.broadcast_to(row_weight, shape))
+    weight = Tensor(np.broadcast_to(clean.token_mask.astype(np.float64)[..., None],
+                                    clean.layers[b].data.shape))
     per_layer = []
     r_total = None
     for offset, r in enumerate(range(b, num_layers + 1)):

@@ -281,7 +281,7 @@ def softmax(x: Tensor) -> Tensor:
     return _node(y, (x,), bwd)
 
 
-def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYERNORM_EPS) -> Tensor:
+def layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Layer normalization of every length-d row of a [..., d] input, with
     gain/bias of length d shared by all rows."""
     if x.data.ndim < 2:
@@ -295,7 +295,7 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYERNORM_EPS)
     # The ufuncs np.mean and np.var run, without their Python wrappers: the
     # mean is the row sum over d, the variance the mean square of c.
     c = x.data - x.data.sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt((c * c).sum(axis=-1, keepdims=True) / d + eps)
+    inv = 1.0 / np.sqrt((c * c).sum(axis=-1, keepdims=True) / d + LAYERNORM_EPS)
     xhat = c * inv
     gd = gain.data
 

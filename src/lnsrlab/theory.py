@@ -56,10 +56,9 @@ def _eval_scalar(f, x) -> float:
     return v
 
 
-def fd_jacobian(f, x, h: float = FD_JACOBIAN_H) -> np.ndarray:
+def fd_jacobian(f, x) -> np.ndarray:
     """Gradient of scalar f by central differences, one coordinate at a time."""
-    if not h > 0:
-        raise ContractError(f"fd_jacobian: h must be positive, got {h}")
+    h = FD_JACOBIAN_H
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     g = np.zeros_like(x)
     for i in range(x.shape[0]):
@@ -71,10 +70,9 @@ def fd_jacobian(f, x, h: float = FD_JACOBIAN_H) -> np.ndarray:
     return g
 
 
-def fd_hessian(f, x, h: float = FD_HESSIAN_H) -> np.ndarray:
+def fd_hessian(f, x) -> np.ndarray:
     """Hessian of scalar f by central second differences, symmetrized."""
-    if not h > 0:
-        raise ContractError(f"fd_hessian: h must be positive, got {h}")
+    h = FD_HESSIAN_H
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     d = x.shape[0]
     hess = np.zeros((d, d))

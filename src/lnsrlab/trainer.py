@@ -90,20 +90,20 @@ class TrainConfig:
 
 
 def adam_step(store: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
-              t: int, cfg: TrainConfig, lr: float | None = None):
-    """One Adam update with bias correction and decoupled weight decay,
-    in place on the flat parameter ``store`` and moments ``m`` and ``v``."""
+              t: int, cfg: TrainConfig, lr: float):
+    """One Adam update at learning rate ``lr``, with bias correction and
+    decoupled weight decay, in place on the flat parameter ``store`` and
+    moments ``m`` and ``v``."""
     if t < 1:
         raise ContractError(f"adam_step: t must be >= 1, got {t}")
     if not store.shape == grad.shape == m.shape == v.shape:
         raise ContractError(f"adam_step: shapes {store.shape} {grad.shape} {m.shape} {v.shape}")
-    step_lr = cfg.lr if lr is None else lr
     b1, b2 = cfg.beta1, cfg.beta2
     m[:] = b1 * m + (1.0 - b1) * grad
     v[:] = b2 * v + (1.0 - b2) * grad * grad
     mhat = m / (1.0 - b1 ** t)
     vhat = v / (1.0 - b2 ** t)
-    store -= step_lr * (mhat / (np.sqrt(vhat) + cfg.adam_eps) + cfg.weight_decay * store)
+    store -= lr * (mhat / (np.sqrt(vhat) + cfg.adam_eps) + cfg.weight_decay * store)
 
 
 def lr_at(step: int, total_steps: int, warmup_ratio: float, base_lr: float) -> float:

@@ -8,12 +8,13 @@ the surface under test.
 import csv
 import glob
 import os
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
 
 from lnsrlab.cli import (
-    COMMANDS,
+    _DATA_DEFAULTS,
     Settings,
     _fmt,
     build_parser,
@@ -23,12 +24,13 @@ from lnsrlab.cli import (
 )
 from lnsrlab.data import synth_manifold
 from lnsrlab.diagnostics import pca_noise_spectrum
-from lnsrlab.encoder import build_encoder, load_checkpoint, save_checkpoint
+from lnsrlab.encoder import EncoderConfig, build_encoder, load_checkpoint, save_checkpoint
 from lnsrlab.errors import ValidationError
 from lnsrlab.manifold import build_index, neighborhood_basis, sample_inmanifold_noise
-from lnsrlab.noise import sample_standard_noise
+from lnsrlab.noise import NoiseSpec, sample_standard_noise
+from lnsrlab.objective import RegularizerConfig
 from lnsrlab.rng import stream_rng
-from lnsrlab.trainer import run_training
+from lnsrlab.trainer import TrainConfig, run_training
 
 
 def _only_csv(out_dir, command):
@@ -40,6 +42,11 @@ def _only_csv(out_dir, command):
 def _read(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def _subcommands():
+    parser = build_parser()
+    return next(a for a in parser._actions if a.choices).choices
 
 
 # -------------------------------------------------------------- happy paths
@@ -218,6 +225,58 @@ def test_config_file_errors(tmp_path):
         load_config_file(str(bad_value))
 
 
+# One non-default value for every key of every section.
+_EVERY_KEY = {
+    "encoder": {"vocab_size": 40, "embed_dim": 12, "num_layers": 3, "num_heads": 3,
+                "ffn_dim": 20, "max_seq_len": 9, "num_classes": 4, "regression": True},
+    "noise": {"mode": "in_manifold", "sigma": 0.25, "rel_magnitude": None},
+    "regularizer": {"lambda_weights": (0.5, 0.25), "mode": "lnsr_inmanifold",
+                    "injection_layer": 2},
+    "train": {"lr": 0.004, "batch_size": 5, "beta1": 0.8, "beta2": 0.99,
+              "adam_eps": 1e-7, "weight_decay": 0.01, "warmup_ratio": 0.1,
+              "epochs": 4, "seed": 6, "knn_k": 7},
+    "data": {"n_per_class": 9, "num_classes": 3, "seq_len": 6, "margin": 0.4,
+             "seed": 2, "train_path": "a.tsv", "dev_path": "b.tsv"},
+}
+
+
+def test_config_keys_are_the_config_dataclass_fields(tmp_path):
+    """Each section accepts every field of its config dataclass (nested
+    configs aside) and casts it to the field's type; [data] accepts the
+    keys of its defaults."""
+    defaults = {section: {f.name: f.default for f in fields(config)
+                          if not is_dataclass(f.type)}
+                for section, config in (("encoder", EncoderConfig), ("noise", NoiseSpec),
+                                        ("regularizer", RegularizerConfig),
+                                        ("train", TrainConfig))}
+    defaults["data"] = _DATA_DEFAULTS
+    assert {s: set(keys) for s, keys in defaults.items()} == \
+        {s: set(keys) for s, keys in _EVERY_KEY.items()}
+    text = ""
+    for section, values in _EVERY_KEY.items():
+        text += f"[{section}]\n"
+        for key, value in values.items():
+            raw = ",".join(map(str, value)) if isinstance(value, tuple) else _fmt(value)
+            text += f"{key} = {raw or 'none'}\n"
+    ini = tmp_path / "every.ini"
+    ini.write_text(text)
+    got = load_config_file(str(ini))
+    assert got == _EVERY_KEY
+    for section, values in _EVERY_KEY.items():
+        for key, want in values.items():
+            assert type(got[section][key]) is type(want), (section, key)
+            assert want != defaults[section][key], (section, key)
+
+
+@pytest.mark.parametrize("section, key", [("train", "noise"), ("train", "reg"),
+                                          ("regularizer", "norm_reduction")])
+def test_config_keys_outside_the_schema_exit_1(tmp_path, capsys, section, key):
+    ini = tmp_path / "extra.ini"
+    ini.write_text(f"[{section}]\n{key} = sum_squares\n")
+    assert main(["train", "--config", str(ini), "--out", str(tmp_path)]) == 1
+    assert f"unknown key {key!r} in section [{section}]" in capsys.readouterr().err
+
+
 def test_lambda_weights_list_parses(tmp_path):
     ini = tmp_path / "exp.ini"
     ini.write_text("[regularizer]\nlambda_weights = 0.5,0.25\n")
@@ -311,7 +370,7 @@ def test_bad_arguments_exit_1(tmp_path, capsys):
     assert main(["train", "--config", str(tmp_path / "missing.ini")]) == 1
     capsys.readouterr()
     out = ["--out", str(tmp_path)]
-    for command in COMMANDS:
+    for command in _subcommands():
         assert main([command, "--seed", "-1"] + out) == 1
         assert "--seed" in capsys.readouterr().err
     for command in ("verify-claim1", "cross-term", "pca-spectrum", "bench"):
@@ -546,10 +605,8 @@ def test_help_exits_zero():
 
 
 def test_all_commands_registered():
-    parser = build_parser()
-    sub = next(a for a in parser._actions
-               if isinstance(a, object) and hasattr(a, "choices") and a.choices)
-    assert set(COMMANDS) <= set(sub.choices)
+    assert set(_subcommands()) == {"train", "sweep", "verify-claim1", "cross-term",
+                                   "noise-curve", "pca-spectrum", "bench", "gap-report"}
 
 
 # ------------------------------------------------------------- csv helpers

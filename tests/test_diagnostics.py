@@ -181,6 +181,16 @@ def test_non_finite_ratio_error_names_the_probe(probe_setup):
         error_ratio_curve(huge, probes, b=1, rho=1e-3, rng=0)
 
 
+def test_huge_rho_error_comes_without_floating_point_warnings(probe_setup):
+    """The perturbed pass overflows at rho=1e200; the error that names the
+    probe and block is raised, not a numpy RuntimeWarning before it."""
+    model, _, dev = probe_setup
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractError, match=r"probe 0 .*block 1 is not finite"):
+            error_ratio_curve(model, dev.examples[:3], b=1, rho=1e200, rng=0)
+
+
 def test_curve_contracts(probe_setup):
     model, _, dev = probe_setup
     with pytest.raises(ContractError):
@@ -297,8 +307,7 @@ def test_spectrum_rejects_a_batch_without_features():
 
 def test_bench_produces_all_stages():
     rep = bench_complexity(standard_rows=(64, 128, 256), k_values=(4, 8),
-                           sample_count=512, index_sizes=(64, 128),
-                           reps=5)
+                           index_sizes=(64, 128), reps=5)
     kinds = {r.kind for r in rep.records}
     assert kinds == {"standard", "inmanifold_sample", "knn_query", "gram_schmidt"}
     assert all(r.median_seconds > 0 for r in rep.records)
@@ -307,7 +316,7 @@ def test_bench_produces_all_stages():
 
 def test_bench_standard_grows_with_size():
     rep = bench_complexity(standard_rows=(128, 4096), k_values=(4, 8),
-                           sample_count=256, index_sizes=(64, 128), reps=5)
+                           index_sizes=(64, 128), reps=5)
     std = {r.size: r.median_seconds for r in rep.records if r.kind == "standard"}
     # 32x the elements must cost measurably more than the smallest size
     assert std[4096 * 64] > std[128 * 64]

@@ -77,14 +77,6 @@ def test_injection_layer_window():
     assert per_b2[1] == pytest.approx(per_b3[0], rel=1e-12)
 
 
-def test_mean_squares_reduction():
-    _, clean, pert = model_and_traces(num_layers=1)
-    r_sum, _ = lnsr_term(clean, pert, RegularizerConfig(norm_reduction="sum_squares"))
-    r_mean, _ = lnsr_term(clean, pert, RegularizerConfig(norm_reduction="mean_squares"))
-    live = clean.token_mask.sum() * 8
-    assert r_mean.item() == pytest.approx(r_sum.item() / live, rel=1e-12)
-
-
 def test_pad_rows_excluded_from_deviation():
     _, clean, pert = model_and_traces(num_layers=1)
     cfg = RegularizerConfig(injection_layer=1)
@@ -106,8 +98,6 @@ def test_lambda_vector_length_contract():
 def test_config_validation():
     with pytest.raises(ValidationError):
         RegularizerConfig(mode="dropout")
-    with pytest.raises(ValidationError):
-        RegularizerConfig(norm_reduction="max")
     with pytest.raises(ValidationError):
         RegularizerConfig(lambda_weights=-0.5)
     with pytest.raises(ValidationError):
@@ -222,24 +212,23 @@ def test_batched_term_is_sum_of_per_example_terms():
     model, _, _ = model_and_traces(num_layers=3)
     noise = stream_rng(8, "noise").normal(0, 0.1, size=(len(BATCH), 6, 8))
     clean, pert = _batched_traces(model, noise)
-    for reduction in ("mean_squares", "sum_squares"):
-        cfg = RegularizerConfig(lambda_weights=(0.5, 1.0, 2.0), norm_reduction=reduction)
-        r, per_layer = lnsr_term(clean, pert, cfg)
-        r_sum, per_sum = 0.0, np.zeros(3)
-        for j, tokens in enumerate(BATCH):
-            _, c = forward_with_taps(model, tokens)
-            _, p = forward_with_taps(model, tokens, injection=(1, noise[j]))
-            rj, pj = lnsr_term(c, p, cfg)
-            r_sum += rj.item()
-            per_sum += pj
-        assert r.item() == pytest.approx(r_sum, rel=1e-12)
-        assert per_layer == pytest.approx(per_sum.tolist(), rel=1e-12)
+    cfg = RegularizerConfig(lambda_weights=(0.5, 1.0, 2.0))
+    r, per_layer = lnsr_term(clean, pert, cfg)
+    r_sum, per_sum = 0.0, np.zeros(3)
+    for j, tokens in enumerate(BATCH):
+        _, c = forward_with_taps(model, tokens)
+        _, p = forward_with_taps(model, tokens, injection=(1, noise[j]))
+        rj, pj = lnsr_term(c, p, cfg)
+        r_sum += rj.item()
+        per_sum += pj
+    assert r.item() == pytest.approx(r_sum, rel=1e-12)
+    assert per_layer == pytest.approx(per_sum.tolist(), rel=1e-12)
 
 
 def test_batched_step_gradient_is_mean_of_per_example_gradients():
     model, _, _ = model_and_traces(num_layers=2)
     noise = stream_rng(9, "noise").normal(0, 0.1, size=(len(BATCH), 6, 8))
-    cfg = RegularizerConfig(lambda_weights=0.7, norm_reduction="mean_squares")
+    cfg = RegularizerConfig(lambda_weights=0.7)
     params = model.parameters()
 
     def objective(tokens, eps, labels, clean_reuse):

@@ -23,7 +23,7 @@ from lnsrlab.theory import (
 def test_fd_jacobian_linear_and_quadratic():
     a = np.array([3.0, 4.0])
     assert np.allclose(fd_jacobian(lambda x: a @ x, [0.7, -1.2]), a, atol=1e-8)
-    g = fd_jacobian(lambda x: x @ x, [1.0, 2.0], h=1e-5)
+    g = fd_jacobian(lambda x: x @ x, [1.0, 2.0])
     assert np.allclose(g, [2.0, 4.0], atol=1e-6)
 
 

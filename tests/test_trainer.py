@@ -55,8 +55,8 @@ def test_adam_first_step_closed_form():
     # t=1 bias correction makes mhat = g and vhat = g^2, so the update is
     # lr * g / (|g| + eps) regardless of g's magnitude.
     store = np.array([1.0])
-    cfg = _cfg(lr=0.1)
-    adam_step(store, np.array([1.0]), *_moments(store), 1, cfg)
+    cfg = _cfg()
+    adam_step(store, np.array([1.0]), *_moments(store), 1, cfg, 0.1)
     expected = 1.0 - 0.1 * (1.0 / (1.0 + cfg.adam_eps))
     assert store[0] == pytest.approx(expected, abs=1e-15)
 
@@ -64,21 +64,21 @@ def test_adam_first_step_closed_form():
 def test_adam_zero_grad_zero_decay_is_identity():
     vals = np.array([0.5, -2.0, 3.0, 0.0])
     store = vals.copy()
-    adam_step(store, np.zeros(4), *_moments(store), 1, _cfg(lr=0.1))
+    adam_step(store, np.zeros(4), *_moments(store), 1, _cfg(), 0.1)
     assert np.array_equal(store, vals)
 
 
 def test_adam_weight_decay_scales_param():
     store = np.array([4.0])
-    cfg = _cfg(lr=0.1, weight_decay=0.01)
-    adam_step(store, np.zeros(1), *_moments(store), 1, cfg)
+    cfg = _cfg(weight_decay=0.01)
+    adam_step(store, np.zeros(1), *_moments(store), 1, cfg, 0.1)
     # decoupled decay: p -> p * (1 - lr * wd)
     assert store[0] == pytest.approx(4.0 * (1.0 - 0.1 * 0.01), rel=1e-14)
 
 
 def test_adam_descends_random_quadratic_bowls():
     rng = np.random.default_rng(7)
-    cfg = _cfg(lr=1e-3)
+    cfg = _cfg()
     for _ in range(100):
         dim = int(rng.integers(2, 6))
         a = rng.normal(size=(dim, dim))
@@ -86,7 +86,7 @@ def test_adam_descends_random_quadratic_bowls():
         x0 = rng.normal(size=dim)
         store = x0.copy()
         loss0 = float(x0 @ h @ x0)
-        adam_step(store, 2.0 * h @ x0, *_moments(store), 1, cfg)
+        adam_step(store, 2.0 * h @ x0, *_moments(store), 1, cfg, 1e-3)
         loss1 = float(store @ h @ store)
         assert loss1 < loss0
 
@@ -94,11 +94,11 @@ def test_adam_descends_random_quadratic_bowls():
 def test_adam_contracts():
     store = np.ones(4)
     with pytest.raises(ContractError):
-        adam_step(store, np.ones(4), *_moments(store), 0, _cfg())
+        adam_step(store, np.ones(4), *_moments(store), 0, _cfg(), 1e-3)
     with pytest.raises(ContractError):
-        adam_step(store, np.ones(6), *_moments(store), 1, _cfg())
+        adam_step(store, np.ones(6), *_moments(store), 1, _cfg(), 1e-3)
     with pytest.raises(ContractError):
-        adam_step(store, np.ones(4), np.zeros(4), np.zeros(3), 1, _cfg())
+        adam_step(store, np.ones(4), np.zeros(4), np.zeros(3), 1, _cfg(), 1e-3)
 
 
 def test_adam_step_writes_the_model_store_in_place(toy_task):
@@ -110,8 +110,9 @@ def test_adam_step_writes_the_model_store_in_place(toy_task):
     before = [p.data.copy() for p in model.parameters()]
     grad = np.random.default_rng(1).normal(size=store.shape)
     m, v = _moments(store)
-    cfg = _cfg(lr=0.1, weight_decay=0.01)
-    adam_step(store, grad, m, v, 1, cfg)
+    cfg = _cfg(weight_decay=0.01)
+    lr = 0.1
+    adam_step(store, grad, m, v, 1, cfg, lr)
     assert model.store is store
     offset = 0
     for p, old in zip(model.parameters(), before):
@@ -120,7 +121,7 @@ def test_adam_step_writes_the_model_store_in_place(toy_task):
         offset += old.size
         mhat = ((1.0 - cfg.beta1) * g) / (1.0 - cfg.beta1)
         vhat = ((1.0 - cfg.beta2) * g * g) / (1.0 - cfg.beta2)
-        want = old - cfg.lr * (mhat / (np.sqrt(vhat) + cfg.adam_eps) + cfg.weight_decay * old)
+        want = old - lr * (mhat / (np.sqrt(vhat) + cfg.adam_eps) + cfg.weight_decay * old)
         assert np.array_equal(p.data, want)
 
 
