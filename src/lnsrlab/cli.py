@@ -3,8 +3,9 @@
 Every subcommand runs one experiment and writes `<command>-<timestamp>.csv`
 into the output directory.  The four that build an encoder (train, sweep,
 noise-curve, gap-report) also read an optional INI-style config file
-(sections [encoder], [noise], [regularizer], [train], [data] mirroring the
-config dataclasses).  Floats are serialized with repr() so parsing the
+(sections [encoder], [noise], [regularizer], [train] and [data], whose
+keys are the fields of the config dataclasses).  Defaults are those
+dataclasses' defaults.  Floats are serialized with repr() so parsing the
 file recovers them bit for bit.
 
 Exit codes: 0 success, 1 configuration, argument or input-file problem
@@ -18,12 +19,12 @@ import csv
 import math
 import os
 import sys
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import astuple, fields, is_dataclass, replace
 from datetime import datetime
 
 import numpy as np
 
-from .data import load_tsv, synth_classification, synth_manifold
+from .data import DataConfig, synth_manifold
 from .diagnostics import (
     BENCH_MIN_REPS,
     BENCH_SAMPLE_DIM,
@@ -34,17 +35,13 @@ from .diagnostics import (
 from .encoder import (EncoderConfig, build_encoder, check_data_fits, load_checkpoint,
                       save_checkpoint)
 from .errors import ContractError, ValidationError
-from .manifold import build_index, neighborhood_basis, sample_inmanifold_noise
-from .noise import NoiseSpec, sample_standard_noise
+from .manifold import DEFAULT_K, build_index, neighborhood_basis, sample_inmanifold_noise
+from .noise import DEFAULT_REL_MAGNITUDE, NoiseSpec, sample_standard_noise
 from .objective import RegularizerConfig
 from .rng import stream_rng, substream_rng
-from .theory import (MC_MIN_SAMPLES, TAYLOR_CSV_COLUMNS, cross_term_mc, make_taylor_report,
+from .theory import (MC_MIN_SAMPLES, TaylorReport, cross_term_mc, make_taylor_report,
                      random_smooth_map)
 from .trainer import TrainConfig, config_for_mode, multi_seed, run_training
-
-_DATA_DEFAULTS = {"n_per_class": 16, "num_classes": 2,
-                  "seq_len": 8, "margin": 0.6, "seed": 0,
-                  "train_path": None, "dev_path": None}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -150,14 +147,15 @@ def _lambda_weights(text: str):
 
 
 # Casters for the config field types that do not parse text themselves.
-_CASTERS = {bool: _bool, float | None: _float_or_none, float | tuple: _lambda_weights}
+_CASTERS = {bool: _bool, float | None: _float_or_none, float | tuple: _lambda_weights,
+            str | None: str}
 
 
 def load_config_file(path):
     """Parse the INI file into {section: {key: typed value}}.
 
     A section's keys are the fields of its config dataclass, nested configs
-    aside, and [data]'s are those of ``_DATA_DEFAULTS``."""
+    aside."""
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path, encoding="utf-8")
@@ -171,9 +169,7 @@ def load_config_file(path):
                         if not is_dataclass(f.type)}
               for section, config in (("encoder", EncoderConfig), ("noise", NoiseSpec),
                                       ("regularizer", RegularizerConfig),
-                                      ("train", TrainConfig))}
-    schema["data"] = {key: str if value is None else type(value)
-                      for key, value in _DATA_DEFAULTS.items()}
+                                      ("train", TrainConfig), ("data", DataConfig))}
     out = {}
     for section, items in sections:
         if section not in schema:
@@ -193,54 +189,24 @@ def load_config_file(path):
     return out
 
 
-class Settings:
-    """Configs assembled from defaults, the INI file, and CLI overrides."""
-
-    def __init__(self, args):
-        sections = load_config_file(args.config) if args.config else {}
-        enc_kwargs = dict(vocab_size=30, embed_dim=8, num_layers=2,
-                          num_heads=2, ffn_dim=16, max_seq_len=8)
-        enc_kwargs.update(sections.get("encoder", {}))
-        self.encoder = EncoderConfig(**enc_kwargs)
-
-        noise_kwargs = dict(mode="standard", sigma=0.05, rel_magnitude=0.05)
-        noise_kwargs.update(sections.get("noise", {}))
-        reg_kwargs = dict(mode="lnsr_standard", lambda_weights=1.0)
-        reg_kwargs.update(sections.get("regularizer", {}))
-        train_kwargs = dict(lr=2e-3, batch_size=8, epochs=2)
-        train_kwargs.update(sections.get("train", {}))
-        if getattr(args, "seed", None) is not None:
-            train_kwargs["seed"] = args.seed
-        self.train = TrainConfig(noise=NoiseSpec(**noise_kwargs),
-                                 reg=RegularizerConfig(**reg_kwargs),
-                                 **train_kwargs)
-
-        self.data = dict(_DATA_DEFAULTS)
-        self.data.update(sections.get("data", {}))
-        if self.data["seed"] < 0:
-            raise ValidationError(f"[data] seed must be >= 0, got {self.data['seed']}")
-        self.seed = self.train.seed
-
-    def datasets(self):
-        """Train/dev datasets: TSV files when paths are given, else synthetic."""
-        d = self.data
-        if d["train_path"]:
-            if not d["dev_path"]:
-                raise ValidationError("data.train_path given without data.dev_path")
-            train = load_tsv(d["train_path"])
-            dev = load_tsv(d["dev_path"], vocab=train.vocab)
-            return train, dev
-        return synth_classification(d["n_per_class"], d["num_classes"],
-                                    d["seq_len"], self.encoder.vocab_size,
-                                    d["margin"], d["seed"])
+def _configs(args):
+    """``(EncoderConfig, TrainConfig, DataConfig)``: the dataclass defaults,
+    then the ``--config`` file's sections, then ``--seed``."""
+    sections = load_config_file(args.config) if args.config else {}
+    train = sections.get("train", {})
+    if args.seed is not None:
+        train["seed"] = args.seed
+    return (EncoderConfig(**sections.get("encoder", {})),
+            TrainConfig(noise=NoiseSpec(**sections.get("noise", {})),
+                        reg=RegularizerConfig(**sections.get("regularizer", {})), **train),
+            DataConfig(**sections.get("data", {})))
 
 
 # ----------------------------------------------------------------- commands
 
 def _cmd_train(args) -> int:
-    settings = Settings(args)
-    train_ds, dev_ds = settings.datasets()
-    result = run_training(settings.encoder, train_ds, dev_ds, settings.train)
+    enc, train, data = _configs(args)
+    result = run_training(enc, *data.datasets(enc.vocab_size), train)
     rows = [(e + 1, tl, tm, dm) for e, (tl, tm, dm) in enumerate(
         zip(result.epoch_train_loss, result.epoch_train_metric,
             result.epoch_dev_metric))]
@@ -250,7 +216,7 @@ def _cmd_train(args) -> int:
           f"gap={result.generalization_gap:.4f} "
           f"wall={result.wall_time_seconds:.2f}s")
     if args.save_model:
-        model = build_encoder(settings.encoder, settings.seed)
+        model = build_encoder(enc, train.seed)
         model.store[:] = np.concatenate(result.final_params, axis=None)
         save_checkpoint(model, args.save_model)
         print(f"wrote {args.save_model}")
@@ -258,19 +224,18 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    settings = Settings(args)
-    train_ds, dev_ds = settings.datasets()
+    enc, base, data = _configs(args)
+    train_ds, dev_ds = data.datasets(enc.vocab_size)
     caster = int if args.param == "injection_layer" else float
     values = _comma_list(args.values, caster, "--values", distinct=True)
     seeds = _comma_list(args.seeds, int, "--seeds", minimum=2, distinct=True)
-    base = settings.train
     summaries = []
     for v in values:
         if args.param == "injection_layer":
             cfg = replace(base, reg=replace(base.reg, injection_layer=v))
         else:
             cfg = replace(base, noise=replace(base.noise, rel_magnitude=v))
-        summaries.append((float(v), multi_seed(settings.encoder, train_ds, dev_ds, cfg, seeds)))
+        summaries.append((float(v), multi_seed(enc, train_ds, dev_ds, cfg, seeds)))
     _write_output(args,
                   ("param", "value", "n_seeds", "dev_mean", "dev_std", "dev_max",
                    "gap_mean", "gap_std", "gap_max"),
@@ -291,7 +256,7 @@ def _cmd_verify_claim1(args) -> int:
         rng = substream_rng(args.seed, "theory", i)
         reports.append(make_taylor_report(f, x, sigma, args.mc_samples, rng,
                                           f_batch=f_batch))
-    _write_output(args, TAYLOR_CSV_COLUMNS, [r.csv_row() for r in reports])
+    _write_output(args, [f.name for f in fields(TaylorReport)], [astuple(r) for r in reports])
     for rep in reports:
         second_order = rep.r_j + rep.r_h_exact
         gap = abs(rep.mc_estimate - second_order)
@@ -325,18 +290,18 @@ def _cmd_cross_term(args) -> int:
 def _cmd_noise_curve(args) -> int:
     if not (np.isfinite(args.rel_magnitude) and args.rel_magnitude >= 0):
         raise ValidationError(f"--rel-magnitude must be finite and >= 0, got {args.rel_magnitude}")
-    settings = Settings(args)
+    enc, train, data = _configs(args)
     if args.checkpoint:
         model = load_checkpoint(args.checkpoint)
     else:
-        model = build_encoder(settings.encoder, settings.seed)
+        model = build_encoder(enc, train.seed)
     if args.injection_layer > model.config.num_layers:
         raise ValidationError(f"--injection-layer must be <= {model.config.num_layers}")
-    _, dev_ds = settings.datasets()
+    _, dev_ds = data.datasets(enc.vocab_size)
     probes = dev_ds.examples[:args.probes]
     check_data_fits(model.config, probes)
     curve = error_ratio_curve(model, probes, args.injection_layer,
-                              args.rel_magnitude, settings.seed)
+                              args.rel_magnitude, train.seed)
     _write_output(args,
                   ("layer", "ratio", "injection_layer", "rel_magnitude", "n_probes"),
                   [(layer, ratio, curve.injection_layer, curve.rel_magnitude,
@@ -417,15 +382,15 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_gap_report(args) -> int:
-    settings = Settings(args)
-    train_ds, dev_ds = settings.datasets()
+    enc, base, data = _configs(args)
+    train_ds, dev_ds = data.datasets(enc.vocab_size)
     modes = _comma_list(args.modes, str.strip, "--modes", distinct=True)
     seeds = _comma_list(args.seeds, int, "--seeds", minimum=2, distinct=True)
     rows = []
     summaries = []
     for mode in modes:
-        cfg = config_for_mode(settings.train, mode)
-        summary = multi_seed(settings.encoder, train_ds, dev_ds, cfg, seeds)
+        cfg = config_for_mode(base, mode)
+        summary = multi_seed(enc, train_ds, dev_ds, cfg, seeds)
         summaries.append((mode, summary))
         for run in summary.per_seed:
             rows.append(("run", mode, run.seed, run.final_train_metric,
@@ -498,7 +463,7 @@ def build_parser() -> _Parser:
     p.add_argument("--injection-layer", type=_int_at_least(1), default=1,
                    help="add the noise to this block's input (block 1's input is the"
                         " embedding output); at most the number of blocks")
-    p.add_argument("--rel-magnitude", type=float, default=0.05,
+    p.add_argument("--rel-magnitude", type=float, default=DEFAULT_REL_MAGNITUDE,
                    help="noise norm per token as a fraction of that token's clean"
                         " input norm; finite and >= 0")
     p.add_argument("--probes", type=_int_at_least(1), default=64, metavar="N",
@@ -514,7 +479,7 @@ def build_parser() -> _Parser:
     p.add_argument("--intrinsic", type=_int_at_least(1), default=3)
     p.add_argument("--points", type=_int_at_least(2), default=400)
     p.add_argument("--samples", type=_int_at_least(2), default=400)
-    p.add_argument("--k", type=_int_at_least(1), default=10)
+    p.add_argument("--k", type=_int_at_least(1), default=DEFAULT_K)
     p.add_argument("--sigma", type=_positive_float, default=1.0)
     p.add_argument("--curvature", type=float, default=0.0)
     p.set_defaults(func=_cmd_pca_spectrum)

@@ -4,7 +4,8 @@ Two synthetic families cover the lab's needs: a token-classification task
 with tunable class separability (class-specific token pools mixed with a
 shared pool under a ``margin`` probability), and point clouds on smooth
 low-dimensional manifolds embedded in R^d (a linear patch plus an optional
-quadratic bend) for the geometry diagnostics.
+quadratic bend) for the geometry diagnostics.  ``DataConfig`` picks a
+run's train and dev sets: the classification task or two TSV files.
 
 Token id conventions are fixed for checkpoint portability: 0 = padding,
 1 = unknown, real tokens from 2 upward in first-appearance order.
@@ -87,6 +88,36 @@ def load_tsv(path, vocab: dict | None = None) -> TextDataset:
     if not examples:
         raise ValidationError(f"{path}: no examples found")
     return TextDataset(examples=examples, vocab=vocab, num_classes=max_label + 1)
+
+
+@dataclass
+class DataConfig:
+    """Where a run's train and dev sets come from: the synthetic
+    classification task these fields shape, or two TSV files when
+    ``train_path`` is set (``dev_path`` shares its vocabulary)."""
+
+    n_per_class: int = 16
+    num_classes: int = 2
+    seq_len: int = 8
+    margin: float = 0.6
+    seed: int = 0
+    train_path: str | None = None
+    dev_path: str | None = None
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValidationError(f"[data] seed must be >= 0, got {self.seed}")
+        if self.train_path and not self.dev_path:
+            raise ValidationError("data.train_path given without data.dev_path")
+
+    def datasets(self, vocab_size: int):
+        """Train/dev datasets: TSV files when paths are given, else synthetic
+        over ``vocab_size`` token ids."""
+        if self.train_path:
+            train = load_tsv(self.train_path)
+            return train, load_tsv(self.dev_path, vocab=train.vocab)
+        return synth_classification(self.n_per_class, self.num_classes, self.seq_len,
+                                    vocab_size, self.margin, self.seed)
 
 
 @dataclass

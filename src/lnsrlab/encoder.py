@@ -40,12 +40,12 @@ CHECKPOINT_MAGIC = "LNSR1"
 
 @dataclass
 class EncoderConfig:
-    vocab_size: int = 50
+    vocab_size: int = 30
     embed_dim: int = 8
     num_layers: int = 2
     num_heads: int = 2
     ffn_dim: int = 16
-    max_seq_len: int = 12
+    max_seq_len: int = 8
     num_classes: int = 2
     regression: bool = False
 

@@ -34,7 +34,7 @@ class NoiseSpec:
     """
 
     mode: str = "standard"
-    sigma: float = 1.0
+    sigma: float = 0.05
     rel_magnitude: float | None = DEFAULT_REL_MAGNITUDE
 
     def __post_init__(self):

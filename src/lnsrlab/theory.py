@@ -30,12 +30,11 @@ FD_JACOBIAN_H = 1e-5
 FD_HESSIAN_H = 1e-3
 MC_MIN_SAMPLES = 1000
 
-TAYLOR_CSV_COLUMNS = ("sigma", "mc_estimate", "mc_se", "r_j", "r_h_paper",
-                      "r_h_exact", "r_jh_mc", "claim14_value")
-
 
 @dataclass
 class TaylorReport:
+    """One sigma's row of ``verify-claim1``: the fields are its CSV columns."""
+
     sigma: float
     mc_estimate: float
     mc_se: float
@@ -44,9 +43,6 @@ class TaylorReport:
     r_h_exact: float
     r_jh_mc: float
     claim14_value: float
-
-    def csv_row(self):
-        return [getattr(self, c) for c in TAYLOR_CSV_COLUMNS]
 
 
 def _eval_scalar(f, x) -> float:
@@ -203,7 +199,4 @@ def make_taylor_report(f, x, sigma: float, n: int, rng: np.random.Generator,
     terms = taylor_terms(j, h, sigma)
     est, se = mc_noise_stability(f, x, sigma, n, rng, f_batch)
     cross, _ = cross_term_mc(j, h, sigma, n, rng)
-    return TaylorReport(sigma=sigma, mc_estimate=est, mc_se=se,
-                        r_j=terms["r_j"], r_h_paper=terms["r_h_paper"],
-                        r_h_exact=terms["r_h_exact"], r_jh_mc=cross,
-                        claim14_value=terms["claim14_value"])
+    return TaylorReport(sigma=sigma, mc_estimate=est, mc_se=se, r_jh_mc=cross, **terms)

@@ -26,7 +26,7 @@ from .data import TextDataset
 from .encoder import (EncoderConfig, EncoderModel, build_encoder, check_data_fits,
                       forward_with_taps, nonfinite_parameter)
 from .errors import ContractError, ValidationError
-from .manifold import build_index, neighborhood_bases
+from .manifold import DEFAULT_K, build_index, neighborhood_bases
 from .noise import NoiseSpec, rescale_relative_rows
 from .objective import (
     MODES,
@@ -37,19 +37,23 @@ from .objective import (
 )
 from .rng import substream_rng
 
+# The noise kind each objective mode draws; an LNSR mode also runs noise-free.
+MODE_NOISE = {"ft": "none", "ft_noise_only": "standard",
+              "lnsr_standard": "standard", "lnsr_inmanifold": "in_manifold"}
+
 
 @dataclass
 class TrainConfig:
-    lr: float = 1e-3
-    batch_size: int = 16
+    lr: float = 2e-3
+    batch_size: int = 8
     beta1: float = 0.9
     beta2: float = 0.999
     adam_eps: float = 1e-8
     weight_decay: float = 0.0
     warmup_ratio: float = 0.06
-    epochs: int = 3
+    epochs: int = 2
     seed: int = 0
-    knn_k: int = 10
+    knn_k: int = DEFAULT_K
     noise: NoiseSpec = field(default_factory=NoiseSpec)
     reg: RegularizerConfig = field(default_factory=RegularizerConfig)
 
@@ -76,10 +80,9 @@ class TrainConfig:
         if self.knn_k < 1:
             raise ValidationError(f"TrainConfig.knn_k must be >= 1, got {self.knn_k}")
         mode = self.reg.mode
-        if mode == "lnsr_standard" and self.noise.mode == "in_manifold":
-            raise ValidationError("lnsr_standard pairs with standard or none noise")
-        if mode == "lnsr_inmanifold" and self.noise.mode == "standard":
-            raise ValidationError("lnsr_inmanifold pairs with in_manifold or none noise")
+        if mode in ("lnsr_standard", "lnsr_inmanifold") \
+                and self.noise.mode not in (MODE_NOISE[mode], "none"):
+            raise ValidationError(f"{mode} pairs with {MODE_NOISE[mode]} or none noise")
         if mode in NOISY_MODES and self.noise.mode == "in_manifold" \
                 and self.reg.injection_layer > 1:
             # Bases come from token-embedding neighbourhoods, which describe
@@ -267,7 +270,10 @@ def _batch_backward(model: EncoderModel, train_ds: TextDataset, batch, cfg: Trai
     if mode in NOISY_MODES:
         rngs = [substream_rng(cfg.seed, "noise", epoch, start + j) for j in range(len(batch))]
         eps = _noise_batch(model, ids, clean.layers[b - 1].data, clean.token_mask, cfg, rngs)
-        logits_p, pert = forward_with_taps(model, ids, injection=(b, eps), clean=clean)
+        # Noise that overflows this pass is reported by the check below, which
+        # names the epoch, step and example; numpy's warnings would only repeat it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            logits_p, pert = forward_with_taps(model, ids, injection=(b, eps), clean=clean)
         _require_finite([(f"perturbed trace entry {r}", pert.layers[r].data)
                          for r in range(b, len(pert.layers))]
                         + [("perturbed logits", logits_p.data)], where, batch)
@@ -307,6 +313,11 @@ def run_training(model_cfg: EncoderConfig, train_ds: TextDataset,
         raise ValidationError(
             f"injection_layer {b} outside 1..{model_cfg.num_layers}"
         )
+    try:
+        # A weight list must fit the encoder even in a mode that never reads it.
+        cfg.reg.resolved_lambdas(model_cfg.num_layers - b + 1)
+    except ContractError as exc:
+        raise ValidationError(str(exc)) from None
     classes = max(train_ds.num_classes, dev_ds.num_classes)
     if not model_cfg.regression and classes > model_cfg.num_classes:
         raise ValidationError(
@@ -395,10 +406,8 @@ def config_for_mode(base_cfg: TrainConfig, mode: str) -> TrainConfig:
     """
     if mode not in MODES:
         raise ValidationError(f"config_for_mode: {mode!r} not in {MODES}")
-    noise_mode = {"ft": "none", "ft_noise_only": "standard",
-                  "lnsr_standard": "standard", "lnsr_inmanifold": "in_manifold"}[mode]
     return replace(base_cfg,
-                   noise=replace(base_cfg.noise, mode=noise_mode),
+                   noise=replace(base_cfg.noise, mode=MODE_NOISE[mode]),
                    reg=replace(base_cfg.reg, mode=mode))
 
 

@@ -14,15 +14,14 @@ import numpy as np
 import pytest
 
 from lnsrlab.cli import (
-    _DATA_DEFAULTS,
-    Settings,
+    _configs,
     _fmt,
     build_parser,
     load_config_file,
     main,
     write_csv,
 )
-from lnsrlab.data import synth_manifold
+from lnsrlab.data import DataConfig, synth_manifold
 from lnsrlab.diagnostics import pca_noise_spectrum
 from lnsrlab.encoder import EncoderConfig, build_encoder, load_checkpoint, save_checkpoint
 from lnsrlab.errors import ValidationError
@@ -68,12 +67,9 @@ def test_train_save_model_checkpoint(tmp_path):
     assert main(["train", "--out", out, "--seed", "3", "--save-model", ckpt]) == 0
     model = load_checkpoint(ckpt)
     assert model.config.num_layers == 2
-    # The saved weights are the trained ones, bit for bit.
-    class Args:
-        config = None
-        seed = 3
-    settings = Settings(Args())
-    result = run_training(settings.encoder, *settings.datasets(), settings.train)
+    # The saved weights are the trained ones, bit for bit, and the CLI's
+    # default run is the library's default run.
+    result = run_training(EncoderConfig(), *DataConfig().datasets(30), TrainConfig(seed=3))
     params = model.parameters()
     assert len(params) == len(result.final_params)
     for p, want in zip(params, result.final_params):
@@ -190,12 +186,12 @@ def test_config_file_applies(tmp_path):
     class Args:
         config = str(ini)
         seed = None
-    s = Settings(Args())
-    assert s.encoder.vocab_size == 44
-    assert s.encoder.embed_dim == 16
-    assert s.train.epochs == 1
-    assert s.train.lr == 0.004
-    assert s.train.noise.rel_magnitude is None
+    enc, train, _ = _configs(Args())
+    assert enc.vocab_size == 44
+    assert enc.embed_dim == 16
+    assert train.epochs == 1
+    assert train.lr == 0.004
+    assert train.noise.rel_magnitude is None
 
 
 def test_cli_seed_overrides_config(tmp_path):
@@ -204,7 +200,7 @@ def test_cli_seed_overrides_config(tmp_path):
     class Args:
         config = str(ini)
         seed = 7
-    assert Settings(Args()).train.seed == 7
+    assert _configs(Args())[1].seed == 7
 
 
 def test_config_file_errors(tmp_path):
@@ -242,14 +238,12 @@ _EVERY_KEY = {
 
 def test_config_keys_are_the_config_dataclass_fields(tmp_path):
     """Each section accepts every field of its config dataclass (nested
-    configs aside) and casts it to the field's type; [data] accepts the
-    keys of its defaults."""
+    configs aside) and casts it to the field's type."""
     defaults = {section: {f.name: f.default for f in fields(config)
                           if not is_dataclass(f.type)}
                 for section, config in (("encoder", EncoderConfig), ("noise", NoiseSpec),
                                         ("regularizer", RegularizerConfig),
-                                        ("train", TrainConfig))}
-    defaults["data"] = _DATA_DEFAULTS
+                                        ("train", TrainConfig), ("data", DataConfig))}
     assert {s: set(keys) for s, keys in defaults.items()} == \
         {s: set(keys) for s, keys in _EVERY_KEY.items()}
     text = ""
@@ -283,8 +277,7 @@ def test_lambda_weights_list_parses(tmp_path):
     class Args:
         config = str(ini)
         seed = None
-    s = Settings(Args())
-    assert s.train.reg.lambda_weights == (0.5, 0.25)
+    assert _configs(Args())[1].reg.lambda_weights == (0.5, 0.25)
 
 
 # ----------------------------------------------------------------- TSV data
@@ -410,6 +403,9 @@ def test_bad_arguments_exit_1(tmp_path, capsys):
     ini.write_text("[data]\nseed = -1\n")
     assert main(["train", "--config", str(ini)] + out) == 1
     assert "[data] seed" in capsys.readouterr().err
+    ini.write_text("[data]\ntrain_path = train.tsv\n")
+    assert main(["train", "--config", str(ini)] + out) == 1
+    assert capsys.readouterr().err == "error: data.train_path given without data.dev_path\n"
 
 
 @pytest.mark.parametrize("argv, option", [
@@ -522,6 +518,19 @@ def test_unreadable_input_file_exits_1_naming_the_file(tmp_path, capsys, fault):
     assert not glob.glob(os.path.join(str(tmp_path), "*.csv"))
 
 
+@pytest.mark.parametrize("mode", ["lnsr_standard", "ft"])
+def test_lambda_weights_of_the_wrong_length_exit_1(tmp_path, capsys, mode):
+    """A weight list that does not hold one weight per regularized layer
+    is a configuration error before training, also in a mode without a
+    penalty."""
+    ini = tmp_path / "exp.ini"
+    ini.write_text(f"[regularizer]\nmode = {mode}\nlambda_weights = 0.5,0.25,0.125\n")
+    assert main(["train", "--config", str(ini), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: lambda_weights length 3 but 2 regularized layers (b=1)\n"
+    assert not glob.glob(os.path.join(str(tmp_path), "*.csv"))
+
+
 def test_invalid_training_config_exit_1(tmp_path, capsys):
     ini = tmp_path / "exp.ini"
     ini.write_text("[train]\nlr = -1.0\n")
@@ -573,11 +582,8 @@ def _corrupt_checkpoint(blob):
 def test_corrupt_checkpoint_exits_1_naming_the_file(tmp_path, capsys, fault, names):
     """``noise-curve`` reads a good checkpoint, and each corrupt copy of it
     is an invalid input: exit 1, naming the file and what is wrong."""
-    class Args:
-        config = None
-        seed = 0
     good = tmp_path / "good.ckpt"
-    save_checkpoint(build_encoder(Settings(Args()).encoder, 0), good)
+    save_checkpoint(build_encoder(EncoderConfig(), 0), good)
     out = ["--out", str(tmp_path)]
     assert main(["noise-curve", "--checkpoint", str(good)] + out) == 0
     capsys.readouterr()

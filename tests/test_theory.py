@@ -1,6 +1,8 @@
 """Finite-difference derivatives, Monte-Carlo stability estimates, and the
 closed-form Taylor terms checking each other."""
 
+from dataclasses import astuple, fields
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from lnsrlab.encoder import EncoderConfig, build_encoder, forward_with_taps
 from lnsrlab.errors import ContractError
 from lnsrlab.rng import stream_rng
 from lnsrlab.theory import (
-    TAYLOR_CSV_COLUMNS,
+    TaylorReport,
     cross_term_mc,
     fd_hessian,
     fd_jacobian,
@@ -196,12 +198,13 @@ def test_report_and_csv_roundtrip(tmp_path):
                              0.05, 2000, rng, f_batch=lambda pts: np.sin(pts).sum(axis=1))
     assert np.isfinite(rep.mc_estimate) and rep.mc_se > 0
     path = tmp_path / "report.csv"
-    write_csv(path, TAYLOR_CSV_COLUMNS, [rep.csv_row()])
+    columns = [f.name for f in fields(TaylorReport)]
+    write_csv(path, columns, [astuple(rep)])
     lines = path.read_text().strip().split("\n")
-    assert lines[0] == ",".join(TAYLOR_CSV_COLUMNS)
-    fields = lines[1].split(",")
-    assert float(fields[0]) == 0.05
-    assert float(fields[1]) == rep.mc_estimate  # repr() round-trips exactly
+    assert lines[0] == ",".join(columns)
+    cells = lines[1].split(",")
+    assert float(cells[0]) == 0.05
+    assert float(cells[1]) == rep.mc_estimate  # repr() round-trips exactly
 
 
 def test_mc_contracts():

@@ -180,10 +180,11 @@ def test_config_validation():
 
 
 def test_config_rejects_contradictory_mode_noise_pairs():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^lnsr_standard pairs with standard or none noise$"):
         _cfg(noise=NoiseSpec(mode="in_manifold"),
              reg=RegularizerConfig(mode="lnsr_standard"))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError,
+                       match="^lnsr_inmanifold pairs with in_manifold or none noise$"):
         _cfg(noise=NoiseSpec(mode="standard"),
              reg=RegularizerConfig(mode="lnsr_inmanifold"))
     # Vocabulary neighbourhoods say nothing about a hidden state above block 1.
@@ -445,6 +446,14 @@ def test_non_finite_values_name_epoch_step_and_example(toy_task):
         run_training(mcfg, train, dev, _cfg(
             noise=NoiseSpec(mode="standard", sigma=1.0, rel_magnitude=None),
             reg=RegularizerConfig(mode="lnsr_standard", lambda_weights=1e308)))
+    # Noise that overflows the perturbed pass names its first example, with
+    # no numpy RuntimeWarning first (the suite turns those into errors).
+    with pytest.raises(ContractError) as exc:
+        run_training(mcfg, train, dev, _cfg(
+            noise=NoiseSpec(mode="standard", sigma=1e300, rel_magnitude=None),
+            reg=RegularizerConfig(mode="lnsr_standard")))
+    assert str(exc.value) == (f"non-finite perturbed trace entry 1 at epoch 0, step 1,"
+                              f" example {order[0]}")
 
 
 def _capture_model(monkeypatch):
