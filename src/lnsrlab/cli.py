@@ -41,7 +41,7 @@ from .objective import RegularizerConfig
 from .rng import stream_rng, substream_rng
 from .theory import (MC_MIN_SAMPLES, TaylorReport, cross_term_mc, make_taylor_report,
                      random_smooth_map)
-from .trainer import TrainConfig, config_for_mode, multi_seed, run_training
+from .trainer import TrainConfig, check_run, config_for_mode, multi_seed, run_training
 
 
 class _Parser(argparse.ArgumentParser):
@@ -229,13 +229,13 @@ def _cmd_sweep(args) -> int:
     caster = int if args.param == "injection_layer" else float
     values = _comma_list(args.values, caster, "--values", distinct=True)
     seeds = _comma_list(args.seeds, int, "--seeds", minimum=2, distinct=True)
-    summaries = []
-    for v in values:
-        if args.param == "injection_layer":
-            cfg = replace(base, reg=replace(base.reg, injection_layer=v))
-        else:
-            cfg = replace(base, noise=replace(base.noise, rel_magnitude=v))
-        summaries.append((float(v), multi_seed(enc, train_ds, dev_ds, cfg, seeds)))
+    if args.param == "injection_layer":
+        cfgs = [replace(base, reg=replace(base.reg, injection_layer=v)) for v in values]
+    else:
+        cfgs = [replace(base, noise=replace(base.noise, rel_magnitude=v)) for v in values]
+    check_run(enc, train_ds, dev_ds, *cfgs)
+    summaries = [(float(v), multi_seed(enc, train_ds, dev_ds, cfg, seeds))
+                 for v, cfg in zip(values, cfgs)]
     _write_output(args,
                   ("param", "value", "n_seeds", "dev_mean", "dev_std", "dev_max",
                    "gap_mean", "gap_std", "gap_max"),
@@ -297,7 +297,7 @@ def _cmd_noise_curve(args) -> int:
         model = build_encoder(enc, train.seed)
     if args.injection_layer > model.config.num_layers:
         raise ValidationError(f"--injection-layer must be <= {model.config.num_layers}")
-    _, dev_ds = data.datasets(enc.vocab_size)
+    _, dev_ds = data.datasets(model.config.vocab_size)
     probes = dev_ds.examples[:args.probes]
     check_data_fits(model.config, probes)
     curve = error_ratio_curve(model, probes, args.injection_layer,
@@ -319,8 +319,9 @@ def _cmd_pca_spectrum(args) -> int:
         raise ValidationError(f"--k {args.k} must be below --points {args.points}")
     if not math.isfinite(args.curvature):
         raise ValidationError(f"--curvature must be finite, got {args.curvature}")
+    # Both spectra are normalised, so they do not depend on the noise scale.
     rng = stream_rng(args.seed, "noise")
-    standard = sample_standard_noise((args.samples, args.dim), args.sigma, rng).data
+    standard = sample_standard_noise((args.samples, args.dim), 1.0, rng).data
 
     mset = synth_manifold(args.points, args.dim, args.intrinsic,
                           args.curvature, args.seed)
@@ -334,20 +335,8 @@ def _cmd_pca_spectrum(args) -> int:
     basis = neighborhood_basis(index, mset.points[0], k=args.k)
     if basis is None:
         raise ContractError("pca-spectrum: degenerate neighborhood, no basis")
-    batch = np.stack([sample_inmanifold_noise(mset.points[0], basis, args.sigma, rng).data
+    batch = np.stack([sample_inmanifold_noise(mset.points[0], basis, 1.0, rng).data
                       for _ in range(args.samples)])
-    for noise in (standard, batch):
-        # The spectrum is divided by the covariance's trace, at most d times
-        # the largest variance, so that must be finite; a variance below the
-        # smallest normal float64 has lost its precision.
-        with np.errstate(over="ignore", under="ignore"):
-            top = noise.var(axis=0, ddof=1).max()
-            if not args.dim * top < np.inf:
-                raise ValidationError(f"--sigma {args.sigma} is too large: the noise's total"
-                                      " variance overflows float64")
-            if top < np.finfo(np.float64).tiny:
-                raise ValidationError(f"--sigma {args.sigma} is too small: the noise variance"
-                                      " underflows float64")
     std_rep = pca_noise_spectrum(standard, source="standard")
     man_rep = pca_noise_spectrum(batch, source="in_manifold")
 
@@ -386,10 +375,11 @@ def _cmd_gap_report(args) -> int:
     train_ds, dev_ds = data.datasets(enc.vocab_size)
     modes = _comma_list(args.modes, str.strip, "--modes", distinct=True)
     seeds = _comma_list(args.seeds, int, "--seeds", minimum=2, distinct=True)
+    cfgs = [config_for_mode(base, mode) for mode in modes]
+    check_run(enc, train_ds, dev_ds, *cfgs)
     rows = []
     summaries = []
-    for mode in modes:
-        cfg = config_for_mode(base, mode)
+    for mode, cfg in zip(modes, cfgs):
         summary = multi_seed(enc, train_ds, dev_ds, cfg, seeds)
         summaries.append((mode, summary))
         for run in summary.per_seed:
@@ -480,7 +470,6 @@ def build_parser() -> _Parser:
     p.add_argument("--points", type=_int_at_least(2), default=400)
     p.add_argument("--samples", type=_int_at_least(2), default=400)
     p.add_argument("--k", type=_int_at_least(1), default=DEFAULT_K)
-    p.add_argument("--sigma", type=_positive_float, default=1.0)
     p.add_argument("--curvature", type=float, default=0.0)
     p.set_defaults(func=_cmd_pca_spectrum)
 

@@ -90,11 +90,12 @@ def load_tsv(path, vocab: dict | None = None) -> TextDataset:
     return TextDataset(examples=examples, vocab=vocab, num_classes=max_label + 1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DataConfig:
     """Where a run's train and dev sets come from: the synthetic
     classification task these fields shape, or two TSV files when
-    ``train_path`` is set (``dev_path`` shares its vocabulary)."""
+    ``train_path`` and ``dev_path`` are set (the dev file shares the train
+    file's vocabulary); one path without the other is rejected."""
 
     n_per_class: int = 16
     num_classes: int = 2
@@ -109,6 +110,8 @@ class DataConfig:
             raise ValidationError(f"[data] seed must be >= 0, got {self.seed}")
         if self.train_path and not self.dev_path:
             raise ValidationError("data.train_path given without data.dev_path")
+        if self.dev_path and not self.train_path:
+            raise ValidationError("data.dev_path given without data.train_path")
 
     def datasets(self, vocab_size: int):
         """Train/dev datasets: TSV files when paths are given, else synthetic

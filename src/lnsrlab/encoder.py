@@ -38,8 +38,11 @@ INIT_STD = 0.02
 CHECKPOINT_MAGIC = "LNSR1"
 
 
-@dataclass
+@dataclass(frozen=True)
 class EncoderConfig:
+    """Encoder shape, checked once when built: a config is frozen, and
+    ``dataclasses.replace`` builds (and checks) a new one."""
+
     vocab_size: int = 30
     embed_dim: int = 8
     num_layers: int = 2
@@ -50,9 +53,6 @@ class EncoderConfig:
     regression: bool = False
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self):
         problems = []
         for name in ("vocab_size", "embed_dim", "num_layers", "num_heads",
                      "ffn_dim", "max_seq_len", "num_classes"):
@@ -160,7 +160,6 @@ def build_encoder(config: EncoderConfig, init_seed: int) -> EncoderModel:
     Deterministic: the same ``init_seed`` yields bit-identical parameters.
     Every weight is drawn straight into its slice of the flat store.
     """
-    config.validate()
     d, f, o = config.embed_dim, config.ffn_dim, config.num_outputs
     # In BlockParams field order, which is the store order.
     block = dict(wq=(d, d), bq=(d,), wk=(d, d), bk=(d,), wv=(d, d), bv=(d,),

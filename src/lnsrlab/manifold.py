@@ -157,13 +157,13 @@ def gram_schmidt(diffs) -> OrthoBasis:
     mat = np.atleast_2d(np.array(diffs, dtype=np.float64))
     if mat.size == 0:
         raise ContractError("gram_schmidt: no difference vectors given")
-    basis, size = _mgs(mat, True)
+    basis, size = _mgs(mat)
     if not size:
         raise ContractError("gram_schmidt: degenerate neighborhood, all differences zero")
     return OrthoBasis(basis=basis[:size])
 
 
-def _mgs(diffs: np.ndarray, found):
+def _mgs(diffs: np.ndarray):
     """Two-sweep modified Gram-Schmidt over direction-major differences.
 
     ``diffs`` is [k, ..., d]: k difference vectors for each query on the
@@ -171,10 +171,9 @@ def _mgs(diffs: np.ndarray, found):
     the unit directions before it, in order, twice (the second sweep
     restores orthogonality lost to cancellation), and kept when its
     residual norm is finite and at least ``GS_DROP_RATIO`` times its
-    original norm.  Every direction of a query where ``found`` (broadcast
-    against [..., 1, 1]) is False is dropped.  Returns ``(basis, sizes)``:
-    each query's kept unit directions in input order, then zero rows
-    ([..., k, d]), and their number.
+    original norm, so a zero direction is always dropped.  Returns
+    ``(basis, sizes)``: each query's kept unit directions in input order,
+    then zero rows ([..., k, d]), and their number.
 
     A new unit direction is projected off all later directions at once
     (the first sweep), so each direction meets the same projections in
@@ -187,9 +186,8 @@ def _mgs(diffs: np.ndarray, found):
     work = diffs[:, ..., None, :].copy()
     norms = np.sqrt(work @ work.mT)
     # A direction is kept where its residual norm reaches its threshold.  No
-    # residual reaches NaN, the threshold of a zero, NaN or overflowing
-    # direction and of every direction of a query not ``found``.
-    thresh = np.where(found & (norms > 0) & (norms < np.inf), GS_DROP_RATIO * norms, np.nan)
+    # residual reaches NaN, the threshold of a zero, NaN or overflowing direction.
+    thresh = np.where((norms > 0) & (norms < np.inf), GS_DROP_RATIO * norms, np.nan)
     units = np.zeros(diffs.shape[1:-1] + (k, d))
     swept = []  # (row [..., 1, d], column [..., d, 1]) views of the unit directions
     for j, (v, floor) in enumerate(zip(work, thresh)):
@@ -252,7 +250,9 @@ def neighborhood_bases(index: NeighborIndex, queries, k: int = DEFAULT_K):
     neighborhood (where ``neighborhood_basis`` returns None).
 
     The kNN step is one ``_knn_rows`` call and the Gram-Schmidt step one
-    ``_mgs`` call for all T queries.  Memory is O(T N + T k d).
+    ``_mgs`` call for all T queries.  A query with fewer than k non-copies
+    has its differences zeroed, which ``_mgs`` drops, so its size is 0.
+    Memory is O(T N + T k d).
     """
     if k < 1:
         raise ContractError(f"neighborhood_bases: k must be >= 1, got {k}")
@@ -260,7 +260,9 @@ def neighborhood_bases(index: NeighborIndex, queries, k: int = DEFAULT_K):
     if q.ndim != 2 or q.shape[1] != index.d:
         raise ShapeError(f"neighborhood_bases: queries shape {q.shape} vs index dimension {index.d}")
     rows, _, count = _knn_rows(index, q, k)
-    bases, sizes = _mgs(index.vectors[rows.T] - q, (count >= k)[:, None, None])
+    diffs = index.vectors[rows.T] - q
+    diffs[:, count < k] = 0.0
+    bases, sizes = _mgs(diffs)
     if not sizes.all():
         log.warning("%d degenerate neighborhood(s); falling back to standard noise",
                     int((sizes == 0).sum()))
@@ -280,18 +282,20 @@ def _knn_rows(index: NeighborIndex, q: np.ndarray, k: int):
 
     ``_lower_estimates`` gives every row a lower bound on its direct-formula
     distance D = fl(sum((v - q)^2)), from the p float32 coordinates of
-    ``index.frame``.  The k + 1 rows with the smallest lower estimates are
-    measured by the direct formula, and ``cut``, the largest of those
-    distances, has k + 1 rows within it (one more than k, for the query's
-    own copy when it is a stored row).  A row whose lower estimate exceeds
-    ``cut`` is farther than all of them, so it cannot be among the k
-    nearest (the lemma behind GEMINI filtering, Faloutsos, Ranganathan and
-    Manolopoulos, SIGMOD 1994).  The other rows, the shortlist (typically
-    little more than k), are re-ranked by the direct formula.  A query
-    whose shortlist holds fewer than k non-copies within ``cut`` (it has
-    more copies than that) is re-ranked over every row, as is a query with
-    a NaN or +inf lower estimate and an index of at most k + 1 rows, so
-    NaN, inf and overflowing inputs give the full scan's result.
+    ``index.frame``.  The k + 1 rows with the smallest lower estimates (all
+    N rows when N <= k + 1) are measured by the direct formula, and
+    ``cut``, the largest of those distances, has k + 1 rows within it (one
+    more than k, for the query's own copy when it is a stored row).  A row
+    whose lower estimate exceeds ``cut`` is farther than all of them, so it
+    cannot be among the k nearest (the lemma behind GEMINI filtering,
+    Faloutsos, Ranganathan and Manolopoulos, SIGMOD 1994).  The other rows,
+    the shortlist (typically little more than k), are re-ranked by the
+    direct formula; on an index of at most k + 1 rows that is every row,
+    as each lower estimate is at most its distance.  A query whose shortlist
+    holds fewer than k non-copies within ``cut`` (it has more copies than
+    that) is re-ranked over every row, as is a query with a NaN or +inf
+    lower estimate (which a NaN distance always has), so NaN, inf and
+    overflowing inputs give the full scan's result.
 
     The lower estimate.  With c_v = fl(P v) and c_q = fl(P q) in float64,
     |P(v - q)|^2 is estimated by the norm expansion |c_v|^2 - 2 c_v.c_q +
@@ -339,20 +343,15 @@ def _knn_rows(index: NeighborIndex, q: np.ndarray, k: int):
     P = I the frame is exact: c_v = v, r_max = r_q = 0, kappa = eta = 0.
     """
     vectors, n, t = index.vectors, index.n, q.shape[0]
-    kk = k + 1
-    if kk < n:
-        # Overflow here only sends a query to the full scan, which warns as
-        # a direct scan would.
-        with np.errstate(over="ignore", invalid="ignore"):
-            lower = _lower_estimates(index.frame, q)
-        first = np.argpartition(lower, k, axis=1)[:, :kk]
-        diffs = vectors[first] - q[:, None]
-        cut = (diffs * diffs).sum(axis=2).max(axis=1)
-        short = lower <= cut[:, None]
-        short[~np.isfinite(lower.max(axis=1))] = True
-    else:
-        cut = np.full(t, np.inf)
-        short = np.ones((t, n), dtype=bool)
+    # Overflow here only sends a query to the full scan, which warns as a
+    # direct scan would.
+    with np.errstate(over="ignore", invalid="ignore"):
+        lower = _lower_estimates(index.frame, q)
+    first = np.argpartition(lower, min(k, n - 1), axis=1)[:, :k + 1]
+    diffs = vectors[first] - q[:, None]
+    cut = (diffs * diffs).sum(axis=2).max(axis=1)
+    short = lower <= cut[:, None]
+    short[~np.isfinite(lower.max(axis=1))] = True
     while True:
         who, rows = np.divmod(np.flatnonzero(short), n)
         near, qw = vectors[rows], q[who]

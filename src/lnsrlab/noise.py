@@ -23,7 +23,7 @@ NOISE_MODES = ("standard", "in_manifold", "none")
 DEFAULT_REL_MAGNITUDE = 0.05
 
 
-@dataclass
+@dataclass(frozen=True)
 class NoiseSpec:
     """Description of one perturbation policy.
 

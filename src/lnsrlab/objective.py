@@ -23,9 +23,11 @@ from .tensor import Tensor
 MODES = ("ft", "ft_noise_only", "lnsr_standard", "lnsr_inmanifold")
 # Modes that need a perturbed forward pass at all.
 NOISY_MODES = ("ft_noise_only", "lnsr_standard", "lnsr_inmanifold")
+# Modes that add the penalty to the clean task loss.
+PENALTY_MODES = ("lnsr_standard", "lnsr_inmanifold")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RegularizerConfig:
     """Penalty weights and ablation mode.
 
@@ -127,17 +129,12 @@ def assemble_objective(clean_logits: Tensor, perturbed_logits: Tensor | None,
     """
     if mode not in MODES:
         raise ValidationError(f"assemble_objective: mode {mode!r} not in {MODES}")
-    terms = list(per_layer_terms) if per_layer_terms is not None else []
-    if mode == "ft_noise_only":
-        if perturbed_logits is None:
-            raise ContractError("ft_noise_only requires a perturbed forward pass")
-        loss = task_loss(perturbed_logits, label, regression)
-        return loss, ObjectiveBreakdown(task_loss=loss.item(), reg_term=0.0,
-                                        per_layer_terms=terms)
-    loss = task_loss(clean_logits, label, regression)
-    if mode == "ft" or r_term is None:
-        return loss, ObjectiveBreakdown(task_loss=loss.item(), reg_term=0.0,
-                                        per_layer_terms=terms)
-    total = T.add(loss, r_term)
-    return total, ObjectiveBreakdown(task_loss=loss.item(), reg_term=r_term.item(),
-                                     per_layer_terms=terms)
+    if mode == "ft_noise_only" and perturbed_logits is None:
+        raise ContractError("ft_noise_only requires a perturbed forward pass")
+    logits = perturbed_logits if mode == "ft_noise_only" else clean_logits
+    loss = task_loss(logits, label, regression)
+    penalty = r_term if mode in PENALTY_MODES else None
+    total = loss if penalty is None else T.add(loss, penalty)
+    return total, ObjectiveBreakdown(
+        task_loss=loss.item(), reg_term=0.0 if penalty is None else penalty.item(),
+        per_layer_terms=list(per_layer_terms) if per_layer_terms is not None else [])

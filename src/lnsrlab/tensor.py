@@ -473,16 +473,15 @@ def backward(loss: Tensor, seed_grad: float = 1.0):
         return {}
     adjoint = {id(loss): np.full(loss.data.shape, float(seed_grad))}
     leaves = {}
+    # Every node reaches here after a child that gave it an adjoint.
     for node in reversed(_toposort(loss)):
-        g = adjoint.pop(id(node), None)
-        if g is None:
-            continue
+        g = adjoint.pop(id(node))
         if node._backward is None:
             leaves[id(node)] = (node, g)
             continue
         parent_grads = node._backward(g)
         for p, pg in zip(node._parents, parent_grads):
-            if not p.requires_grad or pg is None:
+            if not p.requires_grad:
                 continue
             # Accumulate out of place: a rule may hand the same array to
             # several parents (add passes g to both).

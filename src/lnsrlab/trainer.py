@@ -31,6 +31,7 @@ from .noise import NoiseSpec, rescale_relative_rows
 from .objective import (
     MODES,
     NOISY_MODES,
+    PENALTY_MODES,
     RegularizerConfig,
     assemble_objective,
     lnsr_term,
@@ -42,7 +43,7 @@ MODE_NOISE = {"ft": "none", "ft_noise_only": "standard",
               "lnsr_standard": "standard", "lnsr_inmanifold": "in_manifold"}
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     lr: float = 2e-3
     batch_size: int = 8
@@ -80,7 +81,7 @@ class TrainConfig:
         if self.knn_k < 1:
             raise ValidationError(f"TrainConfig.knn_k must be >= 1, got {self.knn_k}")
         mode = self.reg.mode
-        if mode in ("lnsr_standard", "lnsr_inmanifold") \
+        if mode in PENALTY_MODES \
                 and self.noise.mode not in (MODE_NOISE[mode], "none"):
             raise ValidationError(f"{mode} pairs with {MODE_NOISE[mode]} or none noise")
         if mode in NOISY_MODES and self.noise.mode == "in_manifold" \
@@ -277,7 +278,7 @@ def _batch_backward(model: EncoderModel, train_ds: TextDataset, batch, cfg: Trai
         _require_finite([(f"perturbed trace entry {r}", pert.layers[r].data)
                          for r in range(b, len(pert.layers))]
                         + [("perturbed logits", logits_p.data)], where, batch)
-        if mode in ("lnsr_standard", "lnsr_inmanifold"):
+        if mode in PENALTY_MODES:
             r_term, per_layer = lnsr_term(clean, pert, cfg.reg)
     obj, _ = assemble_objective(logits_c, logits_p, labels, r_term, mode,
                                 regression=model.config.regression, per_layer_terms=per_layer)
@@ -290,34 +291,30 @@ def _batch_backward(model: EncoderModel, train_ds: TextDataset, batch, cfg: Trai
     return obj.item(), np.concatenate([p.grad.data for p in model.parameters()], axis=None)
 
 
-def run_training(model_cfg: EncoderConfig, train_ds: TextDataset,
-                 dev_ds: TextDataset, cfg: TrainConfig) -> RunResult:
-    """One deterministic training run; see module docstring for the loop.
-
-    A non-finite activation, loss or gradient raises ``ContractError``
-    naming the epoch and the global step, and the first bad example (an
-    activation) or the batch's examples (the loss and gradients, which are
-    sums over the batch).  A dataset with more classes (when classifying)
-    or token ids than the encoder has, or a longer sequence, raises
-    ``ValidationError``.
-    """
-    mode = cfg.reg.mode
-    if mode in NOISY_MODES and cfg.noise.mode == "in_manifold" \
-            and model_cfg.vocab_size < cfg.knn_k + 1:
-        raise ValidationError(
-            f"in-manifold mode needs vocab_size >= knn_k + 1"
-            f" ({model_cfg.vocab_size} < {cfg.knn_k + 1})"
-        )
-    b = cfg.reg.injection_layer
-    if not 1 <= b <= model_cfg.num_layers:
-        raise ValidationError(
-            f"injection_layer {b} outside 1..{model_cfg.num_layers}"
-        )
-    try:
-        # A weight list must fit the encoder even in a mode that never reads it.
-        cfg.reg.resolved_lambdas(model_cfg.num_layers - b + 1)
-    except ContractError as exc:
-        raise ValidationError(str(exc)) from None
+def check_run(model_cfg: EncoderConfig, train_ds: TextDataset,
+              dev_ds: TextDataset, *cfgs: TrainConfig):
+    """Raise ``ValidationError`` if ``run_training`` would reject its
+    arguments, with any of the training configs ``cfgs``, before its first
+    step: a training config that does not fit the encoder, or a dataset
+    with more classes (when classifying) or token ids than the encoder has,
+    or a longer sequence."""
+    for cfg in cfgs:
+        if cfg.reg.mode in NOISY_MODES and cfg.noise.mode == "in_manifold" \
+                and model_cfg.vocab_size < cfg.knn_k + 1:
+            raise ValidationError(
+                f"in-manifold mode needs vocab_size >= knn_k + 1"
+                f" ({model_cfg.vocab_size} < {cfg.knn_k + 1})"
+            )
+        b = cfg.reg.injection_layer
+        if not 1 <= b <= model_cfg.num_layers:
+            raise ValidationError(
+                f"injection_layer {b} outside 1..{model_cfg.num_layers}"
+            )
+        try:
+            # A weight list must fit the encoder even in a mode that never reads it.
+            cfg.reg.resolved_lambdas(model_cfg.num_layers - b + 1)
+        except ContractError as exc:
+            raise ValidationError(str(exc)) from None
     classes = max(train_ds.num_classes, dev_ds.num_classes)
     if not model_cfg.regression and classes > model_cfg.num_classes:
         raise ValidationError(
@@ -327,6 +324,18 @@ def run_training(model_cfg: EncoderConfig, train_ds: TextDataset,
     check_data_fits(model_cfg, train_ds.examples)
     check_data_fits(model_cfg, dev_ds.examples)
 
+
+def run_training(model_cfg: EncoderConfig, train_ds: TextDataset,
+                 dev_ds: TextDataset, cfg: TrainConfig) -> RunResult:
+    """One deterministic training run; see module docstring for the loop.
+
+    A non-finite activation, loss or gradient raises ``ContractError``
+    naming the epoch and the global step, and the first bad example (an
+    activation) or the batch's examples (the loss and gradients, which are
+    sums over the batch).  Arguments that ``check_run`` rejects raise its
+    ``ValidationError``.
+    """
+    check_run(model_cfg, train_ds, dev_ds, cfg)
     started = time.perf_counter()
     model = build_encoder(model_cfg, cfg.seed)
     params = model.parameters()
@@ -363,7 +372,7 @@ def run_training(model_cfg: EncoderConfig, train_ds: TextDataset,
 
     gap = epoch_train_metric[-1] - epoch_dev_metric[-1]
     return RunResult(
-        seed=cfg.seed, mode=mode,
+        seed=cfg.seed, mode=cfg.reg.mode,
         epoch_train_loss=epoch_train_loss,
         epoch_train_metric=epoch_train_metric,
         epoch_dev_metric=epoch_dev_metric,

@@ -13,6 +13,7 @@ from dataclasses import fields, is_dataclass
 import numpy as np
 import pytest
 
+from lnsrlab import cli
 from lnsrlab.cli import (
     _configs,
     _fmt,
@@ -406,12 +407,15 @@ def test_bad_arguments_exit_1(tmp_path, capsys):
     ini.write_text("[data]\ntrain_path = train.tsv\n")
     assert main(["train", "--config", str(ini)] + out) == 1
     assert capsys.readouterr().err == "error: data.train_path given without data.dev_path\n"
+    ini.write_text("[data]\ndev_path = nope.tsv\n")
+    assert main(["train", "--config", str(ini)] + out) == 1
+    assert capsys.readouterr().err == "error: data.dev_path given without data.train_path\n"
 
 
 @pytest.mark.parametrize("argv, option", [
     (["cross-term", "--sigma", "-1"], "--sigma"),
     (["verify-claim1", "--sigmas", "-0.1"], "--sigmas"),
-    (["pca-spectrum", "--sigma", "0"], "--sigma"),
+    (["cross-term", "--sigma", "inf"], "--sigma"),
     (["bench", "--k-values", "100"], "--k-values"),
     (["pca-spectrum", "--points", "5", "--k", "10"], "--k"),
     (["pca-spectrum", "--points", "5", "--k", "5"], "--k"),
@@ -419,17 +423,12 @@ def test_bad_arguments_exit_1(tmp_path, capsys):
     (["pca-spectrum", "--curvature=-inf"], "--curvature"),
     (["pca-spectrum", "--curvature", "1e308"], "--curvature"),
     (["pca-spectrum", "--curvature=-1e200"], "--curvature"),
-    (["pca-spectrum", "--sigma", "1e-200"], "--sigma"),
-    (["pca-spectrum", "--sigma", "1e200"], "--sigma"),
-    (["pca-spectrum", "--sigma", "1e154"], "--sigma"),
-    (["pca-spectrum", "--sigma", "1e-154"], "--sigma"),
 ])
 def test_float_and_basis_size_arguments_exit_1(tmp_path, capsys, argv, option):
-    """A sigma that is not positive, whose noise's total variance
-    overflows or whose variance is below the smallest normal float64, a
-    basis size above its sample dimension, a neighbourhood as large as the
-    point set, or a curvature that is not finite or overflows the manifold
-    is an argument error naming its option, not a runtime one."""
+    """A sigma that is not positive and finite, a basis size above its
+    sample dimension, a neighbourhood as large as the point set, or a
+    curvature that is not finite or overflows the manifold is an argument
+    error naming its option, not a runtime one."""
     assert main(argv + ["--out", str(tmp_path)]) == 1
     assert option in capsys.readouterr().err
     assert not glob.glob(os.path.join(str(tmp_path), "*.csv"))
@@ -451,20 +450,31 @@ def test_repeated_list_items_exit_1(tmp_path, capsys, argv, option, item):
     assert not glob.glob(os.path.join(str(tmp_path), "*.csv"))
 
 
-@pytest.mark.parametrize("sigma", ["1e150", "1e-150"])
-def test_pca_spectrum_far_sigma_matches_unit_sigma(tmp_path, sigma):
-    """A sigma far from 1 whose variances stay normal and whose total
-    variance is finite gives the sigma = 1 spectra: the spectrum is
-    normalised, and the eigensolver prescales by a power of two."""
-    spectra = []
-    for value in ("1", sigma):
-        out = str(tmp_path / value)
-        assert main(["pca-spectrum", "--out", out, "--sigma", value]) == 0
-        rows = _read(_only_csv(out, "pca-spectrum"))[1:]
-        spectra.append(([r[:2] for r in rows], np.array([float(r[2]) for r in rows])))
-    (keys, want), (got_keys, got) = spectra
-    assert got_keys == keys
-    assert np.allclose(got, want, rtol=0, atol=1e-12)
+@pytest.mark.parametrize("argv, message", [
+    (["gap-report", "--modes", "ft,lnsr_standard,bogus", "--seeds", "0,1"], "'bogus' not in"),
+    (["sweep", "--param", "injection_layer", "--values", "1,2,3", "--seeds", "0,1"],
+     "injection_layer 3 outside 1..2"),
+])
+def test_bad_later_list_item_exits_1_before_any_run(tmp_path, capsys, monkeypatch, argv, message):
+    """Every mode's or value's configuration is checked before the first
+    run, so a bad last item costs no training."""
+    calls = []
+    monkeypatch.setattr(cli, "multi_seed", lambda *a: calls.append(a))
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    assert message in capsys.readouterr().err
+    assert calls == []
+
+
+def test_noise_curve_probes_fit_the_checkpoint_vocabulary(tmp_path):
+    """Without ``--config`` the probes are drawn for the checkpoint's
+    vocabulary, not the default one."""
+    ckpt = str(tmp_path / "model.bin")
+    save_checkpoint(build_encoder(EncoderConfig(vocab_size=20), 0), ckpt)
+    out = str(tmp_path / "out")
+    assert main(["noise-curve", "--checkpoint", ckpt, "--out", out]) == 0
+    n_probes = len(DataConfig().datasets(20)[1].examples)
+    rows = _read(_only_csv(out, "noise-curve"))
+    assert len(rows) == 3 and all(int(r[4]) == n_probes for r in rows[1:])
 
 
 def test_pca_spectrum_in_manifold_rows_are_per_sample_draws(tmp_path):

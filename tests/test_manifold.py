@@ -464,6 +464,19 @@ def test_knn_rows_mixed_batch_with_copies_ties_and_nan():
         assert_knn_rows_match_rescan(pts, [[1.33e154], [0.0], pts[5]], 3)
 
 
+@pytest.mark.parametrize("n", [11, 10, 6])
+def test_knn_rows_small_index_matches_rescan(n):
+    """An index of at most k + 1 rows (k = 10), where every row is on the
+    shortlist: a copy of a stored row, a fresh and a NaN query, then the
+    same with a NaN row in the index."""
+    rng = np.random.default_rng(8)
+    pts = rng.normal(size=(n, 3))
+    queries = [pts[2], rng.normal(size=3), [np.nan, 0.0, 1.0]]
+    assert_knn_rows_match_rescan(pts, queries, 10)
+    pts[1] = np.nan
+    assert_knn_rows_match_rescan(pts, queries, 10)
+
+
 # ------------------------------------------- the float32 distance estimate
 
 @pytest.mark.parametrize("offset, spread", [

@@ -10,7 +10,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from lnsrlab.data import synth_classification
+from lnsrlab.data import DataConfig, synth_classification
 from lnsrlab.encoder import EncoderConfig, build_encoder
 from lnsrlab.errors import ContractError, ValidationError
 from lnsrlab.manifold import build_index, neighborhood_basis
@@ -194,6 +194,20 @@ def test_config_rejects_contradictory_mode_noise_pairs():
     # Standard noise goes to any block.
     _cfg(noise=NoiseSpec(mode="standard"),
          reg=RegularizerConfig(mode="lnsr_standard", injection_layer=2))
+
+
+def test_configs_are_checked_once_and_frozen():
+    """A config is checked when built and cannot change afterwards;
+    ``replace`` builds a new one and checks it."""
+    for config, name in ((EncoderConfig(), "num_heads"), (NoiseSpec(), "sigma"),
+                         (RegularizerConfig(), "mode"), (TrainConfig(), "seed"),
+                         (DataConfig(), "train_path")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, name, getattr(config, name))
+    with pytest.raises(ValidationError, match="num_heads must divide embed_dim"):
+        dataclasses.replace(EncoderConfig(), num_heads=3)
+    with pytest.raises(ValidationError, match="pairs with"):
+        dataclasses.replace(TrainConfig(), noise=NoiseSpec(mode="in_manifold"))
 
 
 def test_inmanifold_requires_enough_real_tokens(toy_task):
