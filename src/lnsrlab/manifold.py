@@ -18,14 +18,17 @@ bit, whatever p is.
 The in-manifold perturbation of a vector x is built from its k nearest
 neighbors in a reference point set (the token-embedding vocabulary in
 training, a synthetic manifold sample in diagnostics): the neighbor
-differences are orthonormalized by modified Gram-Schmidt and a random
+differences are orthonormalized by Gram-Schmidt and a random
 linear combination with i.i.d. N(0, sigma^2) coefficients is returned.
 The result lies in the local tangent-ish subspace by construction.
 
-One modified Gram-Schmidt, ``_mgs``, builds every basis: for the k
-differences of one point set (``gram_schmidt``) or of each of T queries
-at once (``neighborhood_bases``, which serves training); the one-query
-``neighborhood_basis`` is its T = 1 case.
+One block classical Gram-Schmidt applied twice (CGS2), ``_cgs2``, builds
+every basis: for the k differences of one point set (``gram_schmidt``) or
+of each of T queries at once (``neighborhood_bases``, which serves
+training); the one-query ``neighborhood_basis`` is its T = 1 case.  Each
+direction is projected off all earlier unit directions in one matrix
+product, twice, and dropped when its residual falls below
+``GS_DROP_RATIO`` times its original norm.
 """
 
 import logging
@@ -147,40 +150,39 @@ def knn(index: NeighborIndex, query, k: int):
 
 
 def gram_schmidt(diffs) -> OrthoBasis:
-    """Orthonormalize difference vectors by modified Gram-Schmidt.
+    """Orthonormalize difference vectors by classical Gram-Schmidt applied twice.
 
     Directions that become (numerically) dependent on the basis built so
-    far are dropped, as are directions whose norm overflows.  A set with
-    no direction left is a degenerate neighborhood and a contract error;
+    far (residual below ``GS_DROP_RATIO`` times the original norm) are
+    dropped, as are directions whose norm overflows.  A set with no
+    direction left is a degenerate neighborhood and a contract error;
     callers that need a fallback catch it.
     """
     mat = np.atleast_2d(np.array(diffs, dtype=np.float64))
     if mat.size == 0:
         raise ContractError("gram_schmidt: no difference vectors given")
-    basis, size = _mgs(mat)
+    basis, size = _cgs2(mat)
     if not size:
         raise ContractError("gram_schmidt: degenerate neighborhood, all differences zero")
     return OrthoBasis(basis=basis[:size])
 
 
-def _mgs(diffs: np.ndarray):
-    """Two-sweep modified Gram-Schmidt over direction-major differences.
+def _cgs2(diffs: np.ndarray):
+    """Block classical Gram-Schmidt, applied twice, over direction-major differences.
 
     ``diffs`` is [k, ..., d]: k difference vectors for each query on the
-    middle axes (none for a single set).  Each direction is projected off
-    the unit directions before it, in order, twice (the second sweep
-    restores orthogonality lost to cancellation), and kept when its
-    residual norm is finite and at least ``GS_DROP_RATIO`` times its
-    original norm, so a zero direction is always dropped.  Returns
+    middle axes (none for a single set).  Direction j is projected off
+    the block of unit directions before it, ``v -= (v @ U.T) @ U``, twice
+    (one pass loses orthogonality to cancellation; a second restores it
+    to rounding level, Giraud et al., Numer. Math. 101, 2005), and kept
+    when its residual norm is finite and at least ``GS_DROP_RATIO`` times
+    its original norm, so a zero direction is always dropped.  Returns
     ``(basis, sizes)``: each query's kept unit directions in input order,
     then zero rows ([..., k, d]), and their number.
 
-    A new unit direction is projected off all later directions at once
-    (the first sweep), so each direction meets the same projections in
-    the same order as in a loop over one direction at a time.  A dropped
-    direction is a zero row, which subtracts an exact 0, so a query's
-    basis does not depend on the rest of the batch.  Dots are
-    [1, d] @ [d, 1] matmuls, which numpy computes as the 1-D ``v @ b``.
+    A dropped direction stays a zero row of the block, which adds exact
+    zeros to every later projection, so a query's basis does not depend
+    on the rest of the batch.
     """
     k, d = diffs.shape[0], diffs.shape[-1]
     work = diffs[:, ..., None, :].copy()
@@ -189,19 +191,14 @@ def _mgs(diffs: np.ndarray):
     # residual reaches NaN, the threshold of a zero, NaN or overflowing direction.
     thresh = np.where((norms > 0) & (norms < np.inf), GS_DROP_RATIO * norms, np.nan)
     units = np.zeros(diffs.shape[1:-1] + (k, d))
-    swept = []  # (row [..., 1, d], column [..., d, 1]) views of the unit directions
     for j, (v, floor) in enumerate(zip(work, thresh)):
-        for b, col in swept:
-            v -= (v @ col) * b
+        block = units[..., :j, :]
+        for _ in range(2):
+            v -= (v @ block.mT) @ block
         residual = np.sqrt(v @ v.mT)
-        b = units[..., j:j + 1, :]
         # An inf residual (only at the edge of float64's range) gives a
         # zero row here, which ``keep`` below drops.
-        np.divide(v, residual, out=b, where=floor <= residual)
-        col = b.mT
-        swept.append((b, col))
-        rest = work[j + 1:]
-        rest -= (rest @ col) * b
+        np.divide(v, residual, out=units[..., j:j + 1, :], where=floor <= residual)
     keep = units.any(axis=-1)
     sizes = keep.sum(axis=-1)
     basis = np.zeros_like(units)
@@ -232,12 +229,10 @@ def neighborhood_basis(index: NeighborIndex, query, k: int = DEFAULT_K) -> Ortho
     """kNN differences around ``query`` orthonormalized; None when degenerate.
 
     Degenerate means fewer than k distinct neighbors remain after excluding
-    exact matches, or no difference survives Gram-Schmidt.  Callers
+    exact matches, or no difference survives CGS2's drop rule.  Callers
     substitute standard Gaussian noise in that case (the documented
     fallback).  This is ``neighborhood_bases`` for one query.
     """
-    if k < 1:
-        raise ContractError(f"neighborhood_basis: k must be >= 1, got {k}")
     bases, sizes = neighborhood_bases(index, np.reshape(query, (1, -1)), k)
     return OrthoBasis(basis=bases[0, :sizes[0]]) if sizes[0] else None
 
@@ -250,8 +245,9 @@ def neighborhood_bases(index: NeighborIndex, queries, k: int = DEFAULT_K):
     neighborhood (where ``neighborhood_basis`` returns None).
 
     The kNN step is one ``_knn_rows`` call and the Gram-Schmidt step one
-    ``_mgs`` call for all T queries.  A query with fewer than k non-copies
-    has its differences zeroed, which ``_mgs`` drops, so its size is 0.
+    ``_cgs2`` call (block classical Gram-Schmidt applied twice) for all T
+    queries.  A query with fewer than k non-copies has its differences
+    zeroed, which ``_cgs2`` drops, so its size is 0.
     Memory is O(T N + T k d).
     """
     if k < 1:
@@ -262,7 +258,7 @@ def neighborhood_bases(index: NeighborIndex, queries, k: int = DEFAULT_K):
     rows, _, count = _knn_rows(index, q, k)
     diffs = index.vectors[rows.T] - q
     diffs[:, count < k] = 0.0
-    bases, sizes = _mgs(diffs)
+    bases, sizes = _cgs2(diffs)
     if not sizes.all():
         log.warning("%d degenerate neighborhood(s); falling back to standard noise",
                     int((sizes == 0).sum()))

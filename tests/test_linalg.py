@@ -1,5 +1,6 @@
 """The symmetric eigensolver (Householder tridiagonalization and implicit
-QL) against np.linalg oracles and closed forms."""
+QL) against np.linalg oracles and closed forms, and the BLAS thread-count
+invariance of it and of the neighbourhood bases."""
 
 import os
 import subprocess
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 
 import lnsrlab
 from lnsrlab import linalg
+from lnsrlab.data import synth_manifold
+from lnsrlab.encoder import EncoderConfig, build_encoder
 from lnsrlab.errors import ContractError, ShapeError
 from lnsrlab.linalg import _tridiagonalize, jacobi_eigh
 
@@ -144,17 +147,56 @@ for n in (127, 128, 256):
 """
 
 
-def test_spectrum_does_not_depend_on_the_blas_thread_count():
-    """The same matrices, built with elementwise operations only, solved in
-    processes with one and with two OpenBLAS threads give the same bytes."""
+def outputs_under_one_and_two_blas_threads(script, *args):
+    """The stdout of ``script`` run in a process with one OpenBLAS thread
+    and in one with two."""
     outputs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=str(Path(lnsrlab.__file__).parents[1]))
-        run = subprocess.run([sys.executable, "-c", _SOLVE_SCRIPT], env=env,
+        run = subprocess.run([sys.executable, "-c", script, *args], env=env,
                              capture_output=True, text=True, timeout=120, check=True)
         outputs.append(run.stdout)
+    return outputs
+
+
+def test_spectrum_does_not_depend_on_the_blas_thread_count():
+    """The same matrices, built with elementwise operations only, solved in
+    processes with one and with two OpenBLAS threads give the same bytes."""
+    outputs = outputs_under_one_and_two_blas_threads(_SOLVE_SCRIPT)
     assert len(outputs[0].split()) == 3
+    assert outputs[0] == outputs[1]
+
+
+_BASES_SCRIPT = """
+import hashlib
+import sys
+import numpy as np
+from lnsrlab.manifold import build_index, neighborhood_bases
+tables = np.load(sys.argv[1])
+for name in ("geometry", "gap"):
+    bases, sizes = neighborhood_bases(build_index(tables[name]), tables[name + "_queries"], 10)
+    digest = hashlib.sha256(bases.tobytes() + sizes.tobytes()).hexdigest()
+    sys.stdout.write(f"{name} {sizes.min()} {digest}\\n")
+"""
+
+
+def test_bases_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """``neighborhood_bases`` at the ``geometry`` workload's shape (a 10k x
+    128 manifold, 64 queries) and at ``gap``'s (the 30 x 16 token table, 128
+    queries), on inputs built here and saved, gives the same bytes in
+    processes with one and with two OpenBLAS threads."""
+    points = synth_manifold(10_000, 128, 10, 0.05, 11).points
+    cfg = EncoderConfig(vocab_size=30, embed_dim=16, num_layers=2, num_heads=2,
+                        ffn_dim=32, max_seq_len=8)
+    vocab = build_encoder(cfg, 1).tok_emb.data
+    rng = np.random.default_rng(3)
+    path = tmp_path / "tables.npz"
+    np.savez(path, geometry=points, geometry_queries=points[rng.choice(10_000, 64)],
+             gap=vocab, gap_queries=vocab[rng.integers(0, 30, 128)])
+    outputs = outputs_under_one_and_two_blas_threads(_BASES_SCRIPT, str(path))
+    assert [line.split()[:2] for line in outputs[0].splitlines()] == [
+        ["geometry", "10"], ["gap", "10"]]
     assert outputs[0] == outputs[1]
 
 

@@ -170,10 +170,32 @@ def test_neighborhood_basis_rejects_bad_k():
 
 # ------------------------------------------ bases against a reference loop
 
+def reference_cgs2(diffs):
+    """Classical Gram-Schmidt applied twice, as a loop over one direction at
+    a time.  ``rows`` holds a unit row for each kept direction and a zero
+    row for each dropped one, as the batched block does; a direction whose
+    residual norm is not finite is dropped as a dependent one is.  Returns
+    the kept rows, None if none is kept."""
+    rows = []
+    for row in np.atleast_2d(np.array(diffs, dtype=np.float64)):
+        original = float(np.linalg.norm(row))
+        v = row.copy()
+        if rows:
+            u = np.array(rows)
+            for _ in range(2):
+                v -= (u @ v) @ u
+        residual = float(np.linalg.norm(v))
+        dropped = (original == 0.0 or not math.isfinite(residual)
+                   or residual < GS_DROP_RATIO * original)
+        rows.append(np.zeros_like(v) if dropped else v / residual)
+    kept = [r for r in rows if r.any()]
+    return np.array(kept) if kept else None
+
+
 def reference_mgs(diffs):
     """Two-sweep modified Gram-Schmidt as a loop over one direction at a
-    time, with a list of kept unit rows; a direction whose residual norm
-    is not finite is dropped as a dependent one is.  None if none is kept."""
+    time, with a list of kept unit rows and the same drop rule: a second,
+    independent oracle, equal to ``reference_cgs2`` up to rounding."""
     kept = []
     for row in np.atleast_2d(np.array(diffs, dtype=np.float64)):
         original = float(np.linalg.norm(row))
@@ -197,10 +219,11 @@ def same_bits(got, want):
 
 def assert_bases_match_reference(table, k, queries=None):
     """``gram_schmidt`` on each query's kNN differences, ``neighborhood_basis``
-    and each row of one ``neighborhood_bases`` call equal ``reference_mgs``
+    and each row of one ``neighborhood_bases`` call equal ``reference_cgs2``
     bit for bit, and the batched rows after the basis are zero; a query
     with fewer than k non-copies, or with no direction kept, is degenerate
-    on every path.  Returns the batch's sizes."""
+    on every path.  ``reference_mgs`` keeps as many directions, within
+    1e-13 of them.  Returns the batch's sizes."""
     index = build_index(table)
     queries = index.vectors if queries is None else np.asarray(queries, dtype=np.float64)
     bases, sizes = neighborhood_bases(index, queries, k)
@@ -212,14 +235,15 @@ def assert_bases_match_reference(table, k, queries=None):
         except ContractError:
             assert size == 0 and one is None
             continue
-        want = reference_mgs(diffs)
+        want, mgs = reference_cgs2(diffs), reference_mgs(diffs)
         if want is None:
-            assert size == 0 and one is None
+            assert size == 0 and one is None and mgs is None
             with pytest.raises(ContractError, match="degenerate neighborhood"):
                 gram_schmidt(diffs)
         else:
             assert same_bits(basis[:size], want) and same_bits(one.basis, want)
             assert same_bits(gram_schmidt(diffs).basis, want)
+            assert mgs.shape == want.shape and np.abs(mgs - want).max() <= 1e-13
         assert not basis[size:].any()
     return sizes
 
@@ -307,9 +331,20 @@ def test_overflowing_directions_are_dropped():
             gram_schmidt([[1e200, 0.0], [0.0, 1e200]])
         mixed = [[1e200, 0.0, 0.0], [0.0, 2.0, 0.0], [1.0, 1.0, 1.0]]
         basis = gram_schmidt(mixed).basis
-        assert same_bits(basis, reference_mgs(mixed))
+        assert same_bits(basis, reference_cgs2(mixed))
     assert not sizes.any() and not bases.any()
     assert basis.shape == (2, 3) and np.allclose(np.linalg.norm(basis, axis=1), 1.0)
+
+
+def test_second_projection_restores_orthogonality():
+    """Ten directions 1e-6 apart around one unit vector: one classical
+    projection leaves the basis about 1e-5 from orthogonal, and the second
+    brings it to rounding level, with every direction kept."""
+    rng = np.random.default_rng(12)
+    diffs = np.ones(32) / np.sqrt(32) + 1e-6 * rng.normal(size=(10, 32))
+    b = gram_schmidt(diffs).basis
+    assert b.shape == (10, 32)
+    assert np.abs(b @ b.T - np.eye(10)).max() <= 1e-14
 
 
 def test_bases_contracts():
