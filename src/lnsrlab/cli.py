@@ -26,6 +26,7 @@ import numpy as np
 
 from .data import DataConfig, synth_manifold
 from .diagnostics import (
+    BENCH_KNN_K,
     BENCH_MIN_REPS,
     BENCH_SAMPLE_DIM,
     bench_complexity,
@@ -355,8 +356,9 @@ def _cmd_bench(args) -> int:
     for name in ("standard_rows", "k_values", "index_sizes"):
         text = getattr(args, name)
         if text is not None:
-            # A basis cannot hold more directions than its sample dimension.
-            cast = _int_at_least(1, BENCH_SAMPLE_DIM if name == "k_values" else None)
+            # A basis fits in its sample dimension; an index holds a query's neighbours.
+            cast = _int_at_least(BENCH_KNN_K if name == "index_sizes" else 1,
+                                 BENCH_SAMPLE_DIM if name == "k_values" else None)
             kwargs[name] = tuple(_comma_list(text, cast, "--" + name.replace("_", "-")))
     report = bench_complexity(seed=args.seed, **kwargs)
     rows = [("timing", r.kind, r.size, r.median_seconds, r.reps, None)

@@ -35,6 +35,7 @@ BENCH_MIN_REPS = 5
 BENCH_STANDARD_DIM = 64
 BENCH_SAMPLE_DIM = 64
 BENCH_INDEX_DIM = 32
+BENCH_KNN_K = 10  # neighbours per kNN query, so the least index size
 # Rows of each in-manifold sample batch.
 BENCH_SAMPLE_COUNT = 8192
 # Probes per batched pass of error_ratio_curve: enough to spread the
@@ -247,12 +248,12 @@ def bench_complexity(standard_rows=(256, 512, 1024, 2048, 4096),
     """
     if reps < BENCH_MIN_REPS:
         raise ContractError(f"bench_complexity: need at least {BENCH_MIN_REPS} reps, got {reps}")
-    for name, sizes in (("standard_rows", standard_rows), ("k_values", k_values),
-                        ("index_sizes", index_sizes)):
+    for name, sizes, low in (("standard_rows", standard_rows, 1), ("k_values", k_values, 1),
+                             ("index_sizes", index_sizes, BENCH_KNN_K)):
         if len(tuple(sizes)) == 0:
             raise ContractError(f"bench_complexity: {name} must be nonempty")
-        if any(int(s) < 1 for s in sizes):
-            raise ContractError(f"bench_complexity: {name} entries must be >= 1")
+        if any(int(s) < low for s in sizes):
+            raise ContractError(f"bench_complexity: {name} entries must be >= {low}")
     if any(int(k) > BENCH_SAMPLE_DIM for k in k_values):
         raise ContractError(f"bench_complexity: basis size cannot exceed {BENCH_SAMPLE_DIM}")
 
@@ -289,7 +290,7 @@ def bench_complexity(standard_rows=(256, 512, 1024, 2048, 4096),
 
         def fn():
             for q in queries:
-                knn(index, q, k=10)
+                knn(index, q, k=BENCH_KNN_K)
         return n, fn
     stage("knn_query", index_sizes, knn_query)
 

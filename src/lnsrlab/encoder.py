@@ -119,7 +119,7 @@ class EncoderModel:
         return params
 
     def frozen(self) -> "EncoderModel":
-        """A copy whose weights are constants, so a forward pass on it keeps
+        """A view whose weights are constants, so a forward pass on it keeps
         no tape: each intermediate array is freed once the next op has it."""
         def const(t):
             return Tensor(t.data)
@@ -147,13 +147,6 @@ class ActivationTrace:
         return len(self.layers)
 
 
-def _leaf(view: np.ndarray) -> Tensor:
-    """A trainable tensor whose ``.data`` is ``view`` itself, not a copy."""
-    t = Tensor(0.0, requires_grad=True)
-    t.data = view
-    return t
-
-
 def build_encoder(config: EncoderConfig, init_seed: int) -> EncoderModel:
     """Fresh model with N(0, 0.02^2) weights, zero biases, unit norm gains.
 
@@ -170,7 +163,7 @@ def build_encoder(config: EncoderConfig, init_seed: int) -> EncoderModel:
               + [(d, o), (o,)])
     sizes = [math.prod(shape) for shape in shapes]
     store = np.zeros(sum(sizes))
-    params = [_leaf(store[end - size:end].reshape(shape))
+    params = [Tensor(store[end - size:end].reshape(shape), requires_grad=True)
               for shape, size, end in zip(shapes, sizes, itertools.accumulate(sizes))]
     n = len(block)
     blocks = [BlockParams(*params[2 + i * n:2 + (i + 1) * n]) for i in range(config.num_layers)]

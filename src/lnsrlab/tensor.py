@@ -34,16 +34,16 @@ LAYERNORM_EPS = 1e-5
 class Tensor:
     """A dense float64 array that may participate in a backward tape.
 
-    Leaves are created directly (``Tensor(data, requires_grad=True)``);
-    interior nodes are created by the operations below and carry a backward
-    rule.  ``grad`` is itself a Tensor of identical shape, populated by
-    ``backward`` for requires_grad leaves.
+    Leaves are created directly (``Tensor(data, requires_grad=True)`` keeps
+    a float64 array as ``.data``, not a copy); interior nodes are created by
+    the operations below and carry a backward rule.  ``grad`` is a Tensor of
+    the same shape that ``backward`` fills in for requires_grad leaves.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.array(data, dtype=np.float64)
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents = ()

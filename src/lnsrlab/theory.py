@@ -23,7 +23,7 @@ sigma^2/4*(4|J|^2 + Tr(H)^2 + |offdiag(H)|_F^2), prefactor kept as stated
 even though it folds a sigma^2 mismatch into the Hessian part.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -47,6 +47,12 @@ class TaylorReport:
     r_h_exact: float
     r_jh_mc: float
     claim14_value: float
+
+
+def _require_finite(where: str, sigma: float, /, **values):
+    for name, value in values.items():
+        if not np.isfinite(value):
+            raise ContractError(f"{where}: {name} is not finite at sigma={sigma!r}")
 
 
 def _eval_scalar(f, x) -> float:
@@ -153,7 +159,8 @@ def taylor_terms(j, h, sigma: float) -> dict:
 def cross_term_mc(j, h, sigma: float, n: int, rng: np.random.Generator):
     """Monte-Carlo mean of (J.eps)(eps^T H eps / 2); zero by odd moments.
 
-    Returns (mean, standard error).
+    Returns (mean, standard error).  A sigma so large that either one
+    overflows raises ``ContractError`` naming the sigma and the quantity.
     """
     if n < MC_MIN_SAMPLES:
         raise ContractError(f"cross_term_mc: need n >= {MC_MIN_SAMPLES}, got {n}")
@@ -163,10 +170,13 @@ def cross_term_mc(j, h, sigma: float, n: int, rng: np.random.Generator):
     if sigma == 0.0:
         return 0.0, 0.0
     eps = rng.normal(0.0, sigma, size=(n, j.shape[0]))
-    lin = eps @ j
-    quad = 0.5 * ((eps @ h) * eps).sum(axis=1)
-    prod = lin * quad
-    return float(prod.mean()), float(prod.std(ddof=1) / np.sqrt(n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        lin = eps @ j
+        quad = 0.5 * ((eps @ h) * eps).sum(axis=1)
+        prod = lin * quad
+        mean, se = float(prod.mean()), float(prod.std(ddof=1) / np.sqrt(n))
+    _require_finite("cross_term_mc", sigma, mean=mean, standard_error=se)
+    return mean, se
 
 
 def random_smooth_map(dim: int, rng: np.random.Generator):
@@ -197,10 +207,14 @@ def random_smooth_map(dim: int, rng: np.random.Generator):
 
 def make_taylor_report(f, x, sigma: float, n: int, rng: np.random.Generator,
                        f_batch) -> TaylorReport:
-    """Full report at one sigma: finite-difference terms plus MC estimates."""
+    """Full report at one sigma: finite-difference terms plus MC estimates;
+    a field that overflows raises ``ContractError`` naming it and the sigma."""
     j = fd_jacobian(f, x)
     h = fd_hessian(f, x)
-    terms = taylor_terms(j, h, sigma)
-    est, se = mc_noise_stability(f, x, sigma, n, rng, f_batch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = taylor_terms(j, h, sigma)
+        est, se = mc_noise_stability(f, x, sigma, n, rng, f_batch)
     cross, _ = cross_term_mc(j, h, sigma, n, rng)
-    return TaylorReport(sigma=sigma, mc_estimate=est, mc_se=se, r_jh_mc=cross, **terms)
+    report = TaylorReport(sigma=sigma, mc_estimate=est, mc_se=se, r_jh_mc=cross, **terms)
+    _require_finite("make_taylor_report", sigma, **asdict(report))
+    return report

@@ -1,10 +1,10 @@
 """Training loop with per-example noise injection and the multi-seed harness.
 
-One run: Adam with bias correction and decoupled weight decay, linear
-warmup then linear decay to zero, and per batch one batched clean forward
-pass plus (in noisy modes) one batched perturbed pass that reuses the clean
-entries below the injection layer and whose trace deviation feeds the
-penalty; one backward pass per batch gives the mean per-example gradient.
+One run: Adam with bias correction, linear warmup then linear decay to
+zero, and per batch one batched clean forward pass plus (in noisy modes)
+one batched perturbed pass that reuses the clean entries below the
+injection layer and whose trace deviation feeds the penalty; one backward
+pass per batch gives the mean per-example gradient.
 After each epoch one frozen forward pass over the train and dev sets
 together scores both, each set from its own rows of the logits.
 
@@ -42,16 +42,17 @@ from .rng import substream_rng
 MODE_NOISE = {"ft": "none", "ft_noise_only": "standard",
               "lnsr_standard": "standard", "lnsr_inmanifold": "in_manifold"}
 
+# Adam's moment decays and guard, and the warmup's share of the steps: fixed.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+WARMUP_RATIO = 0.06
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     lr: float = 2e-3
     batch_size: int = 8
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    weight_decay: float = 0.0
-    warmup_ratio: float = 0.06
     epochs: int = 2
     seed: int = 0
     knn_k: int = DEFAULT_K
@@ -59,23 +60,13 @@ class TrainConfig:
     reg: RegularizerConfig = field(default_factory=RegularizerConfig)
 
     def __post_init__(self):
-        for name in ("lr", "beta1", "beta2", "adam_eps", "weight_decay", "warmup_ratio"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValidationError(f"TrainConfig.{name} must be finite, got {value}")
-        if not self.lr > 0:
-            raise ValidationError(f"TrainConfig.lr must be positive, got {self.lr}")
-        if not 0.0 <= self.warmup_ratio < 1.0:
-            raise ValidationError(
-                f"TrainConfig.warmup_ratio must be in [0, 1), got {self.warmup_ratio}"
-            )
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValidationError(f"TrainConfig.lr must be positive and finite, got {self.lr}")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValidationError(
                 f"TrainConfig: batch_size and epochs must be >= 1,"
                 f" got {self.batch_size}, {self.epochs}"
             )
-        if not 0.0 <= self.weight_decay:
-            raise ValidationError(f"TrainConfig.weight_decay must be >= 0, got {self.weight_decay}")
         if self.seed < 0:
             raise ValidationError(f"TrainConfig.seed must be >= 0, got {self.seed}")
         if self.knn_k < 1:
@@ -94,20 +85,18 @@ class TrainConfig:
 
 
 def adam_step(store: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
-              t: int, cfg: TrainConfig, lr: float):
-    """One Adam update at learning rate ``lr``, with bias correction and
-    decoupled weight decay, in place on the flat parameter ``store`` and
-    moments ``m`` and ``v``."""
+              t: int, lr: float):
+    """One Adam update at learning rate ``lr``, with bias correction, in
+    place on the flat parameter ``store`` and moments ``m`` and ``v``."""
     if t < 1:
         raise ContractError(f"adam_step: t must be >= 1, got {t}")
     if not store.shape == grad.shape == m.shape == v.shape:
         raise ContractError(f"adam_step: shapes {store.shape} {grad.shape} {m.shape} {v.shape}")
-    b1, b2 = cfg.beta1, cfg.beta2
-    m[:] = b1 * m + (1.0 - b1) * grad
-    v[:] = b2 * v + (1.0 - b2) * grad * grad
-    mhat = m / (1.0 - b1 ** t)
-    vhat = v / (1.0 - b2 ** t)
-    store -= lr * (mhat / (np.sqrt(vhat) + cfg.adam_eps) + cfg.weight_decay * store)
+    m[:] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+    v[:] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
+    mhat = m / (1.0 - ADAM_BETA1 ** t)
+    vhat = v / (1.0 - ADAM_BETA2 ** t)
+    store -= lr * (mhat / (np.sqrt(vhat) + ADAM_EPS))
 
 
 def lr_at(step: int, total_steps: int, warmup_ratio: float, base_lr: float) -> float:
@@ -360,8 +349,8 @@ def run_training(model_cfg: EncoderConfig, train_ds: TextDataset,
             if bad:
                 raise ContractError(f"non-finite gradient of {bad} at {where},"
                                     f" examples {batch.tolist()}")
-            step_lr = lr_at(global_step, total_steps, cfg.warmup_ratio, cfg.lr)
-            adam_step(model.store, grad, m, v, global_step, cfg, lr=step_lr)
+            step_lr = lr_at(global_step, total_steps, WARMUP_RATIO, cfg.lr)
+            adam_step(model.store, grad, m, v, global_step, lr=step_lr)
         try:
             train_metric, dev_metric = evaluate(model, train=train_ds, dev=dev_ds)
         except ContractError as exc:

@@ -229,9 +229,7 @@ _EVERY_KEY = {
     "noise": {"mode": "in_manifold", "sigma": 0.25, "rel_magnitude": None},
     "regularizer": {"lambda_weights": (0.5, 0.25), "mode": "lnsr_inmanifold",
                     "injection_layer": 2},
-    "train": {"lr": 0.004, "batch_size": 5, "beta1": 0.8, "beta2": 0.99,
-              "adam_eps": 1e-7, "weight_decay": 0.01, "warmup_ratio": 0.1,
-              "epochs": 4, "seed": 6, "knn_k": 7},
+    "train": {"lr": 0.004, "batch_size": 5, "epochs": 4, "seed": 6, "knn_k": 7},
     "data": {"n_per_class": 9, "num_classes": 3, "seq_len": 6, "margin": 0.4,
              "seed": 2, "train_path": "a.tsv", "dev_path": "b.tsv"},
 }
@@ -263,8 +261,11 @@ def test_config_keys_are_the_config_dataclass_fields(tmp_path):
             assert want != defaults[section][key], (section, key)
 
 
-@pytest.mark.parametrize("section, key", [("train", "noise"), ("train", "reg"),
-                                          ("regularizer", "norm_reduction")])
+@pytest.mark.parametrize("section, key", [
+    ("train", "noise"), ("train", "reg"), ("regularizer", "norm_reduction"),
+    ("train", "beta1"), ("train", "beta2"), ("train", "adam_eps"),
+    ("train", "weight_decay"), ("train", "warmup_ratio"),
+])
 def test_config_keys_outside_the_schema_exit_1(tmp_path, capsys, section, key):
     ini = tmp_path / "extra.ini"
     ini.write_text(f"[{section}]\n{key} = sum_squares\n")
@@ -423,12 +424,14 @@ def test_bad_arguments_exit_1(tmp_path, capsys):
     (["pca-spectrum", "--curvature=-inf"], "--curvature"),
     (["pca-spectrum", "--curvature", "1e308"], "--curvature"),
     (["pca-spectrum", "--curvature=-1e200"], "--curvature"),
+    (["bench", "--index-sizes", "5"], "--index-sizes"),
 ])
 def test_float_and_basis_size_arguments_exit_1(tmp_path, capsys, argv, option):
     """A sigma that is not positive and finite, a basis size above its
-    sample dimension, a neighbourhood as large as the point set, or a
-    curvature that is not finite or overflows the manifold is an argument
-    error naming its option, not a runtime one."""
+    sample dimension, an index smaller than a query's neighbours, a
+    neighbourhood as large as the point set, or a curvature that is not
+    finite or overflows the manifold is an argument error naming its
+    option, not a runtime one."""
     assert main(argv + ["--out", str(tmp_path)]) == 1
     assert option in capsys.readouterr().err
     assert not glob.glob(os.path.join(str(tmp_path), "*.csv"))
@@ -506,6 +509,20 @@ def test_runtime_failure_exit_2(tmp_path, capsys):
     assert not glob.glob(os.path.join(str(tmp_path), "*.csv"))
 
 
+@pytest.mark.parametrize("argv, sigma", [
+    (["cross-term", "--sigma", "1e60"], "1e+60"),
+    (["verify-claim1", "--sigmas", "0.1,1e200"], "1e+200"),
+])
+def test_overflowing_taylor_sigma_exits_2(tmp_path, capsys, argv, sigma):
+    """A sigma whose Monte-Carlo values overflow gives no verdict: an
+    infinite standard error would pass any mean off as within 3 of it."""
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime failure: ContractError: ")
+    assert f"is not finite at sigma={sigma}" in err
+    assert not glob.glob(os.path.join(str(tmp_path), "*.csv"))
+
+
 @pytest.mark.parametrize("fault", ["missing_checkpoint", "missing_tsv", "latin1_tsv"])
 def test_unreadable_input_file_exits_1_naming_the_file(tmp_path, capsys, fault):
     """A checkpoint or TSV file that is missing, or a TSV that is not
@@ -550,7 +567,8 @@ def test_invalid_training_config_exit_1(tmp_path, capsys):
     for section, key, value in (("noise", "seed", "0"),
                                 ("noise", "injection_layer", "1"),
                                 ("encoder", "dropout_rate", "0.0"),
-                                ("data", "kind", "classification")):
+                                ("data", "kind", "classification"),
+                                ("train", "weight_decay", "inf")):
         ini.write_text(f"[{section}]\n{key} = {value}\n")
         assert main(["train", "--config", str(ini), "--out", str(tmp_path)]) == 1
         assert repr(key) in capsys.readouterr().err
@@ -558,7 +576,6 @@ def test_invalid_training_config_exit_1(tmp_path, capsys):
     for section, key, value in (("noise", "sigma", "inf"),
                                 ("noise", "rel_magnitude", "inf"),
                                 ("train", "lr", "inf"),
-                                ("train", "weight_decay", "inf"),
                                 ("train", "seed", "-1"),
                                 ("regularizer", "lambda_weights", "nan")):
         ini.write_text(f"[{section}]\n{key} = {value}\n")

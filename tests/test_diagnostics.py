@@ -331,3 +331,5 @@ def test_bench_contracts():
         bench_complexity(k_values=(4, 999))
     with pytest.raises(ContractError):
         bench_complexity(index_sizes=(0,))
+    with pytest.raises(ContractError, match="index_sizes entries must be >= 10"):
+        bench_complexity(index_sizes=(5,))
