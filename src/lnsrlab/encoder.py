@@ -1,10 +1,10 @@
 """Toy transformer encoder with noise-injection and activation-recording taps.
 
 The model is a stack of post-norm attention/FFN blocks over learned token
-plus positional embeddings, mean-pooled into a classification or regression
-head.  ``forward_with_taps`` records the embedding output and every block
-output in an :class:`ActivationTrace` and can add a caller-supplied noise
-matrix to the input of any block b (b = 1 perturbs the embedding output).
+plus positional embeddings, mean-pooled into a classification head.
+``forward_with_taps`` records the embedding output and every block output
+in an :class:`ActivationTrace` and can add a caller-supplied noise matrix
+to the input of any block b (b = 1 perturbs the embedding output).
 
 Trace semantics: entry 0 is the embedding output, entry r the output of
 block r, every entry [M, d] for one sequence or [B, M, d] for a batch of B
@@ -50,7 +50,6 @@ class EncoderConfig:
     ffn_dim: int = 16
     max_seq_len: int = 8
     num_classes: int = 2
-    regression: bool = False
 
     def __post_init__(self):
         problems = []
@@ -67,10 +66,6 @@ class EncoderConfig:
             )
         if problems:
             raise ValidationError("invalid EncoderConfig: " + "; ".join(problems))
-
-    @property
-    def num_outputs(self) -> int:
-        return 1 if self.regression else self.num_classes
 
 
 @dataclass
@@ -153,14 +148,14 @@ def build_encoder(config: EncoderConfig, init_seed: int) -> EncoderModel:
     Deterministic: the same ``init_seed`` yields bit-identical parameters.
     Every weight is drawn straight into its slice of the flat store.
     """
-    d, f, o = config.embed_dim, config.ffn_dim, config.num_outputs
+    d, f, c = config.embed_dim, config.ffn_dim, config.num_classes
     # In BlockParams field order, which is the store order.
     block = dict(wq=(d, d), bq=(d,), wk=(d, d), bk=(d,), wv=(d, d), bv=(d,),
                  wo=(d, d), bo=(d,), ln1_gain=(d,), ln1_bias=(d,), w1=(d, f), b1=(f,),
                  w2=(f, d), b2=(d,), ln2_gain=(d,), ln2_bias=(d,))
     shapes = ([(config.vocab_size, d), (config.max_seq_len, d)]
               + [shape for _ in range(config.num_layers) for shape in block.values()]
-              + [(d, o), (o,)])
+              + [(d, c), (c,)])
     sizes = [math.prod(shape) for shape in shapes]
     store = np.zeros(sum(sizes))
     params = [Tensor(store[end - size:end].reshape(shape), requires_grad=True)
@@ -224,9 +219,9 @@ def forward_with_taps(model: EncoderModel, tokens, injection=None, clean=None):
     """Forward pass recording all layer outputs; optional noise injection.
 
     ``tokens`` is one sequence of ids or a list of B sequences.  One
-    sequence gives trace entries [M, d] and logits [num_classes] ([1] for
-    regression); a list gives entries [B, M, d] and logits [B, num_classes],
-    each sequence padded and masked on its own.
+    sequence gives trace entries [M, d] and logits [num_classes]; a list
+    gives entries [B, M, d] and logits [B, num_classes], each sequence
+    padded and masked on its own.
 
     ``injection`` is None or ``(b, noise)`` with 1 <= b <= num_layers and
     noise shaped like a trace entry; the noise is added to the input of
@@ -278,7 +273,7 @@ def forward_with_taps(model: EncoderModel, tokens, injection=None, clean=None):
     pool = np.where(mask, 1.0 / n_real[..., None], 0.0)[..., None, :]
     pooled = T.matmul(Tensor(pool), layers[-1])
     logits = T.reshape(T.add_bias(T.matmul(pooled, model.w_head), model.b_head),
-                       ids.shape[:-1] + (cfg.num_outputs,))
+                       ids.shape[:-1] + (cfg.num_classes,))
     return logits, ActivationTrace(layers=layers, token_mask=mask)
 
 
@@ -311,21 +306,22 @@ def load_checkpoint(path) -> EncoderModel:
             f"checkpoint {path}: bad magic {head_lines[0]!r}, expected {CHECKPOINT_MAGIC!r}"
         )
     # Header keys that are not EncoderConfig fields are ignored, so files
-    # that older versions wrote with extra keys still load.
+    # that older versions wrote with extra keys still load; but a model
+    # saved with a regression head has no classifier to load as.
     header = dict(line.partition("=")[::2] for line in head_lines[1:])
+    if header.get("regression", "0") != "0":
+        raise ValidationError(f"checkpoint {path}: header field 'regression' is"
+                              f" {header['regression']!r}; only classifiers"
+                              f" (regression=0) load")
     values = {}
     for f in fields(EncoderConfig):
         if f.name not in header:
             raise ValidationError(f"checkpoint {path}: missing header field {f.name!r}")
         try:
-            number = int(header[f.name])
+            values[f.name] = int(header[f.name])
         except ValueError:
             raise ValidationError(f"checkpoint {path}: header field {f.name!r} is not"
                                   f" an integer: {header[f.name]!r}") from None
-        if f.type is bool and number not in (0, 1):
-            raise ValidationError(f"checkpoint {path}: header field {f.name!r} must be"
-                                  f" 0 or 1, got {number}")
-        values[f.name] = f.type(number)
     try:
         cfg = EncoderConfig(**values)
     except ValidationError as exc:

@@ -105,23 +105,13 @@ def lnsr_term(clean: ActivationTrace, perturbed: ActivationTrace,
     return r_total, per_layer
 
 
-def task_loss(logits: Tensor, label, regression: bool) -> Tensor:
-    """Cross-entropy for classification, squared error against a scalar
-    target for regression; summed over a batch of [B, C] logits, whose
-    labels are then a length-B array."""
-    if regression:
-        target = np.asarray(label, dtype=np.float64).reshape(logits.data.shape)
-        return T.mse(logits, target)
-    return T.cross_entropy(logits, label)
-
-
 def assemble_objective(clean_logits: Tensor, perturbed_logits: Tensor | None,
-                       label, r_term: Tensor | None, mode: str,
-                       regression: bool = False, per_layer_terms=None):
+                       label, r_term: Tensor | None, mode: str, per_layer_terms=None):
     """Mode-dependent scalar objective plus its breakdown.
 
     For a batch, ``label`` holds one label per sequence and the objective
-    and its breakdown are sums over the batch.
+    and its breakdown are sums over the batch.  The task loss is the
+    cross-entropy of the logits against the class labels.
 
     ft: task loss on the clean logits, penalty ignored.
     ft_noise_only: task loss on the perturbed logits (noise as augmentation).
@@ -132,7 +122,7 @@ def assemble_objective(clean_logits: Tensor, perturbed_logits: Tensor | None,
     if mode == "ft_noise_only" and perturbed_logits is None:
         raise ContractError("ft_noise_only requires a perturbed forward pass")
     logits = perturbed_logits if mode == "ft_noise_only" else clean_logits
-    loss = task_loss(logits, label, regression)
+    loss = T.cross_entropy(logits, label)
     penalty = r_term if mode in PENALTY_MODES else None
     total = loss if penalty is None else T.add(loss, penalty)
     return total, ObjectiveBreakdown(

@@ -127,18 +127,6 @@ class RunResult:
     final_params: list = field(default_factory=list, repr=False)
 
 
-def pearson(preds, targets) -> float:
-    """Correlation score for regression; 0 when either side is constant."""
-    p = np.asarray(preds, dtype=np.float64)
-    t = np.asarray(targets, dtype=np.float64)
-    pc = p - p.mean()
-    tc = t - t.mean()
-    denom = np.sqrt((pc * pc).sum() * (tc * tc).sum())
-    if denom == 0.0:
-        return 0.0
-    return float((pc * tc).sum() / denom)
-
-
 def _require_finite(named_arrays, where: str, examples):
     """Raise naming the first example (a row along axis 0 of every array)
     holding a non-finite value, and the first named array it shows up in."""
@@ -154,15 +142,15 @@ def _require_finite(named_arrays, where: str, examples):
 
 
 def evaluate(model: EncoderModel, **datasets) -> list:
-    """The metric (accuracy, or correlation for regression) of each named
-    dataset, in argument order, from one batched forward pass over all of
-    them; each set's metric comes from its own rows of the logits.
+    """The accuracy of each named dataset, in argument order, from one
+    batched forward pass over all of them; each set's accuracy comes from
+    its own rows of the logits.
 
     The joint pass equals separate passes bit for bit when every matmul
     splits its rows into the same BLAS blocks both ways, as OpenBLAS does
     at ``max_seq_len`` 8 with a multiple of 8 sequences before the last set.
-    Elsewhere a row can round by its place in the matrix, so logits, and a
-    regression metric, may differ from separate passes in the last bits.
+    Elsewhere a row can round by its place in the matrix, so logits may
+    differ from separate passes in the last bits.
 
     A non-finite logit raises ``ContractError`` naming the set and the
     example's index within it.
@@ -177,10 +165,7 @@ def evaluate(model: EncoderModel, **datasets) -> list:
         rows, start = logits.data[start:start + n], start + n
         _require_finite([("logits", rows)], f"evaluation of {name}", np.arange(n))
         labels = np.array([ex[1] for ex in ds.examples])
-        if model.config.regression:
-            metrics.append(pearson(rows[:, 0], labels))
-        else:
-            metrics.append(int((np.argmax(rows, axis=-1) == labels).sum()) / n)
+        metrics.append(int((np.argmax(rows, axis=-1) == labels).sum()) / n)
     return metrics
 
 
@@ -269,8 +254,7 @@ def _batch_backward(model: EncoderModel, train_ds: TextDataset, batch, cfg: Trai
                         + [("perturbed logits", logits_p.data)], where, batch)
         if mode in PENALTY_MODES:
             r_term, per_layer = lnsr_term(clean, pert, cfg.reg)
-    obj, _ = assemble_objective(logits_c, logits_p, labels, r_term, mode,
-                                regression=model.config.regression, per_layer_terms=per_layer)
+    obj, _ = assemble_objective(logits_c, logits_p, labels, r_term, mode, per_layer_terms=per_layer)
     if not np.isfinite(obj.data):
         # The loss is one sum over the batch, so it names them all.
         raise ContractError(f"non-finite loss at {where}, examples {batch.tolist()}")
@@ -285,8 +269,8 @@ def check_run(model_cfg: EncoderConfig, train_ds: TextDataset,
     """Raise ``ValidationError`` if ``run_training`` would reject its
     arguments, with any of the training configs ``cfgs``, before its first
     step: a training config that does not fit the encoder, or a dataset
-    with more classes (when classifying) or token ids than the encoder has,
-    or a longer sequence."""
+    with more classes or token ids than the encoder has, or a longer
+    sequence."""
     for cfg in cfgs:
         if cfg.reg.mode in NOISY_MODES and cfg.noise.mode == "in_manifold" \
                 and model_cfg.vocab_size < cfg.knn_k + 1:
@@ -305,7 +289,7 @@ def check_run(model_cfg: EncoderConfig, train_ds: TextDataset,
         except ContractError as exc:
             raise ValidationError(str(exc)) from None
     classes = max(train_ds.num_classes, dev_ds.num_classes)
-    if not model_cfg.regression and classes > model_cfg.num_classes:
+    if classes > model_cfg.num_classes:
         raise ValidationError(
             f"the data has {classes} classes: EncoderConfig.num_classes must be"
             f" >= {classes}, got {model_cfg.num_classes}"

@@ -136,6 +136,13 @@ def test_cross_term_command(tmp_path):
                        "abs_mean_over_se"]
 
 
+def test_cross_term_verdict_corrects_for_the_pair_count(tmp_path, capsys):
+    """At its defaults the largest of 20 ratios reads 3.04, above a single
+    test's 3 SE; the Bonferroni level for 20 pairs, 3.82, holds it."""
+    assert main(["cross-term", "--out", str(tmp_path)]) == 0
+    assert "max |mean|/se = 3.037 vs level 3.82 (all within)" in capsys.readouterr().out
+
+
 def test_noise_curve_command(tmp_path):
     out = str(tmp_path)
     assert main(["noise-curve", "--out", out, "--probes", "8",
@@ -225,7 +232,7 @@ def test_config_file_errors(tmp_path):
 # One non-default value for every key of every section.
 _EVERY_KEY = {
     "encoder": {"vocab_size": 40, "embed_dim": 12, "num_layers": 3, "num_heads": 3,
-                "ffn_dim": 20, "max_seq_len": 9, "num_classes": 4, "regression": True},
+                "ffn_dim": 20, "max_seq_len": 9, "num_classes": 4},
     "noise": {"mode": "in_manifold", "sigma": 0.25, "rel_magnitude": None},
     "regularizer": {"lambda_weights": (0.5, 0.25), "mode": "lnsr_inmanifold",
                     "injection_layer": 2},
@@ -264,7 +271,7 @@ def test_config_keys_are_the_config_dataclass_fields(tmp_path):
 @pytest.mark.parametrize("section, key", [
     ("train", "noise"), ("train", "reg"), ("regularizer", "norm_reduction"),
     ("train", "beta1"), ("train", "beta2"), ("train", "adam_eps"),
-    ("train", "weight_decay"), ("train", "warmup_ratio"),
+    ("train", "weight_decay"), ("train", "warmup_ratio"), ("encoder", "regression"),
 ])
 def test_config_keys_outside_the_schema_exit_1(tmp_path, capsys, section, key):
     ini = tmp_path / "extra.ini"

@@ -126,12 +126,6 @@ def test_pad_rows_do_not_leak_into_logits():
     assert np.array_equal(clean_logits.data, pert_logits.data)
 
 
-def test_regression_head_shape():
-    model = build_encoder(small_config(regression=True), init_seed=6)
-    logits, _ = forward_with_taps(model, [1, 2, 3])
-    assert logits.data.shape == (1,)
-
-
 def test_gradients_flow_to_all_parameters():
     model = build_encoder(small_config(), init_seed=7)
     logits, _ = forward_with_taps(model, [2, 3, 4, 5])
@@ -191,20 +185,37 @@ def test_parameters_are_views_of_one_store(tmp_path):
 
 
 def test_checkpoint_roundtrip(tmp_path):
-    model = build_encoder(small_config(num_layers=3, regression=True), init_seed=11)
+    model = build_encoder(small_config(num_layers=3, num_classes=3), init_seed=11)
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, path)
     blob = path.read_bytes()
     # One line per EncoderConfig field, in declaration order.
     assert blob.startswith(b"LNSR1\nvocab_size=50\nembed_dim=8\nnum_layers=3\nnum_heads=2\n"
-                           b"ffn_dim=16\nmax_seq_len=12\nnum_classes=2\nregression=1\n\n")
-    # Older LNSR1 files also carry a dropout_rate line, which is ignored.
+                           b"ffn_dim=16\nmax_seq_len=12\nnum_classes=3\n\n")
+    # Older LNSR1 files also carry a dropout_rate line and a regression=0
+    # line, which are ignored.
     legacy = tmp_path / "legacy.ckpt"
-    legacy.write_bytes(blob.replace(b"\n\n", b"\ndropout_rate=0.0\n\n", 1))
+    legacy.write_bytes(blob.replace(b"\n\n", b"\nregression=0\ndropout_rate=0.0\n\n", 1))
     for back in (load_checkpoint(path), load_checkpoint(legacy)):
-        assert back.config == model.config and back.config.regression is True
+        assert back.config == model.config
         for a, b in zip(model.parameters(), back.parameters()):
             assert np.array_equal(a.data, b.data)
+
+
+@pytest.mark.parametrize("num_classes", [1, 2])
+def test_checkpoint_with_a_regression_head_is_rejected(tmp_path, num_classes):
+    """A file that older versions saved with a 1-output regression head
+    names the file and the field, whether its num_classes line makes the
+    payload fit a classifier (1) or not (2)."""
+    model = build_encoder(small_config(num_classes=1), init_seed=12)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    path.write_bytes(path.read_bytes().replace(
+        b"num_classes=1\n", f"num_classes={num_classes}\nregression=1\n".encode(), 1))
+    with pytest.raises(ValidationError) as exc:
+        load_checkpoint(path)
+    assert str(exc.value) == (f"checkpoint {path}: header field 'regression' is '1';"
+                              f" only classifiers (regression=0) load")
 
 
 def test_checkpoint_rejects_corruption(tmp_path):
@@ -230,13 +241,11 @@ def test_checkpoint_rejects_corruption(tmp_path):
     (b"num_heads=2\n", b"num_heads=two\n", "header field 'num_heads' is not an integer: 'two'"),
     (b"embed_dim=8\n", b"embed_dim=\xd9\xa8\n", "header field 'embed_dim' is not an integer"),
     (b"num_heads=2\n", b"num_heads=3\n", "num_heads must divide embed_dim"),
-    (b"regression=0\n", b"regression=7\n", "header field 'regression' must be 0 or 1, got 7"),
-    (b"regression=0\n", b"regression=-1\n", "header field 'regression' must be 0 or 1, got -1"),
-], ids=["word", "non_ascii_digit", "invalid_config", "bool_7", "bool_minus_1"])
+], ids=["word", "non_ascii_digit", "invalid_config"])
 def test_checkpoint_rejects_a_bad_header_value(tmp_path, old, new, message):
     """A value that is not an ASCII integer (U+0668 is an Arabic-Indic
-    eight, which ``int`` would read), a bool field that is not 0 or 1, or
-    a value that no encoder takes names the file and the field."""
+    eight, which ``int`` would read) or a value that no encoder takes
+    names the file and the field."""
     path = tmp_path / "model.ckpt"
     save_checkpoint(build_encoder(small_config(), init_seed=12), path)
     path.write_bytes(path.read_bytes().replace(old, new, 1))

@@ -11,7 +11,6 @@ from lnsrlab.objective import (
     RegularizerConfig,
     assemble_objective,
     lnsr_term,
-    task_loss,
 )
 from lnsrlab.rng import stream_rng
 
@@ -122,14 +121,14 @@ def test_assemble_modes():
     r = T.Tensor(0.3)
 
     obj, bd = assemble_objective(logits_c, logits_p, 0, r, "ft")
-    assert obj.item() == pytest.approx(task_loss(logits_c, 0, False).item())
+    assert obj.item() == pytest.approx(T.cross_entropy(logits_c, 0).item())
     assert bd.reg_term == 0.0
 
     obj, bd = assemble_objective(logits_c, logits_p, 0, r, "ft_noise_only")
-    assert obj.item() == pytest.approx(task_loss(logits_p, 0, False).item())
+    assert obj.item() == pytest.approx(T.cross_entropy(logits_p, 0).item())
 
     obj, bd = assemble_objective(logits_c, logits_p, 0, r, "lnsr_standard")
-    want = task_loss(logits_c, 0, False).item() + 0.3
+    want = T.cross_entropy(logits_c, 0).item() + 0.3
     assert obj.item() == pytest.approx(want, rel=1e-12)
     assert bd.reg_term == pytest.approx(0.3)
     assert bd.task_loss + bd.reg_term == pytest.approx(obj.item(), rel=1e-12)
@@ -138,7 +137,7 @@ def test_assemble_modes():
 def test_assemble_addition_example():
     """Task 1.2 plus penalty 0.3 totals 1.5 under a regularized mode."""
     logits = T.Tensor([0.0, 0.0])
-    base = task_loss(logits, 0, False).item()
+    base = T.cross_entropy(logits, 0).item()
     r = T.Tensor(0.3)
     obj, _ = assemble_objective(logits, None, 0, r, "lnsr_inmanifold")
     assert obj.item() == pytest.approx(base + 0.3, rel=1e-12)
@@ -150,11 +149,6 @@ def test_assemble_contracts():
         assemble_objective(logits, None, 0, None, "bogus")
     with pytest.raises(ContractError):
         assemble_objective(logits, None, 0, None, "ft_noise_only")
-
-
-def test_regression_task_loss():
-    pred = T.Tensor([2.0])
-    assert task_loss(pred, 0.5, True).item() == pytest.approx(2.25)
 
 
 def test_zero_noise_collapse_gradients():

@@ -27,7 +27,6 @@ from lnsrlab.trainer import (
     evaluate,
     lr_at,
     multi_seed,
-    pearson,
     run_training,
     summarize_runs,
 )
@@ -509,13 +508,7 @@ def test_non_finite_gradient_names_parameter_and_batch(toy_task, monkeypatch):
                               f" step 1, examples {order[:8].tolist()}")
 
 
-# -------------------------------------------------------- evaluate / pearson
-
-def test_pearson_basic():
-    assert pearson([1, 2, 3], [2, 4, 6]) == pytest.approx(1.0)
-    assert pearson([1, 2, 3], [-1, -2, -3]) == pytest.approx(-1.0)
-    assert pearson([1, 1, 1], [2, 4, 6]) == 0.0
-
+# ----------------------------------------------------------------- evaluate
 
 def test_evaluate_names_first_example_with_non_finite_logits(toy_task):
     from lnsrlab.encoder import build_encoder
@@ -545,7 +538,7 @@ def test_evaluate_on_untrained_model_is_finite(toy_task):
 
 
 def _row_metrics(model, sets):
-    """Each set's metric from its own rows of one frozen pass over all sets."""
+    """Each set's accuracy from its own rows of one frozen pass over all sets."""
     from lnsrlab.encoder import forward_with_taps
     logits, _ = forward_with_taps(model.frozen(), [ids for ds in sets for ids, _ in ds.examples])
     out, start = [], 0
@@ -553,18 +546,15 @@ def _row_metrics(model, sets):
         rows = logits.data[start:start + len(ds.examples)]
         start += len(ds.examples)
         labels = np.array([label for _, label in ds.examples])
-        out.append(pearson(rows[:, 0], labels) if model.config.regression
-                   else float(np.mean(np.argmax(rows, axis=-1) == labels)))
+        out.append(float(np.mean(np.argmax(rows, axis=-1) == labels)))
     return out
 
 
-@pytest.mark.parametrize("regression", [False, True])
 @pytest.mark.parametrize("n_per_class, max_seq_len", [(16, 8), (24, 8), (13, 7), (17, 9)])
-def test_one_evaluation_pass_scores_each_set_on_its_own_rows(regression, n_per_class,
-                                                             max_seq_len):
+def test_one_evaluation_pass_scores_each_set_on_its_own_rows(n_per_class, max_seq_len):
     train, dev = synth_classification(n_per_class, 2, 7, 30, 0.6, seed=n_per_class)
     mcfg = EncoderConfig(vocab_size=30, embed_dim=8, num_layers=2, num_heads=2, ffn_dim=16,
-                         max_seq_len=max_seq_len, regression=regression)
+                         max_seq_len=max_seq_len)
     model = build_encoder(mcfg, init_seed=1)
     model.store += np.random.default_rng(2).normal(0.0, 0.3, model.store.shape)
     one = evaluate(model, train=train, dev=dev)
