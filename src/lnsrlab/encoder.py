@@ -206,12 +206,12 @@ def _pad_tokens(seqs, config: EncoderConfig) -> np.ndarray:
 
 
 def _block(x: Tensor, blk: BlockParams, key_mask: np.ndarray, num_heads: int) -> Tensor:
-    q = T.add_bias(T.matmul(x, blk.wq), blk.bq)
-    k = T.add_bias(T.matmul(x, blk.wk), blk.bk)
-    v = T.add_bias(T.matmul(x, blk.wv), blk.bv)
-    att = T.add_bias(T.matmul(T.attention(q, k, v, key_mask, num_heads), blk.wo), blk.bo)
+    q = T.matmul(x, blk.wq, blk.bq)
+    k = T.matmul(x, blk.wk, blk.bk)
+    v = T.matmul(x, blk.wv, blk.bv)
+    att = T.matmul(T.attention(q, k, v, key_mask, num_heads), blk.wo, blk.bo)
     h = T.layernorm(T.add(x, att), blk.ln1_gain, blk.ln1_bias)
-    ffn = T.add_bias(T.matmul(T.gelu(T.add_bias(T.matmul(h, blk.w1), blk.b1)), blk.w2), blk.b2)
+    ffn = T.matmul(T.gelu(T.matmul(h, blk.w1, blk.b1)), blk.w2, blk.b2)
     return T.layernorm(T.add(h, ffn), blk.ln2_gain, blk.ln2_bias)
 
 
@@ -272,7 +272,7 @@ def forward_with_taps(model: EncoderModel, tokens, injection=None, clean=None):
     # Mean pooling over real tokens as a [..., 1, M] @ [..., M, d] product.
     pool = np.where(mask, 1.0 / n_real[..., None], 0.0)[..., None, :]
     pooled = T.matmul(Tensor(pool), layers[-1])
-    logits = T.reshape(T.add_bias(T.matmul(pooled, model.w_head), model.b_head),
+    logits = T.reshape(T.matmul(pooled, model.w_head, model.b_head),
                        ids.shape[:-1] + (cfg.num_classes,))
     return logits, ActivationTrace(layers=layers, token_mask=mask)
 

@@ -15,9 +15,17 @@ cross-entropy and MSE, plus 2-d transpose and column slicing/concatenation.
 Ops act on the trailing axes and accept any leading shape, so one call
 handles one example ([M, d]) or a batch of them ([B, M, d]).  A weight
 [k, n] multiplies every leading index alike (its gradient sums over them),
-``add_bias`` broadcasts a trailing-shaped operand over the leading axes,
-and the losses add up one value per leading index.  Apart from that,
-operands of elementwise ops must have equal shapes.
+as does ``matmul``'s optional length-n bias; ``add_bias`` broadcasts a
+trailing-shaped operand over the leading axes, and the losses add up one
+value per leading index.  Apart from that, operands of elementwise ops
+must have equal shapes.
+
+An op may write in place only into arrays it allocated itself, never into
+an operand's ``.data`` or into an array another node keeps (an output, or
+what a backward rule holds on to).  The forward passes of ``gelu``,
+``layernorm``, ``attention`` and ``matmul`` use this to allocate little
+more than their output and what their backward keeps, in the same
+operations and order as the plain expressions, so their bits do not move.
 
 Everything is float64.
 """
@@ -149,12 +157,14 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
 # Linear algebra
 # ---------------------------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     """``a`` [..., m, k] times ``b``: a [k, n] weight shared by every leading
     index of ``a``, or a [..., k, n] stack with a's leading shape.
 
     The shared-weight product runs as one [(...)*m, k] @ [k, n] GEMM, so a
     2-d ``a`` computes exactly the plain matrix product and its gradients.
+    A length-n ``bias`` (shared weight only) is added to every output row in
+    place, giving the bits of ``add_bias(matmul(a, b), bias)`` in one node.
     """
     ad, bd = a.data, b.data
     if ad.ndim < 2 or not (bd.ndim == 2 or bd.shape[:-2] == ad.shape[:-2]):
@@ -162,13 +172,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if ad.shape[-1] != bd.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions of {ad.shape} and {bd.shape} disagree")
     k, n = bd.shape[-2], bd.shape[-1]
+    if bias is not None and (bd.ndim != 2 or bias.data.shape != (n,)):
+        raise ShapeError(f"matmul: bias shape {bias.data.shape} does not fit weight {bd.shape}")
     if bd.ndim == 2:
         def bwd(g):
-            return ((g.reshape(-1, n) @ bd.T).reshape(ad.shape),
-                    ad.reshape(-1, k).T @ g.reshape(-1, n))
+            g2 = g.reshape(-1, n)
+            grads = (g2 @ bd.T).reshape(ad.shape), ad.reshape(-1, k).T @ g2
+            return grads if bias is None else grads + (g2.sum(axis=0),)
 
-        out = (ad.reshape(-1, k) @ bd).reshape(ad.shape[:-1] + (n,))
-        return _node(out, (a, b), bwd)
+        out = ad.reshape(-1, k) @ bd
+        if bias is not None:
+            out += bias.data
+        parents = (a, b) if bias is None else (a, b, bias)
+        return _node(out.reshape(ad.shape[:-1] + (n,)), parents, bwd)
 
     def bwd_stacked(g):
         return g @ np.swapaxes(bd, -1, -2), np.swapaxes(ad, -1, -2) @ g
@@ -253,16 +269,24 @@ def embedding(table: Tensor, ids) -> Tensor:
 def gelu(x: Tensor) -> Tensor:
     """GELU with the tanh approximation (smooth, used throughout)."""
     xd = x.data
-    sq = xd * xd  # numpy's float power is ~40x slower than products
-    inner = _GELU_C * (xd + _GELU_A * sq * xd)
-    t = np.tanh(inner)
+    # t = tanh(C * (xd + A * sq * xd)) with sq = xd * xd (numpy's float power
+    # is ~40x slower than products), built in place in t.
+    t = xd * xd
+    t *= _GELU_A
+    t *= xd
+    t += xd
+    t *= _GELU_C
+    np.tanh(t, out=t)
 
     def bwd(g):
+        sq = xd * xd
         sech2 = 1.0 - t * t
         dinner = _GELU_C * (1.0 + 3.0 * _GELU_A * sq)
         return (g * (0.5 * (1.0 + t) + 0.5 * xd * sech2 * dinner),)
 
-    return _node(0.5 * xd * (1.0 + t), (x,), bwd)
+    out = t + 1.0
+    out *= 0.5 * xd
+    return _node(out, (x,), bwd)
 
 
 def softmax(x: Tensor) -> Tensor:
@@ -293,10 +317,12 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
             f"incompatible with input {x.data.shape}"
         )
     # The ufuncs np.mean and np.var run, without their Python wrappers: the
-    # mean is the row sum over d, the variance the mean square of c.
-    c = x.data - x.data.sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt((c * c).sum(axis=-1, keepdims=True) / d + LAYERNORM_EPS)
-    xhat = c * inv
+    # mean is the row sum over d, the variance the mean square of c.  The
+    # output array holds c * c first; c becomes xhat in place.
+    xhat = x.data - x.data.sum(axis=-1, keepdims=True) / d
+    out = np.multiply(xhat, xhat)
+    inv = 1.0 / np.sqrt(out.sum(axis=-1, keepdims=True) / d + LAYERNORM_EPS)
+    xhat *= inv
     gd = gain.data
 
     def bwd(g):
@@ -306,7 +332,9 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         dx = inv * (dxhat - m1 - xhat * m2)
         return dx, (g * xhat).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0)
 
-    return _node(xhat * gd + bias.data, (x, gain, bias), bwd)
+    np.multiply(xhat, gd, out=out)
+    out += bias.data
+    return _node(out, (x, gain, bias), bwd)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, key_mask, num_heads: int) -> Tensor:
@@ -337,9 +365,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, key_mask, num_heads: int) -> Tens
         return np.swapaxes(a, -2, -3).reshape(shape)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    scores = (qh @ np.swapaxes(kh, -1, -2)) * scale + mask
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)
+    # Softmax over keys of the masked, scaled scores, in place in p.
+    p = qh @ np.swapaxes(kh, -1, -2)
+    p *= scale
+    p += mask
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
 
     def bwd(g):
         gh = split(g)

@@ -55,8 +55,9 @@ def _rel_err(a, b, floor):
 
 def _primitive_cases(rng):
     """Scalar-valued composites touching every tensor primitive once, plus
-    the batched [B, M, d] form of every primitive with a leading-axis rule
-    and the fused attention (gradient taken w.r.t. q, k and v in turn)."""
+    the batched [B, M, d] form of every primitive with a leading-axis rule,
+    the fused attention (gradient taken w.r.t. q, k and v in turn) and the
+    matmul with its fused bias (input, weight and bias in turn)."""
     n, d = 3, 4
     a = T.Tensor(rng.normal(size=(n, d)), requires_grad=True)
     b = T.Tensor(rng.normal(size=(n, d)), requires_grad=True)
@@ -106,6 +107,9 @@ def _primitive_cases(rng):
         ("cross_entropy[B,M,C]", logits3, lambda: T.cross_entropy(logits3, labels3)),
         ("mse[B,M]", pred3, lambda: T.mse(pred3, tgt3)),
         ("sumsq[B,M,d]", x3, lambda: T.sumsq(x3)),
+        ("matmul[B,M,d]@[d,d]+[d] input", x3, lambda: T.sumsq(T.matmul(x3, w, bias))),
+        ("matmul[B,M,d]@[d,d]+[d] weight", w, lambda: T.sumsq(T.matmul(x3, w, bias))),
+        ("matmul[B,M,d]@[d,d]+[d] bias", bias, lambda: T.sumsq(T.matmul(x3, w, bias))),
     ]
     return [
         ("add", a, lambda: T.sumsq(T.add(a, b))),

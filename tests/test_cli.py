@@ -653,7 +653,6 @@ def test_all_commands_registered():
 
 def test_fmt_values():
     assert _fmt(None) == ""
-    assert _fmt(True) == "true" and _fmt(False) == "false"
     assert _fmt(3) == "3"
     assert _fmt(np.int64(4)) == "4"
     x = 0.1 + 0.2

@@ -201,6 +201,62 @@ def test_layernorm_equals_mean_var_oracle_bit_for_bit(lead, d):
             assert np.array_equal(a.view(np.int64), b.view(np.int64)), (name, scale)
 
 
+def _plain_forwards(x, w, bias, gain, key_mask, num_heads):
+    """The forward expressions the in-place ops replaced, written out with
+    a fresh array per step: the rounding the ops must repeat."""
+    d = x.shape[-1]
+    gelu = 0.5 * x * (1.0 + np.tanh(T._GELU_C * (x + T._GELU_A * (x * x) * x)))
+    c = x - x.sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt((c * c).sum(axis=-1, keepdims=True) / d + T.LAYERNORM_EPS)
+    layernorm = c * inv * gain + bias
+    *lead, m, _ = x.shape
+    dh = d // num_heads
+    qh = np.swapaxes(x.reshape(*lead, m, num_heads, dh), -2, -3)
+    scores = (qh @ np.swapaxes(qh, -1, -2)) * (1.0 / np.sqrt(dh)) + key_mask[..., None, :, :]
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    attention = np.swapaxes(p @ qh, -2, -3).reshape(x.shape)
+    matmul = (x.reshape(-1, d) @ w).reshape(x.shape[:-1] + (w.shape[1],)) + bias
+    return {"gelu": gelu, "layernorm": layernorm, "attention": attention, "matmul": matmul}
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 4), (4, 32, 128)])
+def test_in_place_forwards_keep_their_bits_and_operands(shape):
+    """gelu, layernorm, the attention softmax and matmul's fused bias write
+    their intermediates in place: each output equals the plain expression
+    bit for bit, and no operand's data changes through forward and backward."""
+    rng = np.random.default_rng(shape[-1])
+    *lead, m, d = shape
+    heads = 2
+    x0, w0 = 3.0 * rng.normal(size=shape), rng.normal(size=(d, d))
+    bias0, gain0, g = rng.normal(size=d), rng.normal(size=d), rng.normal(size=shape)
+    key_mask = np.zeros(tuple(lead) + (1, m))
+    key_mask[0, 0, m // 2:] = -1e9
+    x, w, bias, gain = (T.Tensor(a.copy(), requires_grad=True)
+                        for a in (x0, w0, bias0, gain0))
+    outs = {"gelu": T.gelu(x), "layernorm": T.layernorm(x, gain, bias),
+            "attention": T.attention(x, x, x, key_mask, heads),
+            "matmul": T.matmul(x, w, bias)}
+    for name, want in _plain_forwards(x0, w0, bias0, gain0, key_mask, heads).items():
+        assert np.array_equal(outs[name].data, want), name
+        for operand in (x, w, bias, gain):
+            assert not np.shares_memory(outs[name].data, operand.data), name
+    fused = outs["matmul"]
+    T.backward(T.tsum(T.mul(T.add(T.add(outs["gelu"], outs["layernorm"]),
+                                  T.add(outs["attention"], fused)), T.Tensor(g))))
+    for leaf, before in ((x, x0), (w, w0), (bias, bias0), (gain, gain0)):
+        assert np.array_equal(leaf.data, before)
+    # The fused bias has the gradients of add_bias(matmul(x, w), bias).
+    xs, ws, bs = (T.Tensor(a, requires_grad=True) for a in (x0, w0, bias0))
+    T.backward(T.tsum(T.mul(T.add_bias(T.matmul(xs, ws), bs), T.Tensor(g))))
+    xf, wf, bf = (T.Tensor(a, requires_grad=True) for a in (x0, w0, bias0))
+    T.backward(T.tsum(T.mul(T.matmul(xf, wf, bf), T.Tensor(g))))
+    for split, one in ((xs, xf), (ws, wf), (bs, bf)):
+        assert np.array_equal(split.grad.data, one.grad.data)
+    with pytest.raises(ShapeError):
+        T.matmul(x, w, T.Tensor(np.ones(d + 1)))
+
+
 def test_grad_reductions_and_losses():
     x0 = RNG.normal(size=(3, 4))
     check_grad(T.tsum, x0)
