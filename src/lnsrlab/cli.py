@@ -34,8 +34,8 @@ from .diagnostics import (
     error_ratio_curve,
     pca_noise_spectrum,
 )
-from .encoder import (EncoderConfig, build_encoder, check_data_fits, load_checkpoint,
-                      save_checkpoint)
+from .encoder import (EncoderConfig, build_encoder, check_data_fits, encoder_from_store,
+                      load_checkpoint, save_checkpoint)
 from .errors import ContractError, ValidationError
 from .manifold import DEFAULT_K, build_index, neighborhood_basis, sample_inmanifold_noise
 from .noise import DEFAULT_REL_MAGNITUDE, NoiseSpec, sample_standard_noise
@@ -206,9 +206,8 @@ def _cmd_train(args) -> int:
           f"gap={result.generalization_gap:.4f} "
           f"wall={result.wall_time_seconds:.2f}s")
     if args.save_model:
-        model = build_encoder(enc, train.seed)
-        model.store[:] = np.concatenate(result.final_params, axis=None)
-        save_checkpoint(model, args.save_model)
+        save_checkpoint(encoder_from_store(enc, np.concatenate(result.final_params, axis=None)),
+                        args.save_model)
         print(f"wrote {args.save_model}")
     return 0
 

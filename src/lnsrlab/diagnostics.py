@@ -21,7 +21,7 @@ import numpy as np
 
 from .encoder import EncoderModel, forward_with_taps
 from .errors import ContractError
-from .linalg import jacobi_eigh
+from .linalg import jacobi_eigh, one_blas_thread
 from .manifold import build_index, gram_schmidt, knn
 from .noise import rescale_relative_rows, sample_standard_noise
 
@@ -243,8 +243,8 @@ def bench_complexity(standard_rows=(256, 512, 1024, 2048, 4096),
     batched in-manifold sampling (coefficient draw plus projection onto a
     fixed orthonormal basis) against basis size k; brute-force neighbor
     queries against index size N; orthonormalization against k.  Runs are
-    sequential in one process; each point is the median of ``reps``
-    repetitions after one warmup call.
+    sequential in one process at one BLAS thread (``one_blas_thread``);
+    each point is the median of ``reps`` repetitions after one warmup call.
     """
     if reps < BENCH_MIN_REPS:
         raise ContractError(f"bench_complexity: need at least {BENCH_MIN_REPS} reps, got {reps}")
@@ -274,27 +274,31 @@ def bench_complexity(standard_rows=(256, 512, 1024, 2048, 4096),
         if len(sizes) > 1:
             exponents[kind] = _fit_exponent(sizes, medians)
 
-    stage("standard", standard_rows, lambda m: (
-        m * BENCH_STANDARD_DIM,
-        lambda: sample_standard_noise((m, BENCH_STANDARD_DIM), 1.0, rng)))
+    # One BLAS thread, so the fitted exponents describe a one-thread cost
+    # model: a GEMM split over threads can take a floor that does not grow
+    # with the work and flattens the slope.
+    with one_blas_thread():
+        stage("standard", standard_rows, lambda m: (
+            m * BENCH_STANDARD_DIM,
+            lambda: sample_standard_noise((m, BENCH_STANDARD_DIM), 1.0, rng)))
 
-    def inmanifold_sample(k):
-        basis = np.linalg.qr(rng.normal(size=(BENCH_SAMPLE_DIM, k)))[0].T
-        return k, lambda: rng.normal(size=(BENCH_SAMPLE_COUNT, k)) @ basis
-    stage("inmanifold_sample", k_values, inmanifold_sample)
+        def inmanifold_sample(k):
+            basis = np.linalg.qr(rng.normal(size=(BENCH_SAMPLE_DIM, k)))[0].T
+            return k, lambda: rng.normal(size=(BENCH_SAMPLE_COUNT, k)) @ basis
+        stage("inmanifold_sample", k_values, inmanifold_sample)
 
-    queries = rng.normal(size=(8, BENCH_INDEX_DIM))
+        queries = rng.normal(size=(8, BENCH_INDEX_DIM))
 
-    def knn_query(n):
-        index = build_index(rng.normal(size=(n, BENCH_INDEX_DIM)))
+        def knn_query(n):
+            index = build_index(rng.normal(size=(n, BENCH_INDEX_DIM)))
 
-        def fn():
-            for q in queries:
-                knn(index, q, k=BENCH_KNN_K)
-        return n, fn
-    stage("knn_query", index_sizes, knn_query)
+            def fn():
+                for q in queries:
+                    knn(index, q, k=BENCH_KNN_K)
+            return n, fn
+        stage("knn_query", index_sizes, knn_query)
 
-    stage("gram_schmidt", k_values, lambda k: (
-        k, partial(gram_schmidt, rng.normal(size=(k, BENCH_SAMPLE_DIM)))))
+        stage("gram_schmidt", k_values, lambda k: (
+            k, partial(gram_schmidt, rng.normal(size=(k, BENCH_SAMPLE_DIM)))))
 
     return BenchReport(records=records, exponents=exponents)

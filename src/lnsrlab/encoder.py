@@ -23,6 +23,7 @@ additive [..., 1, M] key mask, and its pad rows out of the mean pooling.
 
 import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -53,11 +54,10 @@ class EncoderConfig:
 
     def __post_init__(self):
         problems = []
-        for name in ("vocab_size", "embed_dim", "num_layers", "num_heads",
-                     "ffn_dim", "max_seq_len", "num_classes"):
-            v = getattr(self, name)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if not (isinstance(v, (int, np.integer)) and v >= 1):
-                problems.append(f"{name} must be a positive integer, got {v!r}")
+                problems.append(f"{f.name} must be a positive integer, got {v!r}")
         if isinstance(self.embed_dim, int) and isinstance(self.num_heads, int) \
                 and self.num_heads >= 1 and self.embed_dim % self.num_heads != 0:
             problems.append(
@@ -68,29 +68,21 @@ class EncoderConfig:
             raise ValidationError("invalid EncoderConfig: " + "; ".join(problems))
 
 
-@dataclass
-class BlockParams:
-    """Parameters of one attention + FFN block (post-norm)."""
-
-    wq: Tensor
-    bq: Tensor
-    wk: Tensor
-    bk: Tensor
-    wv: Tensor
-    bv: Tensor
-    wo: Tensor
-    bo: Tensor
-    ln1_gain: Tensor
-    ln1_bias: Tensor
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
-    ln2_gain: Tensor
-    ln2_bias: Tensor
-
-    def parameters(self):
-        return [getattr(self, f.name) for f in fields(self)]
+# Each block parameter once, in store order: its name, its shape over the
+# model width d and the FFN width f, and its initial value ("normal" draws
+# N(0, INIT_STD^2) from the init stream).
+BLOCK_TABLE = (
+    ("wq", "dd", "normal"), ("bq", "d", 0.0),
+    ("wk", "dd", "normal"), ("bk", "d", 0.0),
+    ("wv", "dd", "normal"), ("bv", "d", 0.0),
+    ("wo", "dd", "normal"), ("bo", "d", 0.0),
+    ("ln1_gain", "d", 1.0), ("ln1_bias", "d", 0.0),
+    ("w1", "df", "normal"), ("b1", "f", 0.0),
+    ("w2", "fd", "normal"), ("b2", "d", 0.0),
+    ("ln2_gain", "d", 1.0), ("ln2_bias", "d", 0.0),
+)
+# Parameters of one attention + FFN block (post-norm), in table order.
+BlockParams = namedtuple("BlockParams", [name for name, _, _ in BLOCK_TABLE])
 
 
 @dataclass
@@ -107,11 +99,8 @@ class EncoderModel:
 
     def parameters(self):
         """All trainable tensors in fixed declaration order (checkpoint order)."""
-        params = [self.tok_emb, self.pos_emb]
-        for blk in self.blocks:
-            params.extend(blk.parameters())
-        params.extend([self.w_head, self.b_head])
-        return params
+        return [self.tok_emb, self.pos_emb, *itertools.chain.from_iterable(self.blocks),
+                self.w_head, self.b_head]
 
     def frozen(self) -> "EncoderModel":
         """A view whose weights are constants, so a forward pass on it keeps
@@ -121,7 +110,7 @@ class EncoderModel:
 
         return EncoderModel(
             config=self.config, tok_emb=const(self.tok_emb), pos_emb=const(self.pos_emb),
-            blocks=[BlockParams(*map(const, blk.parameters())) for blk in self.blocks],
+            blocks=[BlockParams(*map(const, blk)) for blk in self.blocks],
             w_head=const(self.w_head), b_head=const(self.b_head))
 
 
@@ -142,35 +131,43 @@ class ActivationTrace:
         return len(self.layers)
 
 
-def build_encoder(config: EncoderConfig, init_seed: int) -> EncoderModel:
-    """Fresh model with N(0, 0.02^2) weights, zero biases, unit norm gains.
-
-    Deterministic: the same ``init_seed`` yields bit-identical parameters.
-    Every weight is drawn straight into its slice of the flat store.
-    """
-    d, f, c = config.embed_dim, config.ffn_dim, config.num_classes
-    # In BlockParams field order, which is the store order.
-    block = dict(wq=(d, d), bq=(d,), wk=(d, d), bk=(d,), wv=(d, d), bv=(d,),
-                 wo=(d, d), bo=(d,), ln1_gain=(d,), ln1_bias=(d,), w1=(d, f), b1=(f,),
-                 w2=(f, d), b2=(d,), ln2_gain=(d,), ln2_bias=(d,))
+def encoder_from_store(config: EncoderConfig, store: np.ndarray | None = None) -> EncoderModel:
+    """A model whose parameters are views of the flat float64 ``store``, in
+    parameters() order; a zeroed store when none is given.  Draws nothing."""
+    d, c = config.embed_dim, config.num_classes
+    dims = {"d": d, "f": config.ffn_dim}
+    block = [tuple(dims[axis] for axis in axes) for _, axes, _ in BLOCK_TABLE]
     shapes = ([(config.vocab_size, d), (config.max_seq_len, d)]
-              + [shape for _ in range(config.num_layers) for shape in block.values()]
-              + [(d, c), (c,)])
+              + block * config.num_layers + [(d, c), (c,)])
     sizes = [math.prod(shape) for shape in shapes]
-    store = np.zeros(sum(sizes))
+    if store is None:
+        store = np.zeros(sum(sizes))
+    elif store.shape != (sum(sizes),):
+        raise ShapeError(f"parameter store shape {store.shape}, expected ({sum(sizes)},)")
     params = [Tensor(store[end - size:end].reshape(shape), requires_grad=True)
               for shape, size, end in zip(shapes, sizes, itertools.accumulate(sizes))]
-    n = len(block)
+    n = len(BLOCK_TABLE)
     blocks = [BlockParams(*params[2 + i * n:2 + (i + 1) * n]) for i in range(config.num_layers)]
-    model = EncoderModel(config=config, tok_emb=params[0], pos_emb=params[1], blocks=blocks,
-                         w_head=params[-2], b_head=params[-1], store=store)
-    for blk in blocks:
-        blk.ln1_gain.data[:] = 1.0
-        blk.ln2_gain.data[:] = 1.0
-    # The draw order (each block's weights, then the embeddings and the
-    # head) fixes which values each weight gets, so it never changes.
+    return EncoderModel(config=config, tok_emb=params[0], pos_emb=params[1], blocks=blocks,
+                        w_head=params[-2], b_head=params[-1], store=store)
+
+
+def build_encoder(config: EncoderConfig, init_seed: int) -> EncoderModel:
+    """Fresh model: each block as ``BLOCK_TABLE`` says, N(0, 0.02^2)
+    embeddings and head weights, a zero head bias.  The same ``init_seed``
+    yields bit-identical parameters, each weight drawn into its store slice.
+    """
+    model = encoder_from_store(config)
+    drawn = []
+    for blk in model.blocks:
+        for (_, _, init), w in zip(BLOCK_TABLE, blk):
+            if init == "normal":
+                drawn.append(w)
+            else:
+                w.data[:] = init
+    # The draw order (each block's weights in table order, then the
+    # embeddings and the head) fixes each weight's values: it never changes.
     rng = stream_rng(init_seed, "init")
-    drawn = [w for blk in blocks for w in (blk.wq, blk.wk, blk.wv, blk.wo, blk.w1, blk.w2)]
     for w in drawn + [model.tok_emb, model.pos_emb, model.w_head]:
         rng.standard_normal(out=w.data)
         w.data *= INIT_STD
@@ -326,7 +323,7 @@ def load_checkpoint(path) -> EncoderModel:
         cfg = EncoderConfig(**values)
     except ValidationError as exc:
         raise ValidationError(f"checkpoint {path}: {exc}") from None
-    model = build_encoder(cfg, init_seed=0)
+    model = encoder_from_store(cfg)
     payload = blob[sep + 2:]
     if len(payload) != model.store.nbytes:
         raise ValidationError(

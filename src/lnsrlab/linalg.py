@@ -7,13 +7,21 @@ vectorised rank-2 update per column (Martin, Reinsch and Wilkinson,
 ``tred1``), and implicit QL with shifts, in plain Python floats, finds the
 tridiagonal's eigenvalues (Bowdler, Martin, Reinsch and Wilkinson,
 ``tql1``; both Numer. Math. 11, 1968).
+
+``one_blas_thread`` runs a block with numpy's bundled OpenBLAS on one
+thread, for timings whose cost model must not depend on the core count.
 """
 
+import logging
 import math
+import os
+from contextlib import contextmanager
 
 import numpy as np
 
 from .errors import ContractError, ShapeError
+
+log = logging.getLogger(__name__)
 
 # QL iterations allowed per eigenvalue, as in LAPACK's dsterf.
 _QL_MAX_ITER = 30
@@ -119,3 +127,40 @@ def jacobi_eigh(a) -> np.ndarray:
         raise ContractError("jacobi_eigh: matrix is not symmetric")
     a = 0.5 * (a + a.T)
     return np.ldexp(np.sort(_tql(*_tridiagonalize(a)))[::-1], exp)
+
+
+def _openblas_thread_calls():
+    """The get and set thread-count calls of numpy's bundled OpenBLAS;
+    ``OSError`` or ``AttributeError`` when the library or a call is missing."""
+    import ctypes
+    import glob
+
+    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                           "libscipy_openblas*")
+    libs = glob.glob(pattern)
+    lib = ctypes.CDLL(libs[0] if libs else pattern)
+    get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block with numpy's bundled OpenBLAS on one thread, then
+    restore the thread count it found.  Where that library or its thread
+    calls are missing (another numpy build), log a warning and run the
+    block unpinned."""
+    try:
+        get, set_ = _openblas_thread_calls()
+    except (OSError, AttributeError) as exc:
+        log.warning("one_blas_thread: no OpenBLAS thread calls (%s); the block runs"
+                    " with the BLAS's own thread count", exc)
+        yield
+        return
+    found = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(found)

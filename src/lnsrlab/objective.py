@@ -20,9 +20,12 @@ from .encoder import ActivationTrace
 from .errors import ContractError, ValidationError
 from .tensor import Tensor
 
-MODES = ("ft", "ft_noise_only", "lnsr_standard", "lnsr_inmanifold")
+# The noise kind each objective mode draws; an LNSR mode also runs noise-free.
+MODE_NOISE = {"ft": "none", "ft_noise_only": "standard",
+              "lnsr_standard": "standard", "lnsr_inmanifold": "in_manifold"}
+MODES = tuple(MODE_NOISE)
 # Modes that need a perturbed forward pass at all.
-NOISY_MODES = ("ft_noise_only", "lnsr_standard", "lnsr_inmanifold")
+NOISY_MODES = tuple(mode for mode, noise in MODE_NOISE.items() if noise != "none")
 # Modes that add the penalty to the clean task loss.
 PENALTY_MODES = ("lnsr_standard", "lnsr_inmanifold")
 

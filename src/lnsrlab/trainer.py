@@ -29,6 +29,7 @@ from .errors import ContractError, ValidationError
 from .manifold import DEFAULT_K, build_index, neighborhood_bases
 from .noise import NoiseSpec, rescale_relative_rows
 from .objective import (
+    MODE_NOISE,
     MODES,
     NOISY_MODES,
     PENALTY_MODES,
@@ -37,10 +38,6 @@ from .objective import (
     lnsr_term,
 )
 from .rng import substream_rng
-
-# The noise kind each objective mode draws; an LNSR mode also runs noise-free.
-MODE_NOISE = {"ft": "none", "ft_noise_only": "standard",
-              "lnsr_standard": "standard", "lnsr_inmanifold": "in_manifold"}
 
 # Adam's moment decays and guard, and the warmup's share of the steps: fixed.
 ADAM_BETA1 = 0.9

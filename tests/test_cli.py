@@ -13,7 +13,7 @@ from dataclasses import fields, is_dataclass
 import numpy as np
 import pytest
 
-from lnsrlab import cli
+from lnsrlab import cli, encoder
 from lnsrlab.cli import (
     _configs,
     _fmt,
@@ -75,6 +75,20 @@ def test_train_save_model_checkpoint(tmp_path):
     assert len(params) == len(result.final_params)
     for p, want in zip(params, result.final_params):
         assert p.data.shape == want.shape and np.array_equal(p.data, want)
+
+
+def test_saving_and_loading_a_model_draw_no_init(tmp_path, monkeypatch):
+    """Only the training run draws an init: ``--save-model`` and
+    ``load_checkpoint`` lay the weights into a model they do not draw."""
+    real = encoder.stream_rng
+    streams = []
+    monkeypatch.setattr(encoder, "stream_rng",
+                        lambda seed, name: streams.append(name) or real(seed, name))
+    ckpt = str(tmp_path / "model.bin")
+    assert main(["train", "--out", str(tmp_path), "--seed", "3", "--save-model", ckpt]) == 0
+    assert streams == ["init"]
+    load_checkpoint(ckpt)
+    assert streams == ["init"]
 
 
 def test_train_is_deterministic_per_seed(tmp_path):

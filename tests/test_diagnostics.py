@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
+from lnsrlab import diagnostics, linalg
 from lnsrlab.data import synth_classification
 from lnsrlab.diagnostics import (
     _PROBE_BLOCK,
@@ -320,6 +321,22 @@ def test_bench_standard_grows_with_size():
     std = {r.size: r.median_seconds for r in rep.records if r.kind == "standard"}
     # 32x the elements must cost measurably more than the smallest size
     assert std[4096 * 64] > std[128 * 64]
+
+
+def test_bench_times_at_one_blas_thread_and_restores_the_count(monkeypatch):
+    get, set_ = linalg._openblas_thread_calls()
+    found = get()
+    timed_at = []
+    real = diagnostics._median_time
+    monkeypatch.setattr(diagnostics, "_median_time",
+                        lambda fn, reps: timed_at.append(get()) or real(fn, reps))
+    try:
+        set_(2)
+        bench_complexity(standard_rows=(64,), k_values=(4,), index_sizes=(16,), reps=5)
+        assert timed_at == [1, 1, 1, 1]
+        assert get() == 2
+    finally:
+        set_(found)
 
 
 def test_bench_contracts():

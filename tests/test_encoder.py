@@ -10,6 +10,7 @@ from lnsrlab.encoder import (
     EncoderConfig,
     _block,
     build_encoder,
+    encoder_from_store,
     forward_with_taps,
     load_checkpoint,
     save_checkpoint,
@@ -42,6 +43,35 @@ def test_same_seed_bit_identical_params():
     c = build_encoder(small_config(), init_seed=10)
     assert not all(np.array_equal(pa.data, pc.data)
                    for pa, pc in zip(a.parameters(), c.parameters()))
+
+
+def test_init_follows_the_documented_draw_order():
+    """The init, written out by hand: each block's wq, wk, wv, wo, w1 and
+    w2, then tok_emb, pos_emb and w_head, draw N(0, 1) * 0.02 from the init
+    stream in that order; biases are zero and norm gains one.  The store
+    holds it in parameters() order, bit for bit, and each block attribute
+    holds its own weight."""
+    d, f, vocab, m, c = 8, 16, 50, 12, 3
+    rng = stream_rng(7, "init")
+
+    def draw(*shape):
+        return rng.standard_normal(shape) * 0.02
+
+    weights = [dict(wq=draw(d, d), wk=draw(d, d), wv=draw(d, d), wo=draw(d, d),
+                    w1=draw(d, f), w2=draw(f, d)) for _ in range(2)]
+    tok_emb, pos_emb, w_head = draw(vocab, d), draw(m, d), draw(d, c)
+    zero, one = np.zeros(d), np.ones(d)
+    want = [tok_emb, pos_emb]
+    for w in weights:
+        want += [w["wq"], zero, w["wk"], zero, w["wv"], zero, w["wo"], zero, one, zero,
+                 w["w1"], np.zeros(f), w["w2"], zero, one, zero]
+    want += [w_head, np.zeros(c)]
+    model = build_encoder(small_config(num_classes=c), init_seed=7)
+    assert model.store.tobytes() == np.concatenate(want, axis=None).tobytes()
+    # Each weight also reaches the block under its own name.
+    for blk, w in zip(model.blocks, weights):
+        for name, value in w.items():
+            assert getattr(blk, name).data.tobytes() == value.tobytes(), name
 
 
 def test_invalid_configs_name_fields():
@@ -182,6 +212,17 @@ def test_parameters_are_views_of_one_store(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, path)
     _assert_weights_live_in_store(load_checkpoint(path))
+
+
+def test_encoder_from_store_views_the_store_it_is_given():
+    cfg = small_config()
+    assert not encoder_from_store(cfg).store.any()
+    store = build_encoder(cfg, init_seed=3).store.copy()
+    model = encoder_from_store(cfg, store)
+    assert model.store is store
+    _assert_weights_live_in_store(model)
+    with pytest.raises(ShapeError, match=rf"parameter store shape \({store.size - 1},\)"):
+        encoder_from_store(cfg, store[:-1])
 
 
 def test_checkpoint_roundtrip(tmp_path):

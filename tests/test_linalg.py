@@ -1,6 +1,6 @@
 """The symmetric eigensolver (Householder tridiagonalization and implicit
-QL) against np.linalg oracles and closed forms, and the BLAS thread-count
-invariance of it and of the neighbourhood bases."""
+QL) against np.linalg oracles and closed forms, the BLAS thread-count
+invariance of it and of the neighbourhood bases, and the one-thread pin."""
 
 import os
 import subprocess
@@ -240,3 +240,38 @@ def test_property_reconstruction(seed, n):
     assert vals.sum() == pytest.approx(np.trace(a), abs=1e-8)
     assert (vals * vals).sum() == pytest.approx((a * a).sum(), rel=1e-10)
     assert np.allclose(vals, np.linalg.eigvalsh(a)[::-1], atol=1e-8)
+
+
+def test_one_blas_thread_pins_and_restores_the_count():
+    """Inside the block numpy's bundled OpenBLAS runs one thread; after it,
+    and after an error in it, the count it found is back.  This numpy's
+    OpenBLAS must be found: a missing one fails here, not only warns."""
+    get, set_ = linalg._openblas_thread_calls()
+    found = get()
+    try:
+        set_(2)
+        with linalg.one_blas_thread():
+            assert get() == 1
+        assert get() == 2
+        with pytest.raises(KeyError), linalg.one_blas_thread():
+            raise KeyError
+        assert get() == 2
+    finally:
+        set_(found)
+
+
+@pytest.mark.parametrize("fault", ["library", "symbol"])
+def test_one_blas_thread_warns_and_runs_unpinned_without_openblas(monkeypatch, caplog, fault):
+    import ctypes
+
+    def cdll(path):
+        if fault == "library":
+            raise OSError(f"{path}: cannot open shared object file")
+        return object()
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    ran = []
+    with linalg.one_blas_thread():
+        ran.append(True)
+    assert ran == [True]
+    assert "one_blas_thread: no OpenBLAS thread calls" in caplog.text
