@@ -37,6 +37,7 @@ from .diagnostics import (
 from .encoder import (EncoderConfig, build_encoder, check_data_fits, encoder_from_store,
                       load_checkpoint, save_checkpoint)
 from .errors import ContractError, ValidationError
+from .linalg import one_blas_thread
 from .manifold import DEFAULT_K, build_index, neighborhood_basis, sample_inmanifold_noise
 from .noise import DEFAULT_REL_MAGNITUDE, NoiseSpec, sample_standard_noise
 from .objective import RegularizerConfig
@@ -487,7 +488,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # One BLAS thread, so every CSV holds the same bytes on any core count.
+        with one_blas_thread():
+            return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -58,7 +58,8 @@ class EncoderConfig:
             v = getattr(self, f.name)
             if not (isinstance(v, (int, np.integer)) and v >= 1):
                 problems.append(f"{f.name} must be a positive integer, got {v!r}")
-        if isinstance(self.embed_dim, int) and isinstance(self.num_heads, int) \
+        if isinstance(self.embed_dim, (int, np.integer)) \
+                and isinstance(self.num_heads, (int, np.integer)) \
                 and self.num_heads >= 1 and self.embed_dim % self.num_heads != 0:
             problems.append(
                 f"num_heads must divide embed_dim, got embed_dim={self.embed_dim}"

@@ -1,9 +1,8 @@
 """Tests for error-ratio curves, PCA spectra, and benchmarks.
 
-Curves are cross-checked against a per-probe reference loop and spectra
-against numpy's eigensolver, so the batched curve and the Householder-QL
-eigensolver in the implementation are each exercised against an
-independent oracle.
+Curves are cross-checked against a per-probe reference loop, an
+independent oracle for the batched curve; spectra are checked against
+numpy's eigenvalues of the same covariance.
 """
 
 import copy

@@ -81,6 +81,12 @@ def test_invalid_configs_name_fields():
         small_config(vocab_size=0)
 
 
+def test_numpy_integer_heads_that_do_not_divide_the_width_are_rejected():
+    with pytest.raises(ValidationError, match="num_heads must divide embed_dim, got"
+                                              " embed_dim=8 num_heads=3"):
+        EncoderConfig(embed_dim=np.int64(8), num_heads=np.int64(3))
+
+
 def test_forward_is_deterministic():
     model = build_encoder(small_config(), init_seed=1)
     l1, t1 = forward_with_taps(model, [2, 9, 9, 4])

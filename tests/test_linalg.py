@@ -1,6 +1,7 @@
-"""The symmetric eigensolver (Householder tridiagonalization and implicit
-QL) against np.linalg oracles and closed forms, the BLAS thread-count
-invariance of it and of the neighbourhood bases, and the one-thread pin."""
+"""The symmetric eigensolver (LAPACK on one BLAS thread, after a
+power-of-two prescale) against np.linalg oracles and closed forms, its
+input checks and its failure path, the BLAS thread-count invariance of it,
+of the neighbourhood bases and of the CLI's CSVs, and the one-thread pin."""
 
 import os
 import subprocess
@@ -17,7 +18,7 @@ from lnsrlab import linalg
 from lnsrlab.data import synth_manifold
 from lnsrlab.encoder import EncoderConfig, build_encoder
 from lnsrlab.errors import ContractError, ShapeError
-from lnsrlab.linalg import _tridiagonalize, jacobi_eigh
+from lnsrlab.linalg import jacobi_eigh
 
 RNG = np.random.default_rng(7)
 
@@ -65,11 +66,15 @@ def test_rejects_non_finite_before_symmetry(bad):
         jacobi_eigh(a)
 
 
-def test_raises_when_sweeps_run_out(monkeypatch):
+def test_lapack_failure_is_a_contract_error(monkeypatch):
     a = random_symmetric(20, np.random.default_rng(20))
-    monkeypatch.setattr(linalg, "_QL_MAX_ITER", 1)
-    with pytest.raises(ContractError, match=r"eigenvalue \d+ not converged after 1 QL"
-                                            r" iterations \(off-diagonal entry \S+\)"):
+
+    def fails(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fails)
+    with pytest.raises(ContractError, match=r"jacobi_eigh: LAPACK did not converge"
+                                            r" \(Eigenvalues did not converge\)"):
         jacobi_eigh(a)
     monkeypatch.undo()
     vals = jacobi_eigh(a)
@@ -88,9 +93,8 @@ def test_power_of_two_scaling_is_exact(k, n):
 
 @pytest.mark.parametrize("a", [np.diag([1.0, 5.0, 3.0, -2.0, 0.0]), np.zeros((4, 4)),
                                3.0 * np.eye(50)])
-def test_diagonal_input_needs_no_sweep(a, monkeypatch):
-    """Every Householder column and every QL off-diagonal entry is zero."""
-    monkeypatch.setattr(linalg, "_QL_MAX_ITER", 0)
+def test_diagonal_input_needs_no_sweep(a):
+    """A diagonal matrix's eigenvalues are its diagonal, exactly."""
     vals = jacobi_eigh(a)
     assert np.array_equal(vals, np.sort(a.diagonal())[::-1])
 
@@ -99,16 +103,13 @@ def test_tridiagonal_input_passes_through_the_reduction():
     """tridiag(-1, 2, -1) of order n has eigenvalues 2 - 2 cos(j pi / (n+1))."""
     n = 50
     a = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
-    d, e = _tridiagonalize(a.copy())
-    assert d == [2.0] * n and e == [-1.0] * (n - 1)
     exact = 2.0 - 2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
     assert np.abs(jacobi_eigh(a) - exact[::-1]).max() <= 1e-14 * exact.max()
 
 
 def test_split_tridiagonal_deflates_at_the_zero():
-    """Blocks [[1, -1], [-1, 1]], [0] and [[2, 1], [1, 2]]: the QL sweep
-    must stop at the zero off-diagonal entries, where a rotation through
-    the singular block would divide 0 by 0."""
+    """Blocks [[1, -1], [-1, 1]], [0] and [[2, 1], [1, 2]]: a tridiagonal
+    that splits at zero off-diagonal entries, with a singular block."""
     a = np.zeros((5, 5))
     a[:2, :2] = [[1.0, -1.0], [-1.0, 1.0]]
     a[3:, 3:] = [[2.0, 1.0], [1.0, 2.0]]
@@ -200,15 +201,41 @@ def test_bases_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_rank_deficient_covariance(monkeypatch):
+_CLI_SCRIPT = """
+import contextlib
+import glob
+import os
+import sys
+import tempfile
+from lnsrlab.cli import main
+with tempfile.TemporaryDirectory() as out:
+    for command in (["pca-spectrum", "--dim", "127"], ["train"], ["noise-curve"]):
+        with contextlib.redirect_stdout(sys.stderr):
+            assert main(command + ["--out", out]) == 0
+        (path,) = glob.glob(os.path.join(out, command[0] + "-*.csv"))
+        with open(path) as fh:
+            sys.stdout.write(command[0] + "\\n" + fh.read())
+"""
+
+
+def test_cli_csvs_do_not_depend_on_the_blas_thread_count():
+    """``pca-spectrum --dim 127``, whose covariance product rounds
+    differently when OpenBLAS splits it over two threads, ``train`` and
+    ``noise-curve`` write the same CSV contents in processes with one and
+    with two OpenBLAS threads, because ``cli.main`` pins one."""
+    outputs = outputs_under_one_and_two_blas_threads(_CLI_SCRIPT)
+    assert [line for line in outputs[0].splitlines() if "," not in line] == [
+        "pca-spectrum", "train", "noise-curve"]
+    assert outputs[0] == outputs[1]
+
+
+def test_rank_deficient_covariance():
     """The in-manifold spectrum's shape: a rank-10 covariance in 128 dims.
-    Its zero cluster deflates once an entry falls to the matrix's rounding
-    level (5 QL iterations at most here), not when it underflows (11)."""
+    Its zero cluster stays at the matrix's rounding level."""
     rng = np.random.default_rng(10)
     x = rng.normal(size=(1000, 10)) @ rng.normal(size=(10, 128))
     centered = x - x.mean(axis=0)
     cov = centered.T @ centered / (x.shape[0] - 1)
-    monkeypatch.setattr(linalg, "_QL_MAX_ITER", 8)
     vals = jacobi_eigh(cov)
     ref = np.linalg.eigvalsh(cov)[::-1]
     assert np.abs(vals - ref).max() <= 1e-12 * ref[0]
@@ -217,10 +244,9 @@ def test_rank_deficient_covariance(monkeypatch):
 
 @pytest.mark.parametrize("apq", [1e-310, 1e-160])
 def test_tiny_off_diagonal_keeps_its_rotation(apq):
-    """The first Householder column is (0, 0, apq), whose square underflows
-    to zero (apq = 1e-310) or to a subnormal (apq = 1e-160).  The column's
-    power-of-two scale must still give an exact reflection; the (1, 2)
-    block of the matrix keeps it from being diagonal at once."""
+    """The first column below the diagonal is (0, 0, apq), whose square
+    underflows to zero (apq = 1e-310) or to a subnormal (apq = 1e-160);
+    the (1, 2) block of the matrix keeps it from being diagonal."""
     a = np.array([[0.0, 0.0, 0.0, apq],
                   [0.0, 2.0, 1.0, 0.0],
                   [0.0, 1.0, 2.0, 0.0],
