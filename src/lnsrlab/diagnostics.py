@@ -69,8 +69,7 @@ class ErrorRatioCurve:
 def _probe_generator(entropy: int, ids) -> np.random.Generator:
     # Noise is keyed on the token content, not the probe position, so
     # reordering the probe set cannot change which noise any example gets.
-    seq = np.random.SeedSequence([int(entropy)] + [int(t) for t in ids])
-    return np.random.Generator(np.random.PCG64(seq))
+    return np.random.default_rng([int(entropy)] + [int(t) for t in ids])
 
 
 def error_ratio_curve(model: EncoderModel, probes: list, b: int, rho: float,

@@ -13,6 +13,7 @@ thread, for results and timings that must not depend on the core count.
 import logging
 import os
 from contextlib import contextmanager
+from functools import cache
 
 import numpy as np
 
@@ -54,9 +55,11 @@ def jacobi_eigh(a) -> np.ndarray:
     return np.ldexp(vals[::-1], exp)
 
 
+@cache
 def _openblas_thread_calls():
-    """The get and set thread-count calls of numpy's bundled OpenBLAS;
-    ``OSError`` or ``AttributeError`` when the library or a call is missing."""
+    """The get and set thread-count calls of numpy's bundled OpenBLAS,
+    looked up once per process; ``OSError`` or ``AttributeError`` when the
+    library or a call is missing, which is not cached."""
     import ctypes
     import glob
 

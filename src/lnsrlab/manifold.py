@@ -3,9 +3,9 @@
 Exact kNN is one search, ``_knn_rows``, for one query (``knn``) or a
 batch of T queries.  On the first query the index builds its range frame
 (``RangeFrame``): an orthonormal basis P of the p-dimensional numerical
-range of its rows (p = 20 of d = 128 for the benchmark's manifold; P = I
-when the rows span all d dimensions), each row's float32 coordinates in
-P, and the largest distance r_max of a row from span(P).  One float32
+range of its rows (p = 20 of d = 128 for the benchmark's manifold, p = d
+when the rows span R^d), each row's float32 coordinates in P, and the
+largest distance r_max of a row from span(P).  One float32
 product over the p coordinates then gives every row a proven lower bound
 on its squared distance, from the norm expansion |Pv|^2 - 2 Pv.Pq + |Pq|^2
 plus the part of q's distance from the span that r_max cannot cancel
@@ -63,13 +63,9 @@ _FRAME_BLOCK = 1024
 @dataclass(frozen=True)
 class RangeFrame:
     """An orthonormal basis P of an index's numerical range, each row's
-    float32 coordinates in it, and the row parts of ``_lower_estimates``.
+    float32 coordinates in it, and the row parts of ``_lower_estimates``."""
 
-    ``basis`` None stands for P = I: the coordinates are the rows
-    themselves and no query is rotated.
-    """
-
-    basis: np.ndarray | None  # [p, d] rows, or None for P = I
+    basis: np.ndarray  # [p, d] rows
     coords: np.ndarray  # [p, N] float32, read-only: the product reads it by rows
     base: np.ndarray  # [N]: (1 - rate_c) |c_v|^2 - rate_x |v|^2
     rate_c: float  # per unit of |c_v|^2 + |c_q|^2
@@ -335,8 +331,7 @@ def _knn_rows(index: NeighborIndex, q: np.ndarray, k: int):
     for c_q^T P, 1.3 kappa |q| for c_q itself, and 3 eta |q|, by which
     |q - Pi q| can fall short of |q - P^T P q|.  The float32 term is at
     least 10^5 times each of the others at p = 20, d = 128; they carry the
-    bound only for a query far off the span, where Q_x outgrows Q_c.  For
-    P = I the frame is exact: c_v = v, r_max = r_q = 0, kappa = eta = 0.
+    bound only for a query far off the span, where Q_x outgrows Q_c.
     """
     vectors, n, t = index.vectors, index.n, q.shape[0]
     # Overflow here only sends a query to the full scan, which warns as a
@@ -373,18 +368,14 @@ def _gamma(m: int, unit: float = _EPS) -> float:
 def _lower_estimates(frame: RangeFrame, q: np.ndarray) -> np.ndarray:
     """[T, N] lower bounds on each row's direct-formula squared distance
     from each query row of ``q`` ([T, d]); ``_knn_rows`` lists the terms."""
+    basis, d = frame.basis, q.shape[1]
     qq = np.vecdot(q, q)
-    if frame.basis is None:
-        cq, cqq, rho2 = q, qq, 0.0
-    else:
-        basis, d = frame.basis, q.shape[1]
-        cq = q @ basis.T
-        res = q - cq @ basis
-        cqq = np.vecdot(cq, cq)
-        r_q = (np.sqrt(np.vecdot(res, res)) * (1 - _gamma(d + 6))
-               - frame.drift * np.sqrt(qq) - d * _ROOT_UNDERFLOW)
-        rho2 = np.square(np.maximum(r_q - frame.r_max, 0.0))
-    const = (1 - frame.rate_c) * cqq - frame.rate_x * qq - frame.floor + rho2
+    cq = q @ basis.T
+    res = q - cq @ basis
+    r_q = (np.sqrt(np.vecdot(res, res)) * (1 - _gamma(d + 6))
+           - frame.drift * np.sqrt(qq) - d * _ROOT_UNDERFLOW)
+    rho2 = np.square(np.maximum(r_q - frame.r_max, 0.0))
+    const = (1 - frame.rate_c) * np.vecdot(cq, cq) - frame.rate_x * qq - frame.floor + rho2
     lower = (-2.0 * cq).astype(np.float32) @ frame.coords + const[:, None]
     lower += frame.base
     return lower
@@ -396,15 +387,18 @@ def _range_frame(vectors: np.ndarray, sq: np.ndarray) -> RangeFrame:
     P holds the eigenvectors of the uncentred V^T V whose eigenvalues
     exceed numpy's ``matrix_rank`` tolerance, largest * max(N, d) * eps;
     V^T V's rounding puts the eigenvalues of its null space near eps times
-    the largest, so this finds the numerical rank p of V.  P = I when p = d,
-    when V^T V is not finite, or when ``eigh`` fails; its measured departure
-    from orthonormality, eta, must stay below 1/2, which the bound assumes.
-    r_max is measured over every row, in blocks of ``_FRAME_BLOCK`` rows to
-    keep the transient memory small.  Whatever P leaves out, r_max covers,
-    so p decides the speed of a query and never its result.
+    the largest, so this finds the numerical rank p of V, all d at full
+    rank.  P is the identity when V^T V is not finite, when ``eigh``
+    fails, or when the eigenvectors' measured departure from
+    orthonormality, eta, exceeds the 1/2 the bound assumes; a non-finite
+    row then has non-finite coordinates, which send every query to the
+    full scan.  r_max is measured over every row, in blocks of
+    ``_FRAME_BLOCK`` rows to keep the transient memory small.  Whatever P
+    leaves out, r_max covers, so p decides the speed of a query and never
+    its result.
     """
     n, d = vectors.shape
-    basis = None
+    basis = np.eye(d)
     with np.errstate(over="ignore", invalid="ignore"):
         gram = vectors.T @ vectors
     if np.isfinite(gram).all():
@@ -413,31 +407,24 @@ def _range_frame(vectors: np.ndarray, sq: np.ndarray) -> RangeFrame:
         except np.linalg.LinAlgError:
             pass
         else:
-            keep = lam > lam[-1] * max(n, d) * _EPS
-            if keep.sum() < d:
-                basis = np.ascontiguousarray(vecs[:, keep].T)
-    eta = kappa = r_max = 0.0
-    if basis is not None:
-        p = basis.shape[0]
-        eta = 2 * float(np.linalg.norm(basis @ basis.T - np.eye(p))) + 2 * p * _gamma(d)
-        if not eta <= 0.5:
-            basis, eta = None, 0.0
-    if basis is None:
-        p, coords, cn = d, vectors, sq
-    else:
+            basis = np.ascontiguousarray(vecs[:, lam > lam[-1] * max(n, d) * _EPS].T)
+    p = basis.shape[0]
+    eta = 2 * float(np.linalg.norm(basis @ basis.T - np.eye(p))) + 2 * p * _gamma(d)
+    if not eta <= 0.5:
+        # I I^T - I is exactly zero: only the rounding allowance is left.
+        basis, p, eta = np.eye(d), d, 2 * d * _gamma(d)
+    kappa = 2 * np.sqrt(p) * _gamma(d)
+    rate_c = (2 * p + 8) * _EPS + _gamma(p + 2, _U32)
+    rate_x = 10 * kappa + 3 * eta + 2 * _gamma(d + 2) + 32 * _EPS
+    largest = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
         coords = vectors @ basis.T
-        cn = np.vecdot(coords, coords)
-        kappa = 2 * np.sqrt(p) * _gamma(d)
-        largest = 0.0
         for lo in range(0, n, _FRAME_BLOCK):
             res = vectors[lo:lo + _FRAME_BLOCK] - coords[lo:lo + _FRAME_BLOCK] @ basis
             largest = max(largest, float(np.vecdot(res, res).max()))
         r_max = ((1 + _gamma(d + 6)) * np.sqrt(largest) + kappa * np.sqrt(sq.max())
                  + d * _ROOT_UNDERFLOW)
-    rate_c = (2 * p + 8) * _EPS + _gamma(p + 2, _U32)
-    rate_x = 10 * kappa + 3 * eta + 2 * _gamma(d + 2) + 32 * _EPS
-    with np.errstate(over="ignore", invalid="ignore"):
-        base = (1 - rate_c) * cn - rate_x * sq
+        base = (1 - rate_c) * np.vecdot(coords, coords) - rate_x * sq
         coords32 = coords.T.astype(np.float32, order="C")
     coords32.setflags(write=False)
     return RangeFrame(basis=basis, coords=coords32, base=base, rate_c=rate_c, rate_x=rate_x,

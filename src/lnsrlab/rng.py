@@ -34,4 +34,4 @@ def substream_rng(seed: int, name: str, *indices: int) -> np.random.Generator:
     if name not in _STREAM_IDS:
         raise ContractError(f"unknown stream {name!r}; expected one of {sorted(_STREAM_IDS)}")
     entropy = [seed, _STREAM_IDS[name], *indices]
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+    return np.random.default_rng(entropy)

@@ -167,8 +167,6 @@ def cross_term_mc(j, h, sigma: float, n: int, rng: np.random.Generator):
     j = np.asarray(j, dtype=np.float64).reshape(-1)
     h = np.asarray(h, dtype=np.float64)
     _check_symmetric(h)
-    if sigma == 0.0:
-        return 0.0, 0.0
     eps = rng.normal(0.0, sigma, size=(n, j.shape[0]))
     with np.errstate(over="ignore", invalid="ignore"):
         lin = eps @ j

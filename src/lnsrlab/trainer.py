@@ -96,14 +96,14 @@ def adam_step(store: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
     store -= lr * (mhat / (np.sqrt(vhat) + ADAM_EPS))
 
 
-def lr_at(step: int, total_steps: int, warmup_ratio: float, base_lr: float) -> float:
-    """Linear warmup over ceil(ratio * total) steps, then linear decay to 0."""
+def lr_at(step: int, total_steps: int, base_lr: float) -> float:
+    """Linear warmup over ceil(WARMUP_RATIO * total) steps, then linear decay to 0."""
     if not 0 <= step <= total_steps:
         raise ContractError(f"lr_at: step {step} outside 0..{total_steps}")
     if step == total_steps:
         return 0.0
-    warm = math.ceil(warmup_ratio * total_steps)
-    if warm > 0 and step <= warm:
+    warm = math.ceil(WARMUP_RATIO * total_steps)
+    if step <= warm:
         return base_lr * step / warm
     return base_lr * (total_steps - step) / (total_steps - warm)
 
@@ -330,7 +330,7 @@ def run_training(model_cfg: EncoderConfig, train_ds: TextDataset,
             if bad:
                 raise ContractError(f"non-finite gradient of {bad} at {where},"
                                     f" examples {batch.tolist()}")
-            step_lr = lr_at(global_step, total_steps, WARMUP_RATIO, cfg.lr)
+            step_lr = lr_at(global_step, total_steps, cfg.lr)
             adam_step(model.store, grad, m, v, global_step, lr=step_lr)
         try:
             train_metric, dev_metric = evaluate(model, train=train_ds, dev=dev_ds)

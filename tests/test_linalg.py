@@ -296,8 +296,12 @@ def test_one_blas_thread_warns_and_runs_unpinned_without_openblas(monkeypatch, c
         return object()
 
     monkeypatch.setattr(ctypes, "CDLL", cdll)
+    # The calls are looked up once per process: forget the ones found so far.
+    linalg._openblas_thread_calls.cache_clear()
     ran = []
-    with linalg.one_blas_thread():
-        ran.append(True)
-    assert ran == [True]
-    assert "one_blas_thread: no OpenBLAS thread calls" in caplog.text
+    for _ in range(2):
+        with linalg.one_blas_thread():
+            ran.append(True)
+    assert ran == [True, True]
+    # A failed lookup is not cached: every entry tries again and warns.
+    assert caplog.text.count("one_blas_thread: no OpenBLAS thread calls") == 2

@@ -529,6 +529,7 @@ def test_knn_float32_range_edges_match_rescan(offset, spread):
     for q in queries:
         assert_knn_matches_rescan(pts, q, 10)
     assert_knn_rows_match_rescan(pts, queries, 10)
+    assert_lower_estimates_hold(build_index(pts), queries, beyond_float32=True)
 
 
 def test_knn_rows_beyond_float32_range_match_rescan():
@@ -560,6 +561,7 @@ def test_knn_rows_float32_rounding_clouds_match_rescan(d, offset, spread):
         pts = offset + spread * rng.normal(size=(300, d))
         queries = np.concatenate([pts[:10], offset + spread * rng.normal(size=(10, d))])
         assert_knn_rows_match_rescan(pts, queries, 10)
+        assert_lower_estimates_hold(build_index(pts), queries)
 
 
 # ------------------------------------------------- the range frame's filter
@@ -576,13 +578,21 @@ def rotated_cloud(rank, d, offset, spread, seed, n=300):
     return draw(n), axes[rank + 1], draw(3)
 
 
-def assert_lower_estimates_hold(index, queries):
-    """No lower estimate exceeds the row's direct-formula distance."""
+def assert_lower_estimates_hold(index, queries, beyond_float32=False):
+    """No lower estimate exceeds the row's direct-formula distance.  With
+    ``beyond_float32`` the float32 product may overflow: a NaN or +inf
+    estimate then counts as not exceeding, as either sends its query to
+    the full scan."""
     queries = np.asarray(queries, dtype=np.float64)
-    lower = _lower_estimates(index.frame, queries)
+    ignore = "ignore" if beyond_float32 else "warn"
+    with np.errstate(over=ignore, invalid=ignore):
+        lower = _lower_estimates(index.frame, queries)
     for q, low in zip(queries, lower):
         diffs = index.vectors - q
-        assert (low <= (diffs * diffs).sum(axis=1)).all()
+        holds = low <= (diffs * diffs).sum(axis=1)
+        if beyond_float32:
+            holds |= np.isnan(low) | np.isposinf(low)
+        assert holds.all()
 
 
 def assert_filter_matches_rescan(pts, queries, k=10):
@@ -666,8 +676,9 @@ def test_filter_with_more_than_k_copies_in_a_low_rank_index():
 
 @pytest.mark.parametrize("kind", ["nan", "inf", "overflow"])
 def test_non_finite_and_overflowing_indexes_take_the_identity_frame(kind):
-    """An index whose V^T V is not finite gets P = I, and the search falls
-    back to the full scan wherever its estimate is not finite."""
+    """An index whose V^T V is not finite gets the identity as its basis,
+    and the search falls back to the full scan wherever its estimate is
+    not finite."""
     pts, _, fresh = rotated_cloud(3, 16, 1.0, 1.0, seed=6)
     if kind == "overflow":
         pts, fresh = 1e155 * pts, 1e155 * fresh
@@ -675,18 +686,23 @@ def test_non_finite_and_overflowing_indexes_take_the_identity_frame(kind):
         pts[40, 2] = {"nan": np.nan, "inf": np.inf}[kind]
     index = build_index(pts)
     with np.errstate(over="ignore", invalid="ignore"):
-        assert index.frame.basis is None
+        assert np.array_equal(index.frame.basis, np.eye(16))
         queries = np.concatenate([pts[[0, 7]], fresh])
         for q in queries:
             assert_knn_matches_rescan(pts, q, 10)
         assert_knn_rows_match_rescan(pts, queries, 10)
 
 
-def test_full_rank_index_takes_the_identity_frame():
+def test_full_rank_index_frame_has_d_orthonormal_rows():
+    """A token vocabulary spans all 16 dimensions: its frame keeps every
+    eigenvector of V^T V, a rotation rather than the identity."""
     cfg = EncoderConfig(vocab_size=30, embed_dim=16, num_layers=2, num_heads=2,
                         ffn_dim=32, max_seq_len=8)
     index = build_index(build_encoder(cfg, 1).tok_emb.data)
-    assert index.frame.basis is None and index.frame.coords.shape == (16, 30)
+    basis = index.frame.basis
+    assert basis.shape == (16, 16) and index.frame.coords.shape == (16, 30)
+    assert np.allclose(basis @ basis.T, np.eye(16), rtol=0.0, atol=1e-14)
+    assert not np.array_equal(basis, np.eye(16))
     assert_lower_estimates_hold(index, index.vectors)
 
 

@@ -21,6 +21,7 @@ from lnsrlab.trainer import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    WARMUP_RATIO,
     RunResult,
     TrainConfig,
     adam_step,
@@ -120,31 +121,38 @@ def test_adam_step_writes_the_model_store_in_place(toy_task):
 
 def test_lr_schedule_shape():
     base = 0.5
-    # warmup: ceil(0.06 * 100) = 6 steps
-    assert lr_at(0, 100, 0.06, base) == 0.0
-    assert lr_at(3, 100, 0.06, base) == pytest.approx(base * 3 / 6)
-    assert lr_at(6, 100, 0.06, base) == pytest.approx(base)
+    # warmup: ceil(WARMUP_RATIO * 100) = 6 steps
+    assert WARMUP_RATIO == 0.06
+    assert lr_at(0, 100, base) == 0.0
+    assert lr_at(3, 100, base) == pytest.approx(base * 3 / 6)
+    assert lr_at(6, 100, base) == pytest.approx(base)
     # decay side is linear to zero
-    assert lr_at(7, 100, 0.06, base) == pytest.approx(base * 93 / 94)
-    assert lr_at(100, 100, 0.06, base) == 0.0
+    assert lr_at(7, 100, base) == pytest.approx(base * 93 / 94)
+    assert lr_at(100, 100, base) == 0.0
     # continuity at the warmup/decay joint
-    left = lr_at(6, 100, 0.06, base)
+    left = lr_at(6, 100, base)
     right = base * (100 - 6) / (100 - 6)
     assert left == pytest.approx(right)
 
 
-def test_lr_schedule_no_warmup_and_contracts():
-    assert lr_at(0, 10, 0.0, 1.0) == pytest.approx(1.0)
-    assert lr_at(5, 10, 0.0, 1.0) == pytest.approx(0.5)
+def test_lr_schedule_contracts():
     with pytest.raises(ContractError):
-        lr_at(-1, 10, 0.1, 1.0)
+        lr_at(-1, 10, 1.0)
     with pytest.raises(ContractError):
-        lr_at(11, 10, 0.1, 1.0)
+        lr_at(11, 10, 1.0)
+
+
+def test_lr_schedule_short_runs_warm_up_for_one_step():
+    """ceil(WARMUP_RATIO * total) is 1 for any run under 1 / WARMUP_RATIO
+    steps: step 1 is at the peak, and a one-step run trains at rate 0."""
+    assert lr_at(0, 1, 1.0) == 0.0 and lr_at(1, 1, 1.0) == 0.0
+    assert lr_at(1, 10, 1.0) == 1.0
+    assert lr_at(5, 10, 1.0) == pytest.approx(5 / 9)
 
 
 def test_lr_schedule_peak_never_exceeds_base():
     for step in range(0, 201):
-        assert lr_at(step, 200, 0.1, 0.3) <= 0.3 + 1e-15
+        assert lr_at(step, 200, 0.3) <= 0.3 + 1e-15
 
 
 # ------------------------------------------------------------ config checks
