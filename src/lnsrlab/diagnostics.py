@@ -239,8 +239,8 @@ def bench_complexity(standard_rows=(256, 512, 1024, 2048, 4096),
     """Median timings of the noise pipeline stages plus log-log exponents.
 
     Stages: standard-noise generation against total element count M*d;
-    batched in-manifold sampling (coefficient draw plus projection onto a
-    fixed orthonormal basis) against basis size k; brute-force neighbor
+    batched in-manifold sampling (``sample_inmanifold_noise``'s coefficient
+    draw times a fixed orthonormal basis) against basis size k; brute-force neighbor
     queries against index size N; orthonormalization against k.  Runs are
     sequential in one process at one BLAS thread (``one_blas_thread``);
     each point is the median of ``reps`` repetitions after one warmup call.

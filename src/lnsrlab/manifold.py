@@ -18,9 +18,10 @@ bit, whatever p is.
 The in-manifold perturbation of a vector x is built from its k nearest
 neighbors in a reference point set (the token-embedding vocabulary in
 training, a synthetic manifold sample in diagnostics): the neighbor
-differences are orthonormalized by Gram-Schmidt and a random
-linear combination with i.i.d. N(0, sigma^2) coefficients is returned.
-The result lies in the local tangent-ish subspace by construction.
+differences are orthonormalized by Gram-Schmidt, and
+``sample_inmanifold_noise`` returns a random linear combination with
+i.i.d. N(0, sigma^2) coefficients.  Training projects a standard draw
+onto the span instead, which has the same law.
 
 One block classical Gram-Schmidt applied twice (CGS2), ``_cgs2``, builds
 every basis: for the k differences of one point set (``gram_schmidt``) or

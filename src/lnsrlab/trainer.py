@@ -10,9 +10,10 @@ together scores both, each set from its own rows of the logits.
 
 Randomness discipline: weight init, data order, and noise each draw from
 their own named stream of the run seed, and the noise stream is further
-split per (epoch, example position).  Ablation modes that consume different
-amounts of noise randomness therefore see bit-identical data order and
-init, which is what makes mode comparisons paired rather than confounded.
+split per (epoch, example position).  Ablation modes therefore see
+bit-identical data order and init, and the same standard noise, which
+in-manifold noise projects: mode comparisons are paired rather than
+confounded.
 """
 
 import math
@@ -170,52 +171,36 @@ def _noise_batch(model: EncoderModel, ids, clean_input: np.ndarray, mask: np.nda
                  cfg: TrainConfig, rngs) -> np.ndarray:
     """Per-token noise for a [B, M, d] batch, one generator per sequence.
 
-    The kinds differ only in the raw draw.  Standard noise draws a
-    sequence's whole [M, d] block at once.  In-manifold noise puts each
-    live row in the span of its token's vocabulary-neighbourhood basis,
-    or draws a Gaussian row when the neighbourhood is degenerate.  The
-    bases of the batch's distinct tokens come from one batched call, and
-    each sequence draws all of its coefficients (m per row with an
-    m-direction basis, d per degenerate row) in position order in one
-    call, which yields the values of consecutive per-row draws.  Rows whose
-    bases have the same size are then combined in one stacked matmul,
-    which rounds as a per-row ``c @ basis`` does; so the noise equals that
-    of ``neighborhood_basis`` plus ``sample_inmanifold_noise`` row by row,
-    bit for bit.  Every kind then zeroes pad rows and, with
-    ``rel_magnitude`` set, rescales each row against its clean row.
+    Every noisy kind draws a sequence's whole [M, d] block of N(0, sigma^2)
+    values at once.  In-manifold noise then projects each live row onto
+    the span of its token's vocabulary-neighbourhood basis B, by P = B^T B
+    (P = I where the neighbourhood is degenerate: the Gaussian fallback);
+    since B g ~ N(0, sigma^2 I_m), this has the law of
+    ``sample_inmanifold_noise``'s coefficient draw.  So a seed's in-manifold
+    noise is the projection of the standard noise that seed draws.  The
+    projectors of the batch's distinct tokens come from one batched
+    ``neighborhood_bases`` call, and rows are matched to tokens by sequence
+    length, not by the pad mask.  Every kind then zeroes pad rows and,
+    with ``rel_magnitude`` set, rescales each row against its clean row.
     """
     spec = cfg.noise
     if spec.mode == "none":
         return np.zeros_like(clean_input)
-    if spec.mode == "standard":
-        eps = np.stack([rng.normal(0.0, spec.sigma, size=clean_input.shape[1:])
-                        for rng in rngs])
-    else:
+    eps = np.stack([rng.normal(0.0, spec.sigma, size=clean_input.shape[1:]) for rng in rngs])
+    if spec.mode == "in_manifold":
         index = build_index(model.tok_emb.data)
-        lengths = [len(seq) for seq in ids]
-        seq_of = np.repeat(np.arange(len(ids)), lengths)
-        pos = np.concatenate([np.arange(n) for n in lengths])
         # Distinct tokens, and each position's index among them, by a mask:
-        # np.unique, here and for the size groups below, would fault in
-        # about 1 MB more code pages and raise the process's peak RSS.
+        # np.unique would fault in about 1 MB more code pages and raise the
+        # process's peak RSS.
         tokens = np.concatenate(ids).astype(np.int64)
         present = np.zeros(index.n, dtype=bool)
         present[tokens] = True
         toks, which = np.flatnonzero(present), np.cumsum(present)[tokens] - 1
         bases, sizes = neighborhood_bases(index, index.vectors[toks], k=cfg.knn_k)
-        d = clean_input.shape[-1]
-        row_size = sizes[which]
-        n_coef = np.where(row_size > 0, row_size, d)
-        first = np.cumsum(n_coef) - n_coef
-        per_seq = np.add.reduceat(n_coef, np.cumsum(lengths) - lengths)
-        coef = np.concatenate([rng.normal(0.0, spec.sigma, size=n)
-                               for rng, n in zip(rngs, per_seq)])
-        eps = np.zeros_like(clean_input)
-        for m in np.flatnonzero(np.bincount(row_size)):
-            sel = np.flatnonzero(row_size == m)
-            c = coef[first[sel, None] + np.arange(m or d)]
-            eps[seq_of[sel], pos[sel]] = (
-                c if m == 0 else np.matmul(c[:, None, :], bases[which[sel], :m])[:, 0])
+        proj = bases.mT @ bases
+        proj[sizes == 0] = np.eye(clean_input.shape[-1])
+        live = np.arange(eps.shape[1]) < np.array([len(seq) for seq in ids])[:, None]
+        eps[live] = np.matmul(eps[live][:, None, :], proj[which])[:, 0]
     eps[~mask] = 0.0
     if spec.rel_magnitude is not None:
         target = np.where(mask[..., None], clean_input, 0.0)

@@ -1,7 +1,11 @@
 """The symmetric eigensolver (LAPACK on one BLAS thread, after a
-power-of-two prescale) against np.linalg oracles and closed forms, its
-input checks and its failure path, the BLAS thread-count invariance of it,
-of the neighbourhood bases and of the CLI's CSVs, and the one-thread pin."""
+power-of-two prescale) against spectra fixed by construction, singular
+values and closed forms, its input checks and its failure path, the BLAS
+thread-count invariance of it, of the neighbourhood bases and of the CLI's
+CSVs, and the one-thread pin.
+
+No oracle here takes ``np.linalg.eigvalsh`` of the matrix under test: the
+solver calls that routine, so such an oracle would share its errors."""
 
 import os
 import subprocess
@@ -28,16 +32,39 @@ def random_symmetric(n, rng):
     return 0.5 * (m + m.T)
 
 
+def constructed_spectrum(n, rng):
+    """A symmetric Q diag(lam) Q^T with a random orthogonal Q, and its
+    eigenvalues lam, descending."""
+    lam = np.sort(rng.normal(size=n))[::-1]
+    q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    a = (q * lam) @ q.T
+    return 0.5 * (a + a.T), lam
+
+
+def svd_spectrum(a):
+    """The eigenvalues of symmetric ``a``, descending, from LAPACK's SVD:
+    a + |a|_F I is positive semidefinite, so its singular values are its
+    eigenvalues."""
+    shift = np.linalg.norm(a)
+    return np.linalg.svd(a + shift * np.eye(len(a)), compute_uv=False) - shift
+
+
+def covariance_spectrum(centered):
+    """The eigenvalues of centered^T centered / (n - 1), descending: the
+    squared singular values of the centred data, over n - 1."""
+    return np.linalg.svd(centered, compute_uv=False) ** 2 / (centered.shape[0] - 1)
+
+
 def test_hand_2x2():
     vals = jacobi_eigh([[2.0, 1.0], [1.0, 2.0]])
     assert np.allclose(vals, [3.0, 1.0], atol=1e-12)
 
 
 def test_matches_numpy_eigh():
+    """Random spectra, fixed by construction, at sizes from 1 to 128."""
     for n in (1, 2, 3, 5, 8, 12, 127, 128):
-        a = random_symmetric(n, RNG)
+        a, ref = constructed_spectrum(n, RNG)
         vals = jacobi_eigh(a)
-        ref = np.linalg.eigvalsh(a)[::-1]
         assert vals.shape == (n,)
         assert np.allclose(vals, ref, atol=1e-9)
         assert np.abs(vals - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -78,7 +105,7 @@ def test_lapack_failure_is_a_contract_error(monkeypatch):
         jacobi_eigh(a)
     monkeypatch.undo()
     vals = jacobi_eigh(a)
-    assert np.allclose(vals, np.linalg.eigvalsh(a)[::-1], atol=1e-9)
+    assert np.allclose(vals, svd_spectrum(a), atol=1e-9)
 
 
 @pytest.mark.parametrize("k", [-600, 0, 600])
@@ -121,7 +148,7 @@ def test_wilkinson_close_pairs():
     come in pairs that agree to many digits, the top pair to within 1e-13."""
     a = np.diag(np.abs(10.0 - np.arange(21.0))) + np.eye(21, k=1) + np.eye(21, k=-1)
     vals = jacobi_eigh(a)
-    ref = np.linalg.eigvalsh(a)[::-1]
+    ref = svd_spectrum(a)
     assert np.abs(vals - ref).max() <= 1e-12 * ref[0]
     assert np.all(np.diff(vals) <= 0.0)
 
@@ -132,7 +159,7 @@ def test_rank_one_covariance():
     centered = x - x.mean(axis=0)
     cov = centered.T @ centered / (x.shape[0] - 1)
     vals = jacobi_eigh(cov)
-    ref = np.linalg.eigvalsh(cov)[::-1]
+    ref = covariance_spectrum(centered)
     assert np.abs(vals - ref).max() <= 1e-12 * ref[0]
     assert vals[0] == pytest.approx(np.trace(cov), rel=1e-12)
     assert np.abs(vals[1:]).max() <= 1e-12 * ref[0]
@@ -209,7 +236,8 @@ import sys
 import tempfile
 from lnsrlab.cli import main
 with tempfile.TemporaryDirectory() as out:
-    for command in (["pca-spectrum", "--dim", "127"], ["train"], ["noise-curve"]):
+    for command in (["pca-spectrum", "--dim", "127"], ["train"], ["noise-curve"],
+                    ["gap-report", "--modes", "lnsr_inmanifold", "--seeds", "0,1"]):
         with contextlib.redirect_stdout(sys.stderr):
             assert main(command + ["--out", out]) == 0
         (path,) = glob.glob(os.path.join(out, command[0] + "-*.csv"))
@@ -220,12 +248,13 @@ with tempfile.TemporaryDirectory() as out:
 
 def test_cli_csvs_do_not_depend_on_the_blas_thread_count():
     """``pca-spectrum --dim 127``, whose covariance product rounds
-    differently when OpenBLAS splits it over two threads, ``train`` and
-    ``noise-curve`` write the same CSV contents in processes with one and
-    with two OpenBLAS threads, because ``cli.main`` pins one."""
+    differently when OpenBLAS splits it over two threads, ``train``,
+    ``noise-curve`` and in-manifold ``gap-report`` write the same CSV
+    contents in processes with one and with two OpenBLAS threads, because
+    ``cli.main`` pins one."""
     outputs = outputs_under_one_and_two_blas_threads(_CLI_SCRIPT)
     assert [line for line in outputs[0].splitlines() if "," not in line] == [
-        "pca-spectrum", "train", "noise-curve"]
+        "pca-spectrum", "train", "noise-curve", "gap-report"]
     assert outputs[0] == outputs[1]
 
 
@@ -237,7 +266,7 @@ def test_rank_deficient_covariance():
     centered = x - x.mean(axis=0)
     cov = centered.T @ centered / (x.shape[0] - 1)
     vals = jacobi_eigh(cov)
-    ref = np.linalg.eigvalsh(cov)[::-1]
+    ref = covariance_spectrum(centered)
     assert np.abs(vals - ref).max() <= 1e-12 * ref[0]
     assert np.abs(vals[10:]).max() <= 1e-12 * ref[0]
 
@@ -258,14 +287,14 @@ def test_tiny_off_diagonal_keeps_its_rotation(apq):
 @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 7))
 def test_property_reconstruction(seed, n):
     """The spectrum reconstructs the matrix's invariants: its trace and its
-    squared Frobenius norm, and numpy's eigenvalues."""
+    squared Frobenius norm, and the eigenvalues from LAPACK's SVD."""
     rng = np.random.default_rng(seed)
     a = random_symmetric(n, rng)
     vals = jacobi_eigh(a)
     assert np.all(np.diff(vals) <= 1e-12)
     assert vals.sum() == pytest.approx(np.trace(a), abs=1e-8)
     assert (vals * vals).sum() == pytest.approx((a * a).sum(), rel=1e-10)
-    assert np.allclose(vals, np.linalg.eigvalsh(a)[::-1], atol=1e-8)
+    assert np.allclose(vals, svd_spectrum(a), atol=1e-8)
 
 
 def test_one_blas_thread_pins_and_restores_the_count():

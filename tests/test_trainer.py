@@ -10,8 +10,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from lnsrlab.data import DataConfig, synth_classification
-from lnsrlab.encoder import EncoderConfig, build_encoder
+from lnsrlab.data import PAD_ID, DataConfig, synth_classification
+from lnsrlab.encoder import EncoderConfig, build_encoder, forward_with_taps
 from lnsrlab.errors import ContractError, ValidationError
 from lnsrlab.manifold import build_index, neighborhood_basis
 from lnsrlab.noise import NoiseSpec, rescale_relative_rows
@@ -24,6 +24,7 @@ from lnsrlab.trainer import (
     WARMUP_RATIO,
     RunResult,
     TrainConfig,
+    _noise_batch,
     adam_step,
     evaluate,
     lr_at,
@@ -370,10 +371,21 @@ def test_inmanifold_noise_rows_are_rescaled_in_their_token_span(toy_task, monkey
                 assert np.linalg.norm(row - (basis @ row) @ basis) <= 1e-12 * np.linalg.norm(row)
 
 
+def _projected_draw(cfg, index, table, ids, epoch, position, shape):
+    """The oracle for one sequence's raw in-manifold noise: the standard
+    [M, d] block of its (epoch, position) substream, each live row times
+    its token's projector B^T B (the identity for a degenerate one)."""
+    eps = substream_rng(cfg.seed, "noise", epoch, position).normal(0.0, 0.3, size=shape)
+    for pos, tok in enumerate(ids):
+        basis = neighborhood_basis(index, table[tok], k=cfg.knn_k)
+        eps[pos] = eps[pos] @ (np.eye(shape[1]) if basis is None else basis.basis.T @ basis.basis)
+    eps[len(ids):] = 0.0
+    return eps
+
+
 def test_inmanifold_noise_without_rescale_is_the_substream_draw(toy_task, monkeypatch):
-    """With rel_magnitude None each live row is sigma-scale coefficients of
-    its token's basis, drawn in position order from the (epoch, position)
-    substream."""
+    """With rel_magnitude None each live row is the standard draw of the
+    (epoch, position) substream projected onto its token's basis span."""
     mcfg, train, dev = toy_task
     seen = _record_injections(monkeypatch)
     cfg = _inmanifold_cfg(None)
@@ -381,31 +393,23 @@ def test_inmanifold_noise_without_rescale_is_the_substream_draw(toy_task, monkey
     for (epoch, start, batch), (table, _, eps) in zip(_batches(cfg, train, len(seen)), seen):
         index = build_index(table)
         for j, ex in enumerate(batch):
-            ids = train.examples[ex][0]
-            rng = substream_rng(cfg.seed, "noise", epoch, start + j)
-            want = np.zeros_like(eps[j])
-            for pos, tok in enumerate(ids):
-                basis = neighborhood_basis(index, table[tok], k=cfg.knn_k).basis
-                want[pos] = rng.normal(0.0, 0.3, size=basis.shape[0]) @ basis
+            want = _projected_draw(cfg, index, table, train.examples[ex][0], epoch, start + j,
+                                   eps.shape[1:])
             assert np.array_equal(eps[j], want)
 
 
 def test_inmanifold_rescaled_noise_equals_the_per_row_reference(toy_task, monkeypatch):
-    """The batched noise equals, bit for bit, rows drawn one at a time in
-    the span of each token's ``neighborhood_basis`` and then rescaled by
-    ``rescale_relative_rows``."""
+    """The batched noise equals, bit for bit, the per-sequence projected
+    draws rescaled by ``rescale_relative_rows``."""
     mcfg, train, dev = toy_task
     seen = _record_injections(monkeypatch)
     cfg = _inmanifold_cfg(0.05)
     run_training(mcfg, train, dev, cfg)
     for (epoch, start, batch), (table, clean, eps) in zip(_batches(cfg, train, len(seen)), seen):
         index = build_index(table)
-        raw = np.zeros_like(eps)
-        for j, ex in enumerate(batch):
-            rng = substream_rng(cfg.seed, "noise", epoch, start + j)
-            for pos, tok in enumerate(train.examples[ex][0]):
-                basis = neighborhood_basis(index, table[tok], k=cfg.knn_k).basis
-                raw[j, pos] = rng.normal(0.0, 0.3, size=basis.shape[0]) @ basis
+        raw = np.stack([_projected_draw(cfg, index, table, train.examples[ex][0], epoch,
+                                        start + j, eps.shape[1:])
+                        for j, ex in enumerate(batch)])
         mask = clean.token_mask[..., None]
         want = rescale_relative_rows(raw, np.where(mask, clean.layers[0].data, 0.0), 0.05)
         assert np.array_equal(eps, want)
@@ -437,6 +441,25 @@ def test_inmanifold_degenerate_fallback_is_rescaled_gaussian(toy_task, monkeypat
         want = rescale_relative_rows(raw, clean_input[j, :n], 0.05)
         assert np.array_equal(eps[j, :n], want)
         assert not eps[j, n:].any()
+
+
+def test_inmanifold_noise_skips_a_pad_inside_a_sequence(toy_task):
+    """A PAD_ID inside a sequence gets zero noise, and the rows after it
+    keep their own tokens' projectors: rows follow the sequence, not the
+    pad mask."""
+    mcfg, _, _ = toy_task
+    model = build_encoder(mcfg, 3)
+    ids = [[5, PAD_ID, 7, 3], [2, 9]]
+    _, clean = forward_with_taps(model, ids)
+    cfg = _inmanifold_cfg(None)
+    rngs = [substream_rng(cfg.seed, "noise", 0, j) for j in range(len(ids))]
+    eps = _noise_batch(model, ids, clean.layers[0].data, clean.token_mask, cfg, rngs)
+    table = model.tok_emb.data
+    want = np.stack([_projected_draw(cfg, build_index(table), table, seq, 0, j, eps.shape[1:])
+                     for j, seq in enumerate(ids)])
+    want[0, 1] = 0.0
+    assert not eps[0, 1].any() and eps[0, 2].any()
+    assert np.array_equal(eps, want)
 
 
 def test_non_finite_values_name_epoch_step_and_example(toy_task):
@@ -547,7 +570,6 @@ def test_evaluate_on_untrained_model_is_finite(toy_task):
 
 def _row_metrics(model, sets):
     """Each set's accuracy from its own rows of one frozen pass over all sets."""
-    from lnsrlab.encoder import forward_with_taps
     logits, _ = forward_with_taps(model.frozen(), [ids for ds in sets for ids, _ in ds.examples])
     out, start = [], 0
     for ds in sets:
