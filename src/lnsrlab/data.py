@@ -138,6 +138,11 @@ def synth_classification(n_per_class: int, num_classes: int, seq_len: int,
     margin=1 a bag-of-tokens linear classifier separates the classes
     perfectly.  Returns disjoint (train, dev) datasets; dev holds
     ``n_per_class // 4`` (at least 1) examples per class.
+
+    The draw order on the ``(seed, "data")`` stream fixes the bits: per
+    example an ``integers`` draw for its length, then per token a
+    ``random()`` draw that picks the pool and an ``integers(len(pool))``
+    draw that picks the token in it; train class by class, then dev.
     """
     if n_per_class < 1 or num_classes < 2 or seq_len < 4:
         raise ValidationError(
@@ -153,20 +158,17 @@ def synth_classification(n_per_class: int, num_classes: int, seq_len: int,
             f"vocab_size {vocab_size} too small for {num_classes} class pools"
             f" plus a shared pool (need >= {FIRST_REAL_ID + 2 * (num_classes + 1)})"
         )
-    pools = [np.arange(FIRST_REAL_ID + c * pool_size,
-                       FIRST_REAL_ID + (c + 1) * pool_size)
+    pools = [range(FIRST_REAL_ID + c * pool_size, FIRST_REAL_ID + (c + 1) * pool_size)
              for c in range(num_classes)]
-    shared = np.arange(FIRST_REAL_ID + num_classes * pool_size, vocab_size)
+    shared = range(FIRST_REAL_ID + num_classes * pool_size, vocab_size)
     rng = stream_rng(seed, "data")
 
     def draw_example(label):
         length = int(rng.integers(max(1, seq_len - 3), seq_len + 1))
         ids = []
         for _ in range(length):
-            if rng.random() < margin:
-                ids.append(int(rng.choice(pools[label])))
-            else:
-                ids.append(int(rng.choice(shared)))
+            pool = pools[label] if rng.random() < margin else shared
+            ids.append(pool[rng.integers(len(pool))])
         return ids
 
     train_examples = []

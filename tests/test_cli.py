@@ -216,6 +216,16 @@ def test_config_file_applies(tmp_path):
     assert train.noise.rel_magnitude is None
 
 
+def test_train_with_subnormal_sigma_exits_0(tmp_path):
+    """With ``rel_magnitude`` set, a sigma whose draws are subnormal still
+    gives finite rescaled noise, so training runs."""
+    ini = tmp_path / "exp.ini"
+    ini.write_text("[noise]\nsigma = 4.3e-312\n")
+    assert main(["train", "--config", str(ini), "--out", str(tmp_path)]) == 0
+    rows = _read(_only_csv(str(tmp_path), "train"))
+    assert all(np.isfinite(float(v)) for row in rows[1:] for v in row)
+
+
 def test_cli_seed_overrides_config(tmp_path):
     ini = tmp_path / "exp.ini"
     ini.write_text("[train]\nseed = 2\n")

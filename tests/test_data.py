@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lnsrlab import data
 from lnsrlab.data import (
     FIRST_REAL_ID,
     load_tsv,
@@ -10,6 +11,7 @@ from lnsrlab.data import (
     synth_manifold,
 )
 from lnsrlab.errors import ContractError, ValidationError
+from lnsrlab.rng import stream_rng
 
 
 def write(tmp_path, content, name="data.tsv"):
@@ -99,6 +101,93 @@ def test_synth_classification_validation():
         synth_classification(10, 2, 8, 40, 0.0, seed=0)
     with pytest.raises(ValidationError, match="vocab_size"):
         synth_classification(10, 5, 8, 12, 0.5, seed=0)
+
+
+def _choice_oracle(n_per_class, num_classes, seq_len, vocab_size, margin, seed):
+    """The generator as first written, each token by ``Generator.choice``
+    over its pool.  Returns (train, dev, the dev attempt it gave up at or
+    None, the stream's state when it stopped)."""
+    pool_size = (vocab_size - FIRST_REAL_ID) // (num_classes + 1)
+    pools = [np.arange(FIRST_REAL_ID + c * pool_size, FIRST_REAL_ID + (c + 1) * pool_size)
+             for c in range(num_classes)]
+    shared = np.arange(FIRST_REAL_ID + num_classes * pool_size, vocab_size)
+    rng = stream_rng(seed, "data")
+
+    def draw(label):
+        length = int(rng.integers(max(1, seq_len - 3), seq_len + 1))
+        return [int(rng.choice(pools[label])) if rng.random() < margin
+                else int(rng.choice(shared)) for _ in range(length)]
+
+    train = [(draw(label), label) for label in range(num_classes) for _ in range(n_per_class)]
+    seen = {tuple(ids) for ids, _ in train}
+    n_dev, dev = max(1, n_per_class // 4), []
+    for label in range(num_classes):
+        made = attempts = 0
+        while made < n_dev:
+            attempts += 1
+            if attempts > 200 * n_dev:
+                return train, dev, attempts, rng.bit_generator.state
+            ids = draw(label)
+            if tuple(ids) not in seen:
+                seen.add(tuple(ids))
+                dev.append((ids, label))
+                made += 1
+    return train, dev, None, rng.bit_generator.state
+
+
+# (n_per_class, num_classes, seq_len, vocab_size, margin): pools of 2 and
+# 3 tokens, a shared pool larger than the class pools, margin 1, three and
+# four classes, the shortest seq_len and a 1000-token vocabulary.
+ORACLE_SHAPES = [
+    (16, 2, 8, 40, 0.6),
+    (8, 2, 4, 8, 1.0),
+    (6, 2, 4, 11, 0.3),
+    (12, 3, 6, 41, 0.7),
+    (30, 3, 5, 14, 0.55),
+    (10, 4, 8, 1000, 0.45),
+    (20, 2, 12, 1000, 0.9),
+]
+
+
+def _recorded_streams(monkeypatch):
+    """Patch ``data.stream_rng`` so each stream it hands out is kept."""
+    streams = []
+
+    def recording(seed, name):
+        streams.append(stream_rng(seed, name))
+        return streams[-1]
+
+    monkeypatch.setattr(data, "stream_rng", recording)
+    return streams
+
+
+@pytest.mark.parametrize("shape", ORACLE_SHAPES)
+def test_synth_classification_matches_choice_oracle(shape, monkeypatch):
+    """Drawing each token's index with ``integers`` makes the draws
+    ``choice`` made, in the same order: equal examples, equal int tokens
+    and the stream left at the same position."""
+    streams = _recorded_streams(monkeypatch)
+    for seed in range(6):
+        train_ref, dev_ref, gave_up, state = _choice_oracle(*shape, seed)
+        assert gave_up is None
+        train, dev = synth_classification(*shape, seed)
+        assert train.examples == train_ref and dev.examples == dev_ref
+        assert all(type(t) is int for ids, _ in train.examples + dev.examples for t in ids)
+        assert streams[-1].bit_generator.state == state
+
+
+def test_synth_classification_dev_rejection_matches_choice_oracle(monkeypatch):
+    """Two pool tokens and seq_len 4 allow 30 sequences per class; 120
+    train draws leave too few unseen for 30 dev examples, so both
+    generators give up at the same attempt, from the same stream state."""
+    streams = _recorded_streams(monkeypatch)
+    shape = (120, 2, 4, 8, 1.0)
+    for seed in range(3):
+        _, _, gave_up, state = _choice_oracle(*shape, seed)
+        assert gave_up == 200 * 30 + 1
+        with pytest.raises(ContractError, match="disjoint from train"):
+            synth_classification(*shape, seed)
+        assert streams[-1].bit_generator.state == state
 
 
 def test_synth_manifold_rank_at_zero_curvature():

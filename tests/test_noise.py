@@ -167,6 +167,22 @@ def test_rescale_rows_whose_squares_leave_float64(size):
         assert scaled_norm(got) == pytest.approx(0.05 * scaled_norm(row), rel=1e-12)
 
 
+@pytest.mark.parametrize("noise_size, x_size", [(4.3e-312, 1.0), (1e300, 1e-300)])
+def test_rescale_noise_rows_far_from_the_rows_they_perturb(noise_size, x_size):
+    """Subnormal noise rows, and noise rows 600 decades above x, still get
+    finite rows of norm rho times x's: the factor is applied to the noise
+    row scaled into [0.5, 1), never as one power of two spanning both."""
+    rng = stream_rng(11, "noise")
+    x = x_size * rng.normal(size=(4, 12))
+    noise = noise_size * rng.normal(size=(4, 12))
+    assert noise_size > 1 or np.all(np.abs(noise) < np.finfo(np.float64).tiny)
+    with np.errstate(over="raise", invalid="raise"):
+        out = rescale_relative_rows(noise, x, 0.05)
+    assert np.isfinite(out).all()
+    for got, row in zip(out, x):
+        assert scaled_norm(got) == pytest.approx(0.05 * scaled_norm(row), rel=1e-12)
+
+
 @pytest.mark.parametrize("k", [500, -500])
 def test_rescale_commutes_with_powers_of_two(k):
     """Scaling x by 2^k scales the result by 2^k, and scaling the noise
