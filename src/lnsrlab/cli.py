@@ -19,7 +19,7 @@ import csv
 import math
 import os
 import sys
-from dataclasses import astuple, fields, is_dataclass, replace
+from dataclasses import astuple, fields, is_dataclass
 from datetime import datetime
 from statistics import NormalDist
 
@@ -141,12 +141,16 @@ def _lambda_weights(text: str):
 # Casters for the config field types that do not parse text themselves.
 _CASTERS = {float | None: _float_or_none, float | tuple: _lambda_weights, str | None: str}
 
+# Each section's keys (its config dataclass's fields) and their casters.
+_SCHEMA = {section: {f.name: _CASTERS.get(f.type, f.type) for f in fields(config)
+                     if not is_dataclass(f.type)}
+           for section, config in (("encoder", EncoderConfig), ("noise", NoiseSpec),
+                                   ("regularizer", RegularizerConfig),
+                                   ("train", TrainConfig), ("data", DataConfig))}
+
 
 def load_config_file(path):
-    """Parse the INI file into {section: {key: typed value}}.
-
-    A section's keys are the fields of its config dataclass, nested configs
-    aside."""
+    """Parse the INI file into {section: {key: typed value}} by ``_SCHEMA``."""
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path, encoding="utf-8")
@@ -156,17 +160,12 @@ def load_config_file(path):
         raise ValidationError(f"malformed config file {path}: {exc}") from exc
     if not read:
         raise ValidationError(f"config file not found: {path}")
-    schema = {section: {f.name: _CASTERS.get(f.type, f.type) for f in fields(config)
-                        if not is_dataclass(f.type)}
-              for section, config in (("encoder", EncoderConfig), ("noise", NoiseSpec),
-                                      ("regularizer", RegularizerConfig),
-                                      ("train", TrainConfig), ("data", DataConfig))}
     out = {}
     for section, items in sections:
-        if section not in schema:
+        if section not in _SCHEMA:
             raise ValidationError(
-                f"unknown config section [{section}]; expected one of {tuple(schema)}")
-        casters = schema[section]
+                f"unknown config section [{section}]; expected one of {tuple(_SCHEMA)}")
+        casters = _SCHEMA[section]
         values = {}
         for key, raw in items:
             if key not in casters:
@@ -180,10 +179,13 @@ def load_config_file(path):
     return out
 
 
-def _configs(args):
+def _configs(args, override=None):
     """``(EncoderConfig, TrainConfig, DataConfig)``: the dataclass defaults,
-    then the ``--config`` file's sections, then ``--seed``."""
+    then the ``--config`` file's sections, then ``override``'s
+    ``{section: {key: value}}``, then ``--seed``."""
     sections = load_config_file(args.config) if args.config else {}
+    for section, values in (override or {}).items():
+        sections.setdefault(section, {}).update(values)
     train = sections.get("train", {})
     if args.seed is not None:
         train["seed"] = args.seed
@@ -191,6 +193,30 @@ def _configs(args):
             TrainConfig(noise=NoiseSpec(**sections.get("noise", {})),
                         reg=RegularizerConfig(**sections.get("regularizer", {})), **train),
             DataConfig(**sections.get("data", {})))
+
+
+# `sweep --param` takes a key of exactly one training section (so not `mode`,
+# gap-report's axis), except `seed`, which pairs the variants.
+_TRAINING = ("noise", "regularizer", "train")
+_SWEEPABLE = {key: section for section in _TRAINING for key in _SCHEMA[section]
+              if key != "seed" and sum(key in _SCHEMA[s] for s in _TRAINING) == 1}
+_STATS = ("dev_mean", "dev_std", "dev_max", "gap_mean", "gap_std", "gap_max")
+
+
+def _run_study(args, enc, data, variants, header, rows, label=str):
+    """Check every ``(key, TrainConfig)`` of ``variants``, then run each on
+    ``--seeds``; write ``header`` + ``_STATS`` and each variant's
+    ``rows(key, summary, stats)``, then print a summary line per ``label(key)``."""
+    train_ds, dev_ds = data.datasets(enc.vocab_size)
+    seeds = _comma_list(args.seeds, int, "--seeds", minimum=2, distinct=True)
+    check_run(enc, train_ds, dev_ds, *(cfg for _, cfg in variants))
+    summaries = [(key, multi_seed(enc, train_ds, dev_ds, cfg, seeds)) for key, cfg in variants]
+    _write_output(args, header + _STATS, [row for key, s in summaries for row in rows(
+        key, s, tuple(getattr(s, name) for name in _STATS))])
+    for key, s in summaries:
+        print(f"{label(key)}: dev {s.dev_mean:.4f} (std {s.dev_std:.4f}), "
+              f"gap {s.gap_mean:.4f} (std {s.gap_std:.4f})")
+    return 0
 
 
 # ----------------------------------------------------------------- commands
@@ -214,27 +240,17 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    enc, base, data = _configs(args)
-    train_ds, dev_ds = data.datasets(enc.vocab_size)
-    caster = int if args.param == "injection_layer" else float
-    values = _comma_list(args.values, caster, "--values", distinct=True)
-    seeds = _comma_list(args.seeds, int, "--seeds", minimum=2, distinct=True)
-    if args.param == "injection_layer":
-        cfgs = [replace(base, reg=replace(base.reg, injection_layer=v)) for v in values]
-    else:
-        cfgs = [replace(base, noise=replace(base.noise, rel_magnitude=v)) for v in values]
-    check_run(enc, train_ds, dev_ds, *cfgs)
-    summaries = [(float(v), multi_seed(enc, train_ds, dev_ds, cfg, seeds))
-                 for v, cfg in zip(values, cfgs)]
-    _write_output(args,
-                  ("param", "value", "n_seeds", "dev_mean", "dev_std", "dev_max",
-                   "gap_mean", "gap_std", "gap_max"),
-                  [(args.param, v, len(s.per_seed), s.dev_mean, s.dev_std, s.dev_max,
-                    s.gap_mean, s.gap_std, s.gap_max) for v, s in summaries])
-    for v, s in summaries:
-        print(f"{args.param}={v:g}: dev {s.dev_mean:.4f} (std {s.dev_std:.4f}), "
-              f"gap {s.gap_mean:.4f} (std {s.gap_std:.4f})")
-    return 0
+    if args.param not in _SWEEPABLE:
+        raise ValidationError(f"--param {args.param!r} is not one of {tuple(_SWEEPABLE)}")
+    section = _SWEEPABLE[args.param]
+    values = _comma_list(args.values, _SCHEMA[section][args.param], "--values", distinct=True)
+    enc, _, data = _configs(args)
+    # The value cell and label hold the value as a float, or none.
+    variants = [(None if v is None else float(v), _configs(args, {section: {args.param: v}})[1])
+                for v in values]
+    return _run_study(args, enc, data, variants, ("param", "value", "n_seeds"),
+                      lambda v, s, stats: [(args.param, v, len(s.per_seed)) + stats],
+                      lambda v: f"{args.param}={'none' if v is None else format(v, 'g')}")
 
 
 def _cmd_verify_claim1(args) -> int:
@@ -366,32 +382,15 @@ def _cmd_bench(args) -> int:
 
 def _cmd_gap_report(args) -> int:
     enc, base, data = _configs(args)
-    train_ds, dev_ds = data.datasets(enc.vocab_size)
     modes = _comma_list(args.modes, str.strip, "--modes", distinct=True)
-    seeds = _comma_list(args.seeds, int, "--seeds", minimum=2, distinct=True)
-    cfgs = [config_for_mode(base, mode) for mode in modes]
-    check_run(enc, train_ds, dev_ds, *cfgs)
-    rows = []
-    summaries = []
-    for mode, cfg in zip(modes, cfgs):
-        summary = multi_seed(enc, train_ds, dev_ds, cfg, seeds)
-        summaries.append((mode, summary))
-        for run in summary.per_seed:
-            rows.append(("run", mode, run.seed, run.final_train_metric,
-                         run.final_dev_metric, run.generalization_gap,
-                         None, None, None, None, None, None))
-        rows.append(("summary", mode, None, None, None, None,
-                     summary.dev_mean, summary.dev_std, summary.dev_max,
-                     summary.gap_mean, summary.gap_std, summary.gap_max))
-    _write_output(args,
-                  ("record", "mode", "seed", "final_train_metric", "final_dev_metric",
-                   "generalization_gap", "dev_mean", "dev_std", "dev_max",
-                   "gap_mean", "gap_std", "gap_max"),
-                  rows)
-    for mode, summary in summaries:
-        print(f"{mode}: dev {summary.dev_mean:.4f} (std {summary.dev_std:.4f}), "
-              f"gap {summary.gap_mean:.4f} (std {summary.gap_std:.4f})")
-    return 0
+    return _run_study(
+        args, enc, data, [(mode, config_for_mode(base, mode)) for mode in modes],
+        ("record", "mode", "seed", "final_train_metric", "final_dev_metric",
+         "generalization_gap"),
+        lambda mode, s, stats:
+            [("run", mode, r.seed, r.final_train_metric, r.final_dev_metric,
+              r.generalization_gap) + (None,) * len(_STATS) for r in s.per_seed]
+            + [("summary", mode, None, None, None, None) + stats])
 
 
 # -------------------------------------------------------------------- main
@@ -419,11 +418,12 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("sweep", parents=[configured],
-                       help="multi-seed summaries while varying one knob")
+                       help="multi-seed summaries while varying one training key")
     p.add_argument("--param", required=True,
-                   choices=("injection_layer", "rel_magnitude"))
+                   help="a training key: " + ", ".join(_SWEEPABLE) + " (seed and mode are"
+                        " not swept); sigma acts only with [noise] rel_magnitude = none")
     p.add_argument("--values", required=True,
-                   help="comma-separated settings of the swept parameter")
+                   help="comma-separated values of the key, each read as in a config file")
     p.add_argument("--seeds", default="0,1,2", help="comma-separated seeds")
     p.set_defaults(func=_cmd_sweep)
 

@@ -350,17 +350,6 @@ class MultiSeedResult:
     gap_max: float
 
 
-def summarize_runs(runs) -> MultiSeedResult:
-    devs = np.array([r.final_dev_metric for r in runs])
-    gaps = np.array([r.generalization_gap for r in runs])
-    std = (lambda a: float(a.std(ddof=1)) if a.size > 1 else 0.0)
-    return MultiSeedResult(
-        per_seed=list(runs),
-        dev_mean=float(devs.mean()), dev_std=std(devs), dev_max=float(devs.max()),
-        gap_mean=float(gaps.mean()), gap_std=std(gaps), gap_max=float(gaps.max()),
-    )
-
-
 def config_for_mode(base_cfg: TrainConfig, mode: str) -> TrainConfig:
     """Variant of ``base_cfg`` running the given objective mode.
 
@@ -383,4 +372,10 @@ def multi_seed(model_cfg: EncoderConfig, train_ds: TextDataset,
         raise ContractError(f"multi_seed: need at least 2 seeds, got {len(seeds)}")
     runs = [run_training(model_cfg, train_ds, dev_ds, replace(base_cfg, seed=s))
             for s in seeds]
-    return summarize_runs(runs)
+    devs = np.array([r.final_dev_metric for r in runs])
+    gaps = np.array([r.generalization_gap for r in runs])
+    return MultiSeedResult(
+        per_seed=runs,
+        dev_mean=float(devs.mean()), dev_std=float(devs.std(ddof=1)), dev_max=float(devs.max()),
+        gap_mean=float(gaps.mean()), gap_std=float(gaps.std(ddof=1)), gap_max=float(gaps.max()),
+    )

@@ -103,7 +103,9 @@ def test_train_is_deterministic_per_seed(tmp_path):
 @pytest.mark.parametrize("param, values, written", [
     ("rel_magnitude", "0.05,0.1", ["0.05", "0.1"]),
     ("injection_layer", "1,2", ["1.0", "2.0"]),
-], ids=["rel_magnitude", "injection_layer"])
+    ("lambda_weights", "0.05,1", ["0.05", "1.0"]),
+    ("rel_magnitude", "none,0.05", ["", "0.05"]),  # none, as in a config file
+], ids=["rel_magnitude", "injection_layer", "lambda_weights", "rel_magnitude_none"])
 def test_sweep_command(tmp_path, param, values, written):
     out = str(tmp_path)
     assert main(["sweep", "--out", out, "--param", param,
@@ -115,17 +117,60 @@ def test_sweep_command(tmp_path, param, values, written):
     assert rows[1][3:] != rows[2][3:]  # each value reaches the training runs
 
 
-def test_sweep_row_equals_gap_report_summary(tmp_path):
-    """Sweeping the default magnitude trains what gap-report's default
-    lnsr_standard mode trains, so all six statistics agree."""
+def _ini(path, sections):
+    path.write_text("".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                            for section, keys in sections.items()))
+    return str(path)
+
+
+_IN_MANIFOLD = {"noise": {"mode": "in_manifold"}, "regularizer": {"mode": "lnsr_inmanifold"}}
+
+
+@pytest.mark.parametrize("section, key, value, base, mode", [
+    ("noise", "rel_magnitude", "0.05", {}, "lnsr_standard"),
+    ("regularizer", "lambda_weights", "0.05", {}, "lnsr_standard"),
+    ("noise", "sigma", "0.2", {"noise": {"rel_magnitude": "none"}}, "lnsr_standard"),
+    ("train", "knn_k", "3", _IN_MANIFOLD, "lnsr_inmanifold"),
+    ("train", "lr", "0.004", {}, "lnsr_standard"),
+], ids=["rel_magnitude", "lambda_weights", "sigma", "knn_k", "lr"])
+def test_sweep_row_equals_gap_report_summary(tmp_path, section, key, value, base, mode):
+    """A swept value trains what the same value in a config file trains,
+    so the sweep row and gap-report's summary agree in all six statistics.
+    ``knn_k`` acts only on in-manifold noise, so it is swept there."""
     sweep_out, gap_out = str(tmp_path / "sweep"), str(tmp_path / "gap")
-    assert main(["sweep", "--out", sweep_out, "--param", "rel_magnitude",
-                 "--values", "0.05", "--seeds", "0,1"]) == 0
-    assert main(["gap-report", "--out", gap_out, "--modes", "lnsr_standard",
-                 "--seeds", "0,1"]) == 0
+    assert main(["sweep", "--out", sweep_out, "--config", _ini(tmp_path / "base.ini", base),
+                 "--param", key, "--values", value, "--seeds", "0,1"]) == 0
+    with_key = {**base, section: {**base.get(section, {}), key: value}}
+    assert main(["gap-report", "--out", gap_out, "--modes", mode, "--seeds", "0,1",
+                 "--config", _ini(tmp_path / "key.ini", with_key)]) == 0
     (row,) = _read(_only_csv(sweep_out, "sweep"))[1:]
     (summary,) = [r for r in _read(_only_csv(gap_out, "gap-report")) if r[0] == "summary"]
+    assert row[:3] == [key, repr(float(value)), "2"]
     assert row[3:] == summary[6:]
+
+
+def test_sweep_knn_k_acts_only_on_in_manifold_noise(tmp_path):
+    """The default mode draws standard noise, which no neighbourhood
+    shapes, so every ``knn_k`` trains the same runs."""
+    assert main(["sweep", "--out", str(tmp_path), "--param", "knn_k", "--values", "3,10",
+                 "--seeds", "0,1"]) == 0
+    rows = _read(_only_csv(str(tmp_path), "sweep"))
+    assert [r[:3] for r in rows[1:]] == [["knn_k", "3.0", "2"], ["knn_k", "10.0", "2"]]
+    assert rows[1][3:] == rows[2][3:]
+
+
+@pytest.mark.parametrize("param", ["seed", "mode", "vocab_size", "margin", "bogus"])
+def test_sweep_rejects_keys_outside_one_training_section(tmp_path, capsys, monkeypatch, param):
+    """The seeds pair the variants, ``mode`` is in two sections (and is
+    gap-report's axis), and ``[encoder]`` and ``[data]`` keys and unknown
+    names are not training keys: each exits 1 before any run."""
+    calls = []
+    monkeypatch.setattr(cli, "multi_seed", lambda *a: calls.append(a))
+    assert main(["sweep", "--out", str(tmp_path), "--param", param, "--values", "1",
+                 "--seeds", "0,1"]) == 1
+    assert f"--param {param!r}" in capsys.readouterr().err
+    assert not glob.glob(os.path.join(str(tmp_path), "*.csv"))
+    assert calls == []
 
 
 def test_verify_claim1_command(tmp_path):
@@ -404,7 +449,7 @@ def test_bad_arguments_exit_1(tmp_path, capsys):
         assert main([command, "--config", "x.ini"] + out) == 1
         assert "--config" in capsys.readouterr().err
     for argv in (["sweep", "--param", "rel_magnitude", "--values", ","],
-                 ["sweep", "--values", "0.1", "--param", "sigma"],
+                 ["sweep", "--values", "0.1", "--param", "seed"],
                  ["sweep", "--param", "injection_layer", "--values", "1.5"],
                  ["bench", "--standard-rows", ","],
                  ["verify-claim1", "--sigmas", ","],

@@ -10,6 +10,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from lnsrlab import trainer
 from lnsrlab.data import PAD_ID, DataConfig, synth_classification
 from lnsrlab.encoder import EncoderConfig, build_encoder, forward_with_taps
 from lnsrlab.errors import ContractError, ValidationError
@@ -30,7 +31,6 @@ from lnsrlab.trainer import (
     lr_at,
     multi_seed,
     run_training,
-    summarize_runs,
 )
 
 
@@ -612,10 +612,12 @@ def _fake_run(dev, gap):
                      wall_time_seconds=0.0)
 
 
-def test_summary_statistics_worked_example():
+def test_summary_statistics_worked_example(monkeypatch):
     # dev accuracies 70, 72, 74 -> mean 72, sample std 2, max 74
-    runs = [_fake_run(70.0, 0.0), _fake_run(72.0, 0.0), _fake_run(74.0, 0.0)]
-    s = summarize_runs(runs)
+    runs = {0: _fake_run(70.0, 0.0), 1: _fake_run(72.0, 0.0), 2: _fake_run(74.0, 0.0)}
+    monkeypatch.setattr(trainer, "run_training", lambda m, t, d, cfg: runs[cfg.seed])
+    s = multi_seed(None, None, None, _cfg(), seeds=[0, 1, 2])
+    assert s.per_seed == list(runs.values())
     assert s.dev_mean == pytest.approx(72.0)
     assert s.dev_std == pytest.approx(2.0)
     assert s.dev_max == pytest.approx(74.0)
@@ -629,11 +631,6 @@ def test_gap_is_train_minus_dev(toy_task):
     # worked example: train 95.89, dev 70.13 -> gap 25.76
     r = _fake_run(70.13, 95.89 - 70.13)
     assert r.final_train_metric - r.final_dev_metric == pytest.approx(25.76)
-
-
-def test_single_run_std_is_zero():
-    s = summarize_runs([_fake_run(50.0, 1.0)])
-    assert s.dev_std == 0.0 and s.gap_std == 0.0
 
 
 def test_multi_seed_runs_each_seed(toy_task):
